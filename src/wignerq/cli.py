@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -230,6 +231,7 @@ def cmd_sample(args) -> int:
         warnings = res.warnings
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
+    rows = arr.tolist()
     payload = {
         "command": "sample",
         "metric": metric.value,
@@ -238,14 +240,14 @@ def cmd_sample(args) -> int:
         "seed": args.seed,
         "workers": args.workers,
         "warnings": list(warnings),
-        "spectra": [[float(v) for v in row] for row in arr],
+        "spectra": rows,
     }
     header = [f"r{i + 1}" for i in range(args.n)]
-    _emit(args, payload, header, [list(row) for row in arr])
+    _emit(args, payload, header, rows)
     return 0
 
 
-def _reproduce_checks(args):
+def _reproduce_checks(mc_spec: McSpec):
     """Rows of the published-value table: (name, value, target, kind, tol)."""
     rp = positive_ball_radius()
     checks = []
@@ -256,7 +258,7 @@ def _reproduce_checks(args):
         checks.append((f"qubit_{metric.value}_closed_vs_print", closed, prints[metric], "rel", 1e-4))
         quad = global_indicator(metric, 2, spec=qspec1).value
         checks.append((f"qubit_{metric.value}_quad_vs_closed", quad, closed, "rel", 1e-8))
-        mc = global_indicator(metric, 2, spec=_mc_spec(args))
+        mc = global_indicator(metric, 2, spec=mc_spec)
         checks.append((f"qubit_{metric.value}_mc_vs_closed", mc.value, closed, "abs", 3.0 * mc.error))
 
     qspec2 = QuadratureSpec(rel_tol=1e-7)
@@ -282,11 +284,12 @@ def _reproduce_checks(args):
 
 
 def cmd_reproduce(args) -> int:
+    mc_spec = _mc_spec(args)
     if args.fast:
-        args.samples = min(args.samples, 100_000)
+        mc_spec = dataclasses.replace(mc_spec, samples=min(mc_spec.samples, 100_000))
     rows = []
     all_pass = True
-    for name, value, target, kind, tol in _reproduce_checks(args):
+    for name, value, target, kind, tol in _reproduce_checks(mc_spec):
         dev = abs(value - target) / (abs(target) if kind == "rel" else 1.0)
         ok = dev <= tol
         all_pass &= ok

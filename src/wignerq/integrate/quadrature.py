@@ -15,6 +15,9 @@ it:
   map on its innermost level.
 
 All volumes are unnormalized; only ratios are meaningful.
+
+scipy is imported by the first quadrature that runs, not with the
+package, so closed-form work never loads it.
 """
 
 from __future__ import annotations
@@ -24,12 +27,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from ..errors import ConvergenceError, DomainError
-from ..measures import _density_from_values, qubit_radial_density
+from ..measures import _density_from_values
 from ..spectra import MetricKind
-from ..positivity import qutrit_orbit_bound, qutrit_positivity_bound
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -72,7 +73,10 @@ class VolumeEstimate:
 
 def _quad(f, a, b, rel_tol, abs_tol, limit):
     """scipy.integrate.quad with failure turned into ConvergenceError."""
-    res = _sciint.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1)
+    # Looked up on every call, so a replaced scipy.integrate.quad is seen.
+    import scipy.integrate
+
+    res = scipy.integrate.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1)
     value, abserr = res[0], res[1]
     if len(res) == 4 and abserr > max(abs_tol, rel_tol * abs(value)):
         raise ConvergenceError(

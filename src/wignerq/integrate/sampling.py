@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
@@ -101,7 +102,12 @@ def _map_ordered(fn, jobs, workers: int):
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             futures = [pool.submit(fn, *job) for job in jobs]
             return [f.result() for f in futures]
-    except (OSError, PermissionError):
+    except OSError as exc:
+        warnings.warn(
+            f"process pool for {workers} workers unavailable ({exc!r}); running sequentially",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return [fn(*job) for job in jobs]
 
 

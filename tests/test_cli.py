@@ -4,12 +4,16 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from wignerq import McSpec, sample_hs_spectra
 from wignerq.cli import main, parse_angle
 
 SCHEMA = json.loads(
@@ -210,6 +214,18 @@ class TestSampleCommand:
         assert payload["sampler"] == "mcmc"
         assert len(payload["spectra"]) == 50
 
+    def test_output_equals_sampler_values(self, capsys):
+        argv = ("sample", "--metric", "hs", "--n", "3", "--samples", "20", "--seed", "5",
+                "--workers", "1")
+        expected = sample_hs_spectra(3, McSpec(20, seed=5)).tolist()
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["spectra"] == expected
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1:] == [[format(v, ".12g") for v in row] for row in expected]
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "spectra.csv"
         code, out, _ = run_cli(
@@ -221,7 +237,47 @@ class TestSampleCommand:
         assert target.read_text().startswith("r1,r2")
 
 
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+import wignerq
+from wignerq.cli import main
+commands = [
+    ["indicator", "--n", "2", "--metric", "bkm"],
+    ["indicator", "--n", "3", "--metric", "hs", "--zeta", "pi/6"],
+    ["minimize", "--metric", "hs"],
+    ["curve"],
+    ["sample", "--metric", "hs", "--n", "3", "--samples", "100"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_commands_without_integration_never_import_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == {"codes": [0] * 5, "scipy": []}
+
+
 class TestReproduceCommand:
+    def test_fast_caps_samples_without_changing_args(self, capsys, monkeypatch):
+        from wignerq import cli
+
+        specs = []
+        monkeypatch.setattr(cli, "_reproduce_checks", lambda spec: specs.append(spec) or [])
+        args = cli.build_parser().parse_args(["reproduce-paper", "--fast"])
+        assert cli.cmd_reproduce(args) == 0
+        capsys.readouterr()
+        assert args.samples == 1_000_000
+        assert [s.samples for s in specs] == [100_000]
+
     def test_fast_manifest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce-paper", "--fast", "--seed", "3")
         assert code == 0

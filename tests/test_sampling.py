@@ -56,6 +56,18 @@ class TestDeterminism:
         assert np.array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
 
+    def test_pool_failure_warns_and_runs_sequentially(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise OSError("process pool refused")
+
+        jobs = [(2, 500, 99, 2, i) for i in range(2)]
+        sequential = sampling_mod._map_ordered(sampling_mod._hs_chunk, jobs, 1)
+        monkeypatch.setattr(sampling_mod, "ProcessPoolExecutor", no_pool)
+        with pytest.warns(RuntimeWarning, match=r"2 workers.*process pool refused"):
+            fallback = sampling_mod._map_ordered(sampling_mod._hs_chunk, jobs, 2)
+        assert len(fallback) == len(sequential) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(fallback, sequential))
+
     def test_worker_split_changes_stream(self):
         one = sample_hs_spectra(2, McSpec(samples=1_000, seed=99, workers=1))
         two = sample_hs_spectra(2, McSpec(samples=1_000, seed=99, workers=2))
