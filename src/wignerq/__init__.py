@@ -35,7 +35,6 @@ from .integrate import (
     sample_spectrum_mcmc,
 )
 from .measures import (
-    RadialDensity,
     morozova_chentsov,
     positive_ball_radius,
     qubit_ball_volume,
@@ -81,7 +80,6 @@ __all__ = [
     "ModuliPoint",
     "QuadratureSpec",
     "QutritPolar",
-    "RadialDensity",
     "StateSpectrum",
     "VolumeEstimate",
     "average_indicator",

@@ -43,7 +43,6 @@ from .integrate import (
     sample_hs_spectra,
     sample_mcmc_spectra,
 )
-from .measures import positive_ball_radius, qubit_ball_volume
 from .spectra import MetricKind, ModuliPoint
 
 _WORKERS_ENV = "WIGNERQ_WORKERS"
@@ -249,7 +248,6 @@ def cmd_sample(args) -> int:
 
 def _reproduce_checks(mc_spec: McSpec):
     """Rows of the published-value table: (name, value, target, kind, tol)."""
-    rp = positive_ball_radius()
     checks = []
     prints = {MetricKind.HS: 0.19245, MetricKind.BURES: 0.09172, MetricKind.BKM: 0.0495506}
     qspec1 = QuadratureSpec(rel_tol=1e-9)

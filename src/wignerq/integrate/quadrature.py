@@ -140,8 +140,9 @@ def _qutrit_bounds(phi: float, zeta: float | None):
     return r_pos, gap
 
 
-def _qutrit_eigs(phi: float, b: float, gap0: float, u: float):
-    """Eigenvalues at r = b*(1 - u^2) on the ray phi.
+def _qutrit_ray(phi: float, b: float, gap0: float):
+    """Eigenvalue map u -> ((e1, e2, e3), r) at r = b*(1 - u^2) on the
+    ray phi; the ray's trigonometry is computed once, here.
 
     The smallest eigenvalue is proportional to the distance from the
     orbit boundary, computed as gap0 + b*u^2 without cancellation.
@@ -149,12 +150,15 @@ def _qutrit_eigs(phi: float, b: float, gap0: float, u: float):
     psi = phi / 3.0
     c = math.cos(psi)
     s = math.sin(psi)
-    r = b * (1.0 - u * u)
-    e3 = (2.0 * c / _SQRT3) * (gap0 + b * u * u)
-    rc = (r / _SQRT3) * c
-    e1 = 1.0 / 3.0 + rc + r * s
-    e2 = 1.0 / 3.0 + rc - r * s
-    return e1, e2, e3, r
+    k3 = 2.0 * c / _SQRT3
+
+    def eigs(u):
+        r = b * (1.0 - u * u)
+        e3 = k3 * (gap0 + b * u * u)
+        rc = (r / _SQRT3) * c
+        return (1.0 / 3.0 + rc + r * s, 1.0 / 3.0 + rc - r * s, e3), r
+
+    return eigs
 
 
 def qutrit_polar_integrand(metric: MetricKind, r: float, phi: float) -> float:
@@ -191,10 +195,11 @@ def orbit_volume_qutrit(
 
     def inner(phi):
         b, gap0 = _qutrit_bounds(phi, zeta)
+        eigs = _qutrit_ray(phi, b, gap0)
 
         def f(u):
-            e1, e2, e3, r = _qutrit_eigs(phi, b, gap0, u)
-            return _density_from_values(metric, (e1, e2, e3)) * r * 2.0 * b * u
+            vals, r = eigs(u)
+            return _density_from_values(metric, vals) * r * 2.0 * b * u
 
         return _quad(f, 0.0, 1.0, inner_rel, spec.abs_tol / 4.0, spec.max_subdivisions)
 
@@ -273,9 +278,10 @@ def orbit_volume_simplex(
             elif partial < 0.0:
                 return 0.0
 
+        head = tuple(prefix)
+
         def g(x):
-            vals = tuple(prefix) + (x, remaining - x)
-            return _density_from_values(metric, vals)
+            return _density_from_values(metric, head + (x, remaining - x))
 
         if hs or not singular_edge:
             return _quad(g, lo, hi, rel_tol, spec.abs_tol, limit)
@@ -286,8 +292,7 @@ def orbit_volume_simplex(
 
         def g_sub(t):
             x = hi - t * t
-            vals = tuple(prefix) + (x, base + t * t)
-            return _density_from_values(metric, vals) * 2.0 * t
+            return _density_from_values(metric, head + (x, base + t * t)) * 2.0 * t
 
         return _quad(g_sub, 0.0, math.sqrt(span), rel_tol, spec.abs_tol, limit)
 

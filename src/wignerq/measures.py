@@ -20,7 +20,7 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -31,6 +31,22 @@ from .spectra import MetricKind, StateSpectrum
 _BKM_SERIES_CUTOFF = 1e-9
 
 _POSITIVE_BALL_RADIUS = 1.0 / math.sqrt(3.0)
+
+
+def _bures_weight(x: float, y: float) -> float:
+    return 2.0 / (x + y)
+
+
+def _bkm_weight(x: float, y: float) -> float:
+    diff = x - y
+    if abs(diff) < _BKM_SERIES_CUTOFF * x:
+        d = diff / x
+        return (1.0 + d / 2.0 + d * d / 3.0) / x
+    # log1p keeps the quotient accurate as the arguments approach each other
+    return math.log1p(diff / y) / diff
+
+
+_WEIGHTS = {MetricKind.BURES: _bures_weight, MetricKind.BKM: _bkm_weight}
 
 
 def morozova_chentsov(metric: MetricKind, x: float, y: float) -> float:
@@ -45,30 +61,32 @@ def morozova_chentsov(metric: MetricKind, x: float, y: float) -> float:
         raise DomainError(f"Morozova-Chentsov arguments must be positive, got ({x}, {y})")
     if metric is MetricKind.HS:
         return 1.0
-    if metric is MetricKind.BURES:
-        return 2.0 / (x + y)
-    d = (x - y) / x
-    if abs(x - y) < _BKM_SERIES_CUTOFF * x:
-        return (1.0 + d / 2.0 + d * d / 3.0) / x
-    # log1p keeps the quotient accurate as the arguments approach each other
-    return math.log1p((x - y) / y) / (x - y)
+    return _WEIGHTS[metric](x, y)
 
 
 def _density_from_values(metric: MetricKind, vals) -> float:
-    """Unnormalized density at an eigenvalue tuple, any order."""
-    n = len(vals)
-    out = 1.0
-    if metric is not MetricKind.HS:
-        prod = 1.0
-        for v in vals:
-            prod *= v
-        out = prod ** -0.5
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = vals[i] - vals[j]
+    """Unnormalized density at an eigenvalue tuple, any order.
+
+    Bures and BKM raise DomainError unless every value is positive.
+    """
+    # The multiplication order (the product, then per pair d*d and the
+    # weight) is kept on purpose: every quadrature integrates this
+    # function, so reordering it would move quadrature results in their
+    # last bits.  tests/test_measures.py pins the bits.
+    if metric is MetricKind.HS:
+        out = 1.0
+        for x, y in combinations(vals, 2):
+            d = x - y
             out *= d * d
-            if metric is not MetricKind.HS:
-                out *= morozova_chentsov(metric, vals[i], vals[j])
+        return out
+    if min(vals) <= 0.0:
+        raise DomainError("Bures/BKM density requires strictly positive eigenvalues")
+    weight = _WEIGHTS[metric]
+    out = math.prod(vals) ** -0.5
+    for x, y in combinations(vals, 2):
+        d = x - y
+        out *= d * d
+        out *= weight(x, y)
     return out
 
 
@@ -79,23 +97,7 @@ def radial_density(metric: MetricKind, r: StateSpectrum) -> float:
     positive); the inverse-square-root boundary singularity is
     integrable but not evaluable.  HS accepts any spectrum.
     """
-    if metric is not MetricKind.HS and min(r.values) <= 0.0:
-        raise DomainError("Bures/BKM density requires strictly positive eigenvalues")
     return _density_from_values(metric, r.values)
-
-
-@dataclass(frozen=True)
-class RadialDensity:
-    """Callable handle for the (unnormalized) orbit-space density of a
-    metric at fixed dimension."""
-
-    metric: MetricKind
-    n: int
-
-    def __call__(self, r: StateSpectrum) -> float:
-        if r.n != self.n:
-            raise DomainError(f"expected a {self.n}-level spectrum, got {r.n}")
-        return radial_density(self.metric, r)
 
 
 def log_radial_density(metric: MetricKind, points: np.ndarray) -> np.ndarray:

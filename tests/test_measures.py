@@ -9,7 +9,6 @@ from scipy import integrate
 from wignerq import (
     DomainError,
     MetricKind,
-    RadialDensity,
     StateSpectrum,
     morozova_chentsov,
     positive_ball_radius,
@@ -17,9 +16,58 @@ from wignerq import (
     qubit_radial_density,
     radial_density,
 )
-from wignerq.measures import log_radial_density
+from wignerq.measures import _density_from_values, log_radial_density
 
 SQRT3 = math.sqrt(3.0)
+
+#: Relative gaps between the first two entries on either side of the BKM
+#: series cutoff (1e-9).
+NEAR_CUTOFF = (0.5e-9, 2e-9)
+
+
+def _weight_reference(metric, x, y):
+    """The Morozova-Chentsov weight as first written, one formula per metric."""
+    if metric is MetricKind.BURES:
+        return 2.0 / (x + y)
+    d = (x - y) / x
+    if abs(x - y) < 1e-9 * x:
+        return (1.0 + d / 2.0 + d * d / 3.0) / x
+    return math.log1p((x - y) / y) / (x - y)
+
+
+def _density_reference(metric, vals):
+    """The density loop as first written: the product, then each pair's
+    squared difference and its weight, multiplied in index order.  Each
+    weight from morozova_chentsov must also equal _weight_reference."""
+    n = len(vals)
+    out = 1.0
+    if metric is not MetricKind.HS:
+        prod = 1.0
+        for v in vals:
+            prod *= v
+        out = prod ** -0.5
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = vals[i] - vals[j]
+            out *= d * d
+            if metric is not MetricKind.HS:
+                w = morozova_chentsov(metric, vals[i], vals[j])
+                assert w == _weight_reference(metric, vals[i], vals[j])
+                out *= w
+    return out
+
+
+def _density_points(rng):
+    """Dirichlet points for n = 2..5, each also with its first two entries
+    pulled to a relative gap on either side of the BKM series cutoff."""
+    for n in range(2, 6):
+        for _ in range(20):
+            vals = rng.dirichlet(np.ones(n))
+            yield tuple(vals.tolist())
+            for rel in NEAR_CUTOFF:
+                near = vals.copy()
+                near[1] = near[0] * (1.0 - rel)
+                yield tuple(near.tolist())
 
 
 class TestMorozovaChentsov:
@@ -108,13 +156,26 @@ class TestRadialDensity:
             perm = rng.permutation(vals)
             assert log_radial_density(metric, perm[None, :])[0] == pytest.approx(base, rel=1e-12)
 
-    def test_callable_handle(self):
-        d = RadialDensity(MetricKind.BURES, 3)
-        s = StateSpectrum((0.5, 0.3, 0.2))
-        assert d(s) == pytest.approx(radial_density(MetricKind.BURES, s), rel=1e-15)
-        assert d(s) > 0.0
-        with pytest.raises(DomainError):
-            d(StateSpectrum((0.6, 0.4)))
+
+class TestDensityKernel:
+    def test_bits_match_per_pair_loop(self, rng, metric):
+        # every quadrature integrates this kernel: its bits must not move
+        for vals in _density_points(rng):
+            assert _density_from_values(metric, vals) == _density_reference(metric, vals)
+
+    def test_zero_last_entry(self):
+        vals = (0.5, 0.3, 0.2, 0.0)
+        assert _density_from_values(MetricKind.HS, vals) == _density_reference(MetricKind.HS, vals)
+        for metric in (MetricKind.BURES, MetricKind.BKM):
+            with pytest.raises(DomainError):
+                _density_from_values(metric, vals)
+
+    def test_agrees_with_batch_log_density(self, rng, metric):
+        # the scalar and the batch kernel encode the BKM series separately
+        for vals in _density_points(rng):
+            batch = log_radial_density(metric, np.array([vals]))[0]
+            scalar = math.log(_density_from_values(metric, vals))
+            assert abs(scalar - batch) <= 1e-12 * max(1.0, abs(batch))
 
 
 class TestQubitRadialDensity:
