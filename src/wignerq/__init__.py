@@ -28,11 +28,8 @@ from .integrate import (
     orbit_volume_qutrit,
     orbit_volume_simplex,
     sample_bures_spectra,
-    sample_bures_spectrum,
     sample_hs_spectra,
-    sample_hs_spectrum,
     sample_mcmc_spectra,
-    sample_spectrum_mcmc,
 )
 from .measures import (
     morozova_chentsov,
@@ -108,10 +105,7 @@ __all__ = [
     "qutrit_positivity_bound",
     "radial_density",
     "sample_bures_spectra",
-    "sample_bures_spectrum",
     "sample_hs_spectra",
-    "sample_hs_spectrum",
     "sample_mcmc_spectra",
-    "sample_spectrum_mcmc",
     "spectrum_from_polar",
 ]

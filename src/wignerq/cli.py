@@ -35,14 +35,9 @@ from .indicators import (
     minimize_indicator,
     positivity_curve,
     qutrit_indicator_closed_form,
+    sample_spectra,
 )
-from .integrate import (
-    McSpec,
-    QuadratureSpec,
-    sample_bures_spectra,
-    sample_hs_spectra,
-    sample_mcmc_spectra,
-)
+from .integrate import McSpec, QuadratureSpec
 from .spectra import MetricKind, ModuliPoint
 
 _WORKERS_ENV = "WIGNERQ_WORKERS"
@@ -213,24 +208,14 @@ def cmd_curve(args) -> int:
 def cmd_sample(args) -> int:
     metric = MetricKind.from_name(args.metric)
     spec = _mc_spec(args)
-    sampler = args.sampler
-    if sampler == "auto":
-        sampler = "mcmc" if metric is MetricKind.BKM else "matrix"
+    sampler, draws = sample_spectra(metric, args.n, spec, args.sampler)
     warnings: tuple[str, ...] = ()
-    if sampler == "matrix":
-        if metric is MetricKind.HS:
-            arr = sample_hs_spectra(args.n, spec)
-        elif metric is MetricKind.BURES:
-            arr = sample_bures_spectra(args.n, spec)
-        else:
-            raise DomainError("no matrix model for the BKM measure; use --sampler mcmc")
-    else:
-        res = sample_mcmc_spectra(metric, args.n, spec)
-        arr = res.flat[: spec.samples]
-        warnings = res.warnings
+    if sampler == "mcmc":
+        warnings = draws.warnings
+        draws = draws.flat[: spec.samples]
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    rows = arr.tolist()
+    rows = draws.tolist()
     payload = {
         "command": "sample",
         "metric": metric.value,

@@ -150,27 +150,38 @@ def _quadrature_indicator(metric, n, moduli, spec: QuadratureSpec) -> IndicatorR
     )
 
 
+def sample_spectra(metric: MetricKind, n: int, spec: McSpec, sampler: str | None = None):
+    """Draw spectra for the metric's measure; returns ``(sampler, draws)``.
+
+    ``sampler`` is 'matrix', 'mcmc', or ``None``/'auto' for the default:
+    the Markov chain for BKM, which has no matrix model, and the matrix
+    model otherwise.  ``draws`` is an (m, n) array from a matrix model
+    or the ``McmcResult`` of the chain.
+    """
+    if sampler in (None, "auto"):
+        sampler = "mcmc" if metric is MetricKind.BKM else "matrix"
+    if sampler == "mcmc":
+        return sampler, sample_mcmc_spectra(metric, n, spec)
+    if sampler != "matrix":
+        raise DomainError(f"unknown sampler {sampler!r}; expected 'matrix' or 'mcmc'")
+    if metric is MetricKind.HS:
+        return sampler, sample_hs_spectra(n, spec)
+    if metric is MetricKind.BURES:
+        return sampler, sample_bures_spectra(n, spec)
+    raise DomainError("no matrix model is available for the BKM measure; use the 'mcmc' sampler")
+
+
 def _mc_indicator(metric, n, moduli, spec: McSpec, sampler, cone_tol) -> IndicatorResult:
     kernel = kernel_for(moduli)
-    if sampler is None:
-        sampler = "mcmc" if metric is MetricKind.BKM else "matrix"
-    warnings: tuple[str, ...] = ()
+    sampler, draws = sample_spectra(metric, n, spec, sampler)
     if sampler == "matrix":
-        if metric is MetricKind.HS:
-            arr = sample_hs_spectra(n, spec)
-        elif metric is MetricKind.BURES:
-            arr = sample_bures_spectra(n, spec)
-        else:
-            raise DomainError("no matrix model is available for the BKM measure; use sampler='mcmc'")
-        p, se = positive_fraction_iid(arr, kernel, cone_tol)
-        drawn = arr.shape[0]
-    elif sampler == "mcmc":
-        res = sample_mcmc_spectra(metric, n, spec)
-        p, se = positive_fraction_mcmc(res, kernel, cone_tol)
-        warnings = res.warnings
-        drawn = res.flat.shape[0]
+        p, se = positive_fraction_iid(draws, kernel, cone_tol)
+        warnings: tuple[str, ...] = ()
+        drawn = draws.shape[0]
     else:
-        raise DomainError(f"unknown sampler {sampler!r}; expected 'matrix' or 'mcmc'")
+        p, se = positive_fraction_mcmc(draws, kernel, cone_tol)
+        warnings = draws.warnings
+        drawn = draws.flat.shape[0]
     return IndicatorResult(
         p,
         se,
@@ -207,6 +218,24 @@ def global_indicator(
     return _quadrature_indicator(metric, n, moduli, spec)
 
 
+def _qutrit_indicator_fn(metric: MetricKind, spec: QuadratureSpec, path: str):
+    """The zeta -> indicator function for one metric and one evaluation
+    path ('auto', 'closed' or 'quadrature'), and whether it is the
+    closed form; 'auto' takes the closed form where one exists."""
+    if path not in ("auto", "closed", "quadrature"):
+        raise DomainError(f"unknown evaluation path {path!r}")
+    if path == "closed" or (path == "auto" and metric is MetricKind.HS):
+        if metric is not MetricKind.HS:
+            raise DomainError(f"no closed form for metric {metric.value} at n = 3")
+        return qutrit_indicator_closed_form, True
+    den = qutrit_full_volume(metric, spec)
+
+    def f(z):
+        return orbit_volume_qutrit(metric, z, spec).value / den
+
+    return f, False
+
+
 def average_indicator(
     metric: MetricKind,
     n: int = 3,
@@ -224,20 +253,7 @@ def average_indicator(
     if isinstance(spec, McSpec):
         raise DomainError("averaging is deterministic; pass a QuadratureSpec")
     spec = spec or DEFAULT_2D
-    if inner not in ("auto", "closed", "quadrature"):
-        raise DomainError(f"unknown inner path {inner!r}")
-    use_closed = metric is MetricKind.HS if inner == "auto" else inner == "closed"
-    if use_closed and metric is not MetricKind.HS:
-        raise DomainError(f"no closed form for metric {metric.value} at n = 3")
-
-    if use_closed:
-        f = qutrit_indicator_closed_form
-    else:
-        den = qutrit_full_volume(metric, spec)
-
-        def f(z):
-            return orbit_volume_qutrit(metric, z, spec).value / den
-
+    f, use_closed = _qutrit_indicator_fn(metric, spec, inner)
     avg_tol = max(100.0 * spec.rel_tol, 1e-6)
     total, gl_err = gauss_legendre_doubling(f, 0.0, _ZETA_MAX, rel_tol=avg_tol, abs_tol=spec.abs_tol)
     value = total / _ZETA_MAX
@@ -287,23 +303,11 @@ def minimize_indicator(
     """
     if n != 3:
         raise DomainError("moduli minimization is implemented for n = 3")
-    if method not in ("auto", "closed", "quadrature"):
-        raise DomainError(f"unknown method {method!r}")
-    use_closed = metric is MetricKind.HS if method == "auto" else method == "closed"
-    if use_closed:
-        if metric is not MetricKind.HS:
-            raise DomainError(f"no closed form for metric {metric.value} at n = 3")
-        f = qutrit_indicator_closed_form
-    else:
+    if spec is None:
         # quadrature noise flattens the valley floor; the flat metric is
         # cheap enough to run extra-tight by default
-        if spec is None:
-            spec = QuadratureSpec(rel_tol=1e-9) if metric is MetricKind.HS else DEFAULT_2D
-        den = qutrit_full_volume(metric, spec)
-
-        def f(z):
-            return orbit_volume_qutrit(metric, z, spec).value / den
-
+        spec = QuadratureSpec(rel_tol=1e-9) if metric is MetricKind.HS else DEFAULT_2D
+    f, _ = _qutrit_indicator_fn(metric, spec, method)
     return _golden_section_min(f, 0.0, _ZETA_MAX, zeta_tol)
 
 

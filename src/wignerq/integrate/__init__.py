@@ -10,7 +10,6 @@ from .quadrature import (
     orbit_volume_qutrit,
     orbit_volume_simplex,
     qutrit_full_volume,
-    qutrit_polar_integrand,
 )
 from .sampling import (
     McSpec,
@@ -18,11 +17,8 @@ from .sampling import (
     positive_fraction_iid,
     positive_fraction_mcmc,
     sample_bures_spectra,
-    sample_bures_spectrum,
     sample_hs_spectra,
-    sample_hs_spectrum,
     sample_mcmc_spectra,
-    sample_spectrum_mcmc,
 )
 
 __all__ = [
@@ -37,13 +33,9 @@ __all__ = [
     "orbit_volume_qutrit",
     "orbit_volume_simplex",
     "qutrit_full_volume",
-    "qutrit_polar_integrand",
     "positive_fraction_iid",
     "positive_fraction_mcmc",
     "sample_bures_spectra",
-    "sample_bures_spectrum",
     "sample_hs_spectra",
-    "sample_hs_spectrum",
     "sample_mcmc_spectra",
-    "sample_spectrum_mcmc",
 ]

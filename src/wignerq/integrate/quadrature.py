@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import ConvergenceError, DomainError
 from ..measures import _density_from_values
-from ..spectra import MetricKind
+from ..spectra import MetricKind, qutrit_ray
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -140,40 +140,6 @@ def _qutrit_bounds(phi: float, zeta: float | None):
     return r_pos, gap
 
 
-def _qutrit_ray(phi: float, b: float, gap0: float):
-    """Eigenvalue map u -> ((e1, e2, e3), r) at r = b*(1 - u^2) on the
-    ray phi; the ray's trigonometry is computed once, here.
-
-    The smallest eigenvalue is proportional to the distance from the
-    orbit boundary, computed as gap0 + b*u^2 without cancellation.
-    """
-    psi = phi / 3.0
-    c = math.cos(psi)
-    s = math.sin(psi)
-    k3 = 2.0 * c / _SQRT3
-
-    def eigs(u):
-        r = b * (1.0 - u * u)
-        e3 = k3 * (gap0 + b * u * u)
-        rc = (r / _SQRT3) * c
-        return (1.0 / 3.0 + rc + r * s, 1.0 / 3.0 + rc - r * s, e3), r
-
-    return eigs
-
-
-def qutrit_polar_integrand(metric: MetricKind, r: float, phi: float) -> float:
-    """Orbit-space density in polar coordinates, including the radial
-    Jacobian.  For the flat metric this is proportional to
-    ``r^7 * sin(phi)^2``."""
-    scale = 2.0 * r / _SQRT3
-    vals = (
-        1.0 / 3.0 - scale * math.cos((phi + 2.0 * math.pi) / 3.0),
-        1.0 / 3.0 - scale * math.cos((phi + 4.0 * math.pi) / 3.0),
-        1.0 / 3.0 - scale * math.cos(phi / 3.0),
-    )
-    return _density_from_values(metric, vals) * r
-
-
 def orbit_volume_qutrit(
     metric: MetricKind,
     zeta: float | None = None,
@@ -195,10 +161,12 @@ def orbit_volume_qutrit(
 
     def inner(phi):
         b, gap0 = _qutrit_bounds(phi, zeta)
-        eigs = _qutrit_ray(phi, b, gap0)
+        k, eigs = qutrit_ray(phi)
 
         def f(u):
-            vals, r = eigs(u)
+            r = b * (1.0 - u * u)
+            # distance to the orbit boundary is gap0 + b*u^2, free of cancellation
+            vals = eigs(r, k * (gap0 + b * u * u))
             return _density_from_values(metric, vals) * r * 2.0 * b * u
 
         return _quad(f, 0.0, 1.0, inner_rel, spec.abs_tol / 4.0, spec.max_subdivisions)
@@ -211,16 +179,11 @@ def orbit_volume_qutrit(
 
 
 @lru_cache(maxsize=32)
-def _qutrit_full_volume_cached(metric: MetricKind, rel_tol: float, abs_tol: float, limit: int) -> float:
-    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol, max_subdivisions=limit)
+def qutrit_full_volume(metric: MetricKind, spec: QuadratureSpec = DEFAULT_2D) -> float:
+    """Full three-level orbit-space volume, cached per metric and spec
+    (it is the zeta-independent denominator of every indicator ratio);
+    equal-valued specs share one entry."""
     return orbit_volume_qutrit(metric, None, spec).value
-
-
-def qutrit_full_volume(metric: MetricKind, spec: QuadratureSpec | None = None) -> float:
-    """Full three-level orbit-space volume, cached per metric and tolerance
-    (it is the zeta-independent denominator of every indicator ratio)."""
-    spec = spec or DEFAULT_2D
-    return _qutrit_full_volume_cached(metric, spec.rel_tol, spec.abs_tol, spec.max_subdivisions)
 
 
 # --- general-N nested simplex integration ----------------------------------
@@ -308,11 +271,10 @@ def gauss_legendre_doubling(
     b: float,
     rel_tol: float = 1e-6,
     abs_tol: float = 1e-15,
-    start_order: int = 16,
     max_doublings: int = 4,
 ):
-    """Integrate ``f`` on [a, b] with Gauss-Legendre rules of doubling
-    order until two consecutive orders agree.  Returns (value, error
+    """Integrate ``f`` on [a, b] with Gauss-Legendre rules of order 16,
+    32, ... until two consecutive orders agree.  Returns (value, error
     estimate).  Meant for smooth integrands whose evaluations are
     expensive (each one may itself be a multidimensional quadrature).
     """
@@ -321,7 +283,7 @@ def gauss_legendre_doubling(
     if max_doublings < 1:
         raise DomainError("max_doublings must be at least 1")
     prev = None
-    order = start_order
+    order = 16
     for _ in range(max_doublings + 1):
         nodes, weights = np.polynomial.legendre.leggauss(order)
         xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)

@@ -19,16 +19,16 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from ..errors import DomainError
 from ..measures import log_radial_density
 from ..positivity import min_pairing_batch
-from ..spectra import KernelSpectrum, MetricKind, StateSpectrum
+from ..spectra import KernelSpectrum, MetricKind
 
-#: Batch size bounding temporary memory in vectorized linear algebra.
+#: Rows per batch of vectorized linear algebra at n <= 4; larger n take
+#: fewer rows, so the temporaries stay about 16 * _EIG_BATCH matrix entries.
 _EIG_BATCH = 1 << 17
 
 #: Metropolis acceptance-rate window considered healthy after adaptation.
@@ -129,50 +129,40 @@ def _spectra_of(w: np.ndarray) -> np.ndarray:
     return ev[:, ::-1]
 
 
-def _hs_chunk(n: int, count: int, seed: int, workers: int, index: int) -> np.ndarray:
-    rng = _worker_rng(seed, workers, index)
-    out = np.empty((count, n))
-    done = 0
-    while done < count:
-        m = min(_EIG_BATCH, count - done)
-        g = _ginibre(rng, m, n)
-        out[done:done + m] = _spectra_of(g @ g.conj().swapaxes(1, 2))
-        done += m
-    return out
-
-
-def _bures_chunk(n: int, count: int, seed: int, workers: int, index: int) -> np.ndarray:
+def _matrix_chunk(bures: bool, n: int, count: int, seed: int, workers: int, index: int) -> np.ndarray:
     rng = _worker_rng(seed, workers, index)
     eye = np.eye(n)
+    batch = min(_EIG_BATCH, max(1, 16 * _EIG_BATCH // (n * n)))
     out = np.empty((count, n))
     done = 0
     while done < count:
-        m = min(_EIG_BATCH, count - done)
-        g = _ginibre(rng, m, n)
-        a = (eye + _haar_unitary(rng, m, n)) @ g
+        m = min(batch, count - done)
+        a = _ginibre(rng, m, n)
+        if bures:
+            a = (eye + _haar_unitary(rng, m, n)) @ a
         out[done:done + m] = _spectra_of(a @ a.conj().swapaxes(1, 2))
         done += m
     return out
 
 
-def sample_hs_spectra(n: int, spec: McSpec) -> np.ndarray:
-    """Spectra of trace-normalized squared Ginibre matrices: the
-    Hilbert-Schmidt ensemble.  Returns (samples, n), rows descending."""
+def _matrix_spectra(bures: bool, n: int, spec: McSpec) -> np.ndarray:
     if n < 2:
         raise DomainError("sampling needs n >= 2")
     counts = _split_counts(spec.samples, spec.workers)
-    jobs = [(n, c, spec.seed, spec.workers, i) for i, c in enumerate(counts) if c > 0]
-    return np.concatenate(_map_ordered(_hs_chunk, jobs, spec.workers), axis=0)
+    jobs = [(bures, n, c, spec.seed, spec.workers, i) for i, c in enumerate(counts) if c > 0]
+    return np.concatenate(_map_ordered(_matrix_chunk, jobs, spec.workers), axis=0)
+
+
+def sample_hs_spectra(n: int, spec: McSpec) -> np.ndarray:
+    """Spectra of trace-normalized squared Ginibre matrices: the
+    Hilbert-Schmidt ensemble.  Returns (samples, n), rows descending."""
+    return _matrix_spectra(False, n, spec)
 
 
 def sample_bures_spectra(n: int, spec: McSpec) -> np.ndarray:
     """Spectra from the (I + U) G matrix model: the Bures ensemble.
     Returns (samples, n), rows descending."""
-    if n < 2:
-        raise DomainError("sampling needs n >= 2")
-    counts = _split_counts(spec.samples, spec.workers)
-    jobs = [(n, c, spec.seed, spec.workers, i) for i, c in enumerate(counts) if c > 0]
-    return np.concatenate(_map_ordered(_bures_chunk, jobs, spec.workers), axis=0)
+    return _matrix_spectra(True, n, spec)
 
 
 # --- Metropolis on the simplex ----------------------------------------------
@@ -255,28 +245,6 @@ def sample_mcmc_spectra(metric: MetricKind, n: int, spec: McSpec) -> McmcResult:
             f"[{_ACCEPT_WINDOW[0]}, {_ACCEPT_WINDOW[1]}] after adaptation",
         )
     return McmcResult(samples=samples, acceptance_rate=rate, step_scale=scale, warnings=warnings)
-
-
-# --- streaming facades -------------------------------------------------------
-
-def sample_hs_spectrum(n: int, spec: McSpec) -> Iterator[StateSpectrum]:
-    """Stream of Hilbert-Schmidt-distributed spectra."""
-    for row in sample_hs_spectra(n, spec):
-        yield StateSpectrum(tuple(row))
-
-
-def sample_bures_spectrum(n: int, spec: McSpec) -> Iterator[StateSpectrum]:
-    """Stream of Bures-distributed spectra."""
-    for row in sample_bures_spectra(n, spec):
-        yield StateSpectrum(tuple(row))
-
-
-def sample_spectrum_mcmc(metric: MetricKind, n: int, spec: McSpec) -> Iterator[StateSpectrum]:
-    """Stream of Markov-chain spectra for any metric (truncated to the
-    requested count)."""
-    flat = sample_mcmc_spectra(metric, n, spec).flat
-    for row in flat[: spec.samples]:
-        yield StateSpectrum(tuple(row))
 
 
 # --- fraction estimators -----------------------------------------------------

@@ -30,9 +30,6 @@ from .errors import DomainError
 #: Tolerance for algebraic invariants (sums, norms).
 ALGEBRAIC_TOL = 1e-12
 
-#: Tolerance for round-trip coordinate conversions.
-ROUNDTRIP_TOL = 1e-10
-
 _SQRT3 = math.sqrt(3.0)
 
 
@@ -201,21 +198,34 @@ class ModuliPoint:
         return cls(n, direction=_as_float_tuple(direction))
 
 
-def spectrum_from_polar(p: QutritPolar) -> StateSpectrum:
-    """Three eigenvalues of the state at polar point (r, phi).
+def qutrit_ray(phi: float):
+    """Eigenvalue map of the three-level polar ray ``phi`` in [0, pi].
 
-    The three values are ``1/3 - (2r/sqrt(3)) * cos((phi + 2*pi*k)/3)``
-    for k = 1, 2, 0; for phi in [0, pi] this order is already descending.
+    Returns ``(k, eigs)``: ``eigs(r, e3)`` is the descending triple at
+    radius ``r``, whose smallest entry ``e3 = 1/3 - k*r`` is ``k`` times
+    the distance from the orbit boundary.  Callers that know that
+    distance without cancellation pass it in and keep full accuracy.
+    """
+    psi = phi / 3.0
+    c = math.cos(psi)
+    s = math.sin(psi)
+
+    def eigs(r, e3):
+        rc = (r / _SQRT3) * c
+        return (1.0 / 3.0 + rc + r * s, 1.0 / 3.0 + rc - r * s, e3)
+
+    return 2.0 * c / _SQRT3, eigs
+
+
+def spectrum_from_polar(p: QutritPolar) -> StateSpectrum:
+    """Three eigenvalues of the state at polar point (r, phi), from
+    ``qutrit_ray``; for phi in [0, pi] they come out descending.
+
     Raises ``DomainError`` when the point lies outside the orbit space,
     i.e. when the smallest eigenvalue is negative beyond tolerance.
     """
-    scale = 2.0 * p.r / _SQRT3
-    third = 1.0 / 3.0
-    vals = (
-        third - scale * math.cos((p.phi + 2.0 * math.pi) / 3.0),
-        third - scale * math.cos((p.phi + 4.0 * math.pi) / 3.0),
-        third - scale * math.cos(p.phi / 3.0),
-    )
+    k, eigs = qutrit_ray(p.phi)
+    vals = eigs(p.r, 1.0 / 3.0 - k * p.r)
     if min(vals) < -ALGEBRAIC_TOL:
         raise DomainError(
             f"polar point (r={p.r!r}, phi={p.phi!r}) lies outside the orbit space"

@@ -62,12 +62,6 @@ def kernel_spectrum_from_direction(n: int, u) -> KernelSpectrum:
     return KernelSpectrum(tuple(1.0 / n + radius * vec))
 
 
-def direction_from_kernel(k: KernelSpectrum) -> np.ndarray:
-    """Unit traceless direction whose sphere point is the given spectrum."""
-    vec = np.asarray(k.values, dtype=float) - 1.0 / k.n
-    return vec / np.linalg.norm(vec)
-
-
 def traceless_basis(n: int) -> np.ndarray:
     """Orthonormal basis of the sum-zero hyperplane in R^n (Helmert rows).
 

@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, exit codes, schema."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from wignerq import McSpec, sample_hs_spectra
+from wignerq import McSpec, MetricKind, sample_bures_spectra, sample_hs_spectra, sample_mcmc_spectra
 from wignerq.cli import main, parse_angle
 
 SCHEMA = json.loads(
@@ -215,16 +216,30 @@ class TestSampleCommand:
         assert len(payload["spectra"]) == 50
 
     def test_output_equals_sampler_values(self, capsys):
-        argv = ("sample", "--metric", "hs", "--n", "3", "--samples", "20", "--seed", "5",
-                "--workers", "1")
-        expected = sample_hs_spectra(3, McSpec(20, seed=5)).tolist()
-        code, out, _ = run_cli(capsys, *argv, "--format", "json")
-        assert code == 0
-        assert json.loads(out)["spectra"] == expected
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[1:] == [[format(v, ".12g") for v in row] for row in expected]
+        spec = McSpec(20, seed=5, burn_in=300)
+        expected_by_metric = {
+            "hs": sample_hs_spectra(3, spec),
+            "bures": sample_bures_spectra(3, spec),
+            "bkm": sample_mcmc_spectra(MetricKind.BKM, 3, spec).flat[:20],
+        }
+        for metric, arr in expected_by_metric.items():
+            argv = ("sample", "--metric", metric, "--n", "3", "--samples", "20", "--seed", "5",
+                    "--workers", "1", "--burn-in", "300")
+            expected = arr.tolist()
+            code, out, _ = run_cli(capsys, *argv, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["spectra"] == expected
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[1:] == [[format(v, ".12g") for v in row] for row in expected]
+
+    def test_bkm_matrix_sampler_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sample", "--metric", "bkm", "--n", "2", "--samples", "10", "--sampler", "matrix"
+        )
+        assert code == 2
+        assert "BKM" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "spectra.csv"
@@ -287,3 +302,11 @@ class TestReproduceCommand:
         names = {c["name"] for c in payload["checks"]}
         assert "average_bkm_vs_print" in names
         assert all(c["pass"] for c in payload["checks"])
+
+
+@pytest.mark.parametrize("module", ["wignerq", "wignerq.integrate"])
+def test_exports_resolve_once(module):
+    mod = importlib.import_module(module)
+    assert len(mod.__all__) == len(set(mod.__all__))
+    for name in mod.__all__:
+        getattr(mod, name)

@@ -86,6 +86,8 @@ class TestGlobalIndicator:
     def test_bkm_matrix_sampler_rejected(self):
         with pytest.raises(DomainError):
             global_indicator(MetricKind.BKM, 2, spec=McSpec(samples=100, seed=1), sampler="matrix")
+        with pytest.raises(DomainError, match="unknown sampler"):
+            global_indicator(MetricKind.HS, 2, spec=McSpec(samples=100, seed=1), sampler="gibbs")
 
     def test_closed_form_dispatch(self):
         assert closed_indicator(MetricKind.BKM, 2).value == pytest.approx(0.0495506, abs=1e-7)
@@ -142,6 +144,8 @@ class TestAverageIndicator:
             average_indicator(MetricKind.HS, spec=McSpec(samples=10, seed=0))
         with pytest.raises(DomainError):
             average_indicator(MetricKind.BURES, inner="closed")
+        with pytest.raises(DomainError, match="unknown evaluation path"):
+            average_indicator(MetricKind.HS, inner="simpson")
 
 
 class TestMinimizeIndicator:
@@ -172,6 +176,8 @@ class TestMinimizeIndicator:
     def test_closed_method_unavailable_for_monotone_metrics(self):
         with pytest.raises(DomainError):
             minimize_indicator(MetricKind.BKM, method="closed")
+        with pytest.raises(DomainError, match="unknown evaluation path"):
+            minimize_indicator(MetricKind.HS, method="simpson")
 
 
 class TestProbabilityCurve:

@@ -18,7 +18,9 @@ from wignerq import (
     qubit_kernel_spectrum,
     qutrit_kernel_spectrum,
 )
-from wignerq.integrate import gauss_legendre_doubling, qutrit_full_volume, qutrit_polar_integrand
+from wignerq.integrate import DEFAULT_2D, gauss_legendre_doubling, qutrit_full_volume
+from wignerq.measures import _density_from_values
+from wignerq.spectra import qutrit_ray
 
 SQRT3 = math.sqrt(3.0)
 
@@ -87,6 +89,15 @@ class TestQutritVolumes:
         ratio = orbit_volume_qutrit(MetricKind.HS, 0.0).value / qutrit_full_volume(MetricKind.HS)
         assert ratio == pytest.approx(1 / 256, rel=1e-6)
 
+    def test_full_volume_cache_shared_by_equal_specs(self):
+        # the cache keys on the arguments as passed: an explicit spec and an
+        # omitted one are separate entries, equal-valued specs are one
+        first = qutrit_full_volume(MetricKind.HS, DEFAULT_2D)
+        hits = qutrit_full_volume.cache_info().hits
+        again = qutrit_full_volume(MetricKind.HS, QuadratureSpec(rel_tol=1e-7))
+        assert qutrit_full_volume.cache_info().hits == hits + 1
+        assert again.hex() == first.hex() == qutrit_full_volume(MetricKind.HS).hex()
+
     def test_full_volume_self_convergence(self, metric):
         # halving the tolerance moves the value by less than the tolerance
         loose = orbit_volume_qutrit(metric, None, QuadratureSpec(rel_tol=1e-6)).value
@@ -104,13 +115,14 @@ class TestQutritVolumes:
             orbit_volume_qutrit(MetricKind.HS, 1.2)
 
     def test_flat_integrand_shape(self):
-        # the flat-metric polar integrand is proportional to r^7 sin^2(phi)
+        # the flat-metric polar integrand, density times r on the shared
+        # eigenvalue map, is proportional to r^7 sin^2(phi)
         ratios = []
         for r in np.linspace(0.05, 0.28, 20):
             for phi in np.linspace(0.1, math.pi - 0.1, 20):
-                ratios.append(
-                    qutrit_polar_integrand(MetricKind.HS, r, phi) / (r**7 * math.sin(phi) ** 2)
-                )
+                k, eigs = qutrit_ray(phi)
+                density = _density_from_values(MetricKind.HS, eigs(r, 1 / 3 - k * r))
+                ratios.append(density * r / (r**7 * math.sin(phi) ** 2))
         ratios = np.array(ratios)
         assert np.ptp(ratios) / ratios.mean() < 1e-10
 

@@ -10,16 +10,12 @@ from wignerq import (
     DomainError,
     McSpec,
     MetricKind,
-    StateSpectrum,
     qubit_ball_volume,
     qubit_kernel_spectrum,
     qutrit_kernel_spectrum,
     sample_bures_spectra,
-    sample_bures_spectrum,
     sample_hs_spectra,
-    sample_hs_spectrum,
     sample_mcmc_spectra,
-    sample_spectrum_mcmc,
 )
 from wignerq.integrate import positive_fraction_iid, positive_fraction_mcmc
 from wignerq.integrate import sampling as sampling_mod
@@ -60,11 +56,11 @@ class TestDeterminism:
         def no_pool(*args, **kwargs):
             raise OSError("process pool refused")
 
-        jobs = [(2, 500, 99, 2, i) for i in range(2)]
-        sequential = sampling_mod._map_ordered(sampling_mod._hs_chunk, jobs, 1)
+        jobs = [(False, 2, 500, 99, 2, i) for i in range(2)]
+        sequential = sampling_mod._map_ordered(sampling_mod._matrix_chunk, jobs, 1)
         monkeypatch.setattr(sampling_mod, "ProcessPoolExecutor", no_pool)
         with pytest.warns(RuntimeWarning, match=r"2 workers.*process pool refused"):
-            fallback = sampling_mod._map_ordered(sampling_mod._hs_chunk, jobs, 2)
+            fallback = sampling_mod._map_ordered(sampling_mod._matrix_chunk, jobs, 2)
         assert len(fallback) == len(sequential) == 2
         assert all(np.array_equal(a, b) for a, b in zip(fallback, sequential))
 
@@ -72,6 +68,22 @@ class TestDeterminism:
         one = sample_hs_spectra(2, McSpec(samples=1_000, seed=99, workers=1))
         two = sample_hs_spectra(2, McSpec(samples=1_000, seed=99, workers=2))
         assert not np.array_equal(one, two)
+
+    def test_batches_bounded_in_matrix_entries(self, monkeypatch):
+        # the temporaries grow with rows * n^2, so the row batch shrinks with n
+        shapes = []
+        ginibre = sampling_mod._ginibre
+
+        def recording(rng, m, n):
+            shapes.append((m, n))
+            return ginibre(rng, m, n)
+
+        monkeypatch.setattr(sampling_mod, "_ginibre", recording)
+        arr = sample_hs_spectra(12, McSpec(samples=20_000))
+        assert arr.shape == (20_000, 12)
+        assert len(shapes) > 1
+        assert all(m * n * n <= 16 * sampling_mod._EIG_BATCH for m, n in shapes)
+        assert sum(m for m, _ in shapes) == 20_000
 
 
 class TestHsSampler:
@@ -171,25 +183,6 @@ class TestMcmcSampler:
         res = sample_mcmc_spectra(MetricKind.HS, 2, McSpec(samples=500, seed=13, burn_in=100))
         assert len(res.warnings) == 1
         assert "acceptance rate" in res.warnings[0]
-
-
-class TestStreamingFacades:
-    def test_hs_stream_matches_array(self):
-        spec = McSpec(samples=50, seed=14)
-        arr = sample_hs_spectra(2, spec)
-        stream = list(sample_hs_spectrum(2, spec))
-        assert len(stream) == 50
-        assert all(isinstance(s, StateSpectrum) for s in stream)
-        assert stream[0].values == tuple(arr[0])
-
-    def test_bures_stream(self):
-        stream = list(sample_bures_spectrum(3, McSpec(samples=10, seed=15)))
-        assert len(stream) == 10
-
-    def test_mcmc_stream_truncates_to_request(self):
-        spec = McSpec(samples=100, seed=16, burn_in=100, chains_per_worker=8)
-        stream = list(sample_spectrum_mcmc(MetricKind.HS, 2, spec))
-        assert len(stream) == 100
 
 
 def test_fraction_estimators_shapes():

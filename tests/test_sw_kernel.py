@@ -13,9 +13,15 @@ from wignerq import (
     qubit_kernel_spectrum,
     qutrit_kernel_spectrum,
 )
-from wignerq.sw_kernel import direction_from_kernel, embed_direction, traceless_basis
+from wignerq.sw_kernel import embed_direction, traceless_basis
 
 SQRT3 = math.sqrt(3.0)
+
+
+def direction_from_kernel(k):
+    """Unit traceless direction whose sphere point is the given spectrum."""
+    vec = np.asarray(k.values, dtype=float) - 1.0 / k.n
+    return vec / np.linalg.norm(vec)
 
 
 class TestQubitKernel:
