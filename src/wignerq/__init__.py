@@ -35,7 +35,6 @@ from .measures import (
     morozova_chentsov,
     positive_ball_radius,
     qubit_ball_volume,
-    qubit_radial_density,
     radial_density,
 )
 from .positivity import (
@@ -97,7 +96,6 @@ __all__ = [
     "qubit_ball_volume",
     "qubit_kernel_spectrum",
     "qubit_positivity_probability",
-    "qubit_radial_density",
     "qubit_wigner",
     "qutrit_indicator_closed_form",
     "qutrit_kernel_spectrum",

@@ -31,6 +31,7 @@ from .indicators import (
     IndicatorResult,
     average_indicator,
     closed_indicator,
+    default_quad_spec,
     global_indicator,
     minimize_indicator,
     positivity_curve,
@@ -115,11 +116,11 @@ def _indicator_rows(results: list[IndicatorResult]):
     return header, rows
 
 
-def _quad_spec(args, default_rel: float) -> QuadratureSpec:
-    return QuadratureSpec(
-        rel_tol=args.rel_tol if args.rel_tol is not None else default_rel,
-        abs_tol=args.abs_tol,
-    )
+def _quad_spec(args, metric: MetricKind, minimize: bool = False) -> QuadratureSpec:
+    """The library's default spec with the tolerances given as flags."""
+    given = {"rel_tol": args.rel_tol, "abs_tol": args.abs_tol}
+    flags = {k: v for k, v in given.items() if v is not None}
+    return dataclasses.replace(default_quad_spec(metric, args.n, minimize), **flags)
 
 
 def _mc_spec(args) -> McSpec:
@@ -155,9 +156,7 @@ def cmd_indicator(args) -> int:
     if method == "closed":
         result = closed_indicator(metric, args.n, moduli)
     elif method == "quad":
-        result = global_indicator(
-            metric, args.n, moduli, _quad_spec(args, 1e-7 if args.n == 3 else 1e-8)
-        )
+        result = global_indicator(metric, args.n, moduli, _quad_spec(args, metric))
     else:
         result = global_indicator(metric, args.n, moduli, _mc_spec(args), sampler=args.sampler)
     payload = {"command": "indicator", **result.to_json_dict()}
@@ -167,8 +166,7 @@ def cmd_indicator(args) -> int:
 
 def cmd_average(args) -> int:
     metrics = list(MetricKind) if args.metric == "all" else [MetricKind.from_name(args.metric)]
-    spec = _quad_spec(args, 1e-7)
-    results = [average_indicator(m, args.n, spec, inner=args.inner) for m in metrics]
+    results = [average_indicator(m, args.n, _quad_spec(args, m), inner=args.inner) for m in metrics]
     payload = {"command": "average", "results": [r.to_json_dict() for r in results]}
     _emit(args, payload, *_indicator_rows(results))
     return 0
@@ -176,7 +174,7 @@ def cmd_average(args) -> int:
 
 def cmd_minimize(args) -> int:
     metric = MetricKind.from_name(args.metric)
-    spec = None if args.rel_tol is None else _quad_spec(args, args.rel_tol)
+    spec = _quad_spec(args, metric, minimize=True)
     zeta_star, q_star = minimize_indicator(
         metric, args.n, spec, method=args.method, zeta_tol=args.zeta_tol
     )
@@ -298,7 +296,7 @@ def _add_output_flags(p, default_format="json"):
 
 def _add_quad_flags(p):
     p.add_argument("--rel-tol", type=float, default=None, help="relative quadrature tolerance")
-    p.add_argument("--abs-tol", type=float, default=1e-15)
+    p.add_argument("--abs-tol", type=float, default=None, help="absolute quadrature tolerance")
 
 
 def _add_mc_flags(p, samples_default=1_000_000):

@@ -36,7 +36,6 @@ from .integrate.sampling import (
     sample_mcmc_spectra,
 )
 from .measures import positive_ball_radius, qubit_ball_volume
-from .positivity import DEFAULT_CONE_TOL
 from .spectra import MetricKind, ModuliPoint
 from .sw_kernel import kernel_for
 
@@ -171,15 +170,15 @@ def sample_spectra(metric: MetricKind, n: int, spec: McSpec, sampler: str | None
     raise DomainError("no matrix model is available for the BKM measure; use the 'mcmc' sampler")
 
 
-def _mc_indicator(metric, n, moduli, spec: McSpec, sampler, cone_tol) -> IndicatorResult:
+def _mc_indicator(metric, n, moduli, spec: McSpec, sampler) -> IndicatorResult:
     kernel = kernel_for(moduli)
     sampler, draws = sample_spectra(metric, n, spec, sampler)
     if sampler == "matrix":
-        p, se = positive_fraction_iid(draws, kernel, cone_tol)
+        p, se = positive_fraction_iid(draws, kernel)
         warnings: tuple[str, ...] = ()
         drawn = draws.shape[0]
     else:
-        p, se = positive_fraction_mcmc(draws, kernel, cone_tol)
+        p, se = positive_fraction_mcmc(draws, kernel)
         warnings = draws.warnings
         drawn = draws.flat.shape[0]
     return IndicatorResult(
@@ -200,7 +199,6 @@ def global_indicator(
     moduli: ModuliPoint | None = None,
     spec: Union[QuadratureSpec, McSpec, None] = None,
     sampler: str | None = None,
-    cone_tol: float = DEFAULT_CONE_TOL,
 ) -> IndicatorResult:
     """Relative volume of the Wigner-positive orbit-space region.
 
@@ -209,13 +207,23 @@ def global_indicator(
     positive-cone fraction from random spectra.  ``sampler`` overrides
     the Monte Carlo sampler choice ('matrix' or 'mcmc'); by default the
     BKM metric uses the Markov chain and the others their matrix models.
+    Samples count as positive to ``positivity.DEFAULT_CONE_TOL``.
     """
     moduli = _default_moduli(n, moduli)
     if isinstance(spec, McSpec):
-        return _mc_indicator(metric, n, moduli, spec, sampler, cone_tol)
-    if spec is None:
-        spec = DEFAULT_2D if n == 3 else QuadratureSpec()
-    return _quadrature_indicator(metric, n, moduli, spec)
+        return _mc_indicator(metric, n, moduli, spec, sampler)
+    return _quadrature_indicator(metric, n, moduli, spec or default_quad_spec(metric, n))
+
+
+def default_quad_spec(metric: MetricKind, n: int, minimize: bool = False) -> QuadratureSpec:
+    """The spec each quadrature entry point uses when given none:
+    ``DEFAULT_2D`` for three levels, ``QuadratureSpec()`` otherwise, and
+    rel_tol 1e-9 for the flat-metric minimization."""
+    if minimize and metric is MetricKind.HS:
+        # quadrature noise flattens the valley floor; the flat metric is
+        # cheap enough to run extra-tight by default
+        return QuadratureSpec(rel_tol=1e-9)
+    return DEFAULT_2D if n == 3 else QuadratureSpec()
 
 
 def _qutrit_indicator_fn(metric: MetricKind, spec: QuadratureSpec, path: str):
@@ -252,7 +260,7 @@ def average_indicator(
         raise DomainError("moduli averaging is implemented for n = 3")
     if isinstance(spec, McSpec):
         raise DomainError("averaging is deterministic; pass a QuadratureSpec")
-    spec = spec or DEFAULT_2D
+    spec = spec or default_quad_spec(metric, n)
     f, use_closed = _qutrit_indicator_fn(metric, spec, inner)
     avg_tol = max(100.0 * spec.rel_tol, 1e-6)
     total, gl_err = gauss_legendre_doubling(f, 0.0, _ZETA_MAX, rel_tol=avg_tol, abs_tol=spec.abs_tol)
@@ -303,10 +311,7 @@ def minimize_indicator(
     """
     if n != 3:
         raise DomainError("moduli minimization is implemented for n = 3")
-    if spec is None:
-        # quadrature noise flattens the valley floor; the flat metric is
-        # cheap enough to run extra-tight by default
-        spec = QuadratureSpec(rel_tol=1e-9) if metric is MetricKind.HS else DEFAULT_2D
+    spec = spec or default_quad_spec(metric, n, minimize=True)
     f, _ = _qutrit_indicator_fn(metric, spec, method)
     return _golden_section_min(f, 0.0, _ZETA_MAX, zeta_tol)
 

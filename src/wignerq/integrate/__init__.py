@@ -1,7 +1,6 @@
 """Numerical engines: adaptive quadrature and Monte Carlo sampling."""
 
 from .quadrature import (
-    DEFAULT_1D,
     DEFAULT_2D,
     QuadratureSpec,
     VolumeEstimate,
@@ -22,7 +21,6 @@ from .sampling import (
 )
 
 __all__ = [
-    "DEFAULT_1D",
     "DEFAULT_2D",
     "QuadratureSpec",
     "VolumeEstimate",

@@ -6,7 +6,8 @@ it:
 
 * two-level radial integrals use the arcsine substitution, turning the
   inverse-square-root factor at the pure-state boundary into a bounded
-  (or merely logarithmic) integrand;
+  (or merely logarithmic) integrand, with the smaller eigenvalue taken
+  from a half-angle identity so it stays exact up to the edge;
 * three-level integrals run in polar coordinates; the radial variable
   is mapped by ``r = b*(1 - u^2)`` so the smallest eigenvalue, computed
   through an exact boundary-gap identity, stays positive and accurate
@@ -30,9 +31,8 @@ import numpy as np
 
 from ..errors import ConvergenceError, DomainError
 from ..measures import _density_from_values
+from ..positivity import _qutrit_bounds
 from ..spectra import MetricKind, qutrit_ray
-
-_SQRT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class QuadratureSpec:
             raise DomainError("max_subdivisions must be at least 1")
 
 
-#: Default tolerances: 1e-8 for one-dimensional, 1e-7 for two-dimensional work.
-DEFAULT_1D = QuadratureSpec(rel_tol=1e-8)
+#: Default tolerances for two-dimensional work; one-dimensional work
+#: uses ``QuadratureSpec()`` (rel_tol 1e-8).
 DEFAULT_2D = QuadratureSpec(rel_tol=1e-7)
 
 
@@ -86,59 +86,33 @@ def _quad(f, a, b, rel_tol, abs_tol, limit):
     return value
 
 
-def _atanh_sin(theta: float) -> float:
-    # artanh(sin t) with 1 - sin t = 2*sin^2(pi/4 - t/2) to survive t -> pi/2
-    s = math.sin(theta)
-    one_minus = 2.0 * math.sin(math.pi / 4.0 - theta / 2.0) ** 2
-    return 0.5 * math.log((1.0 + s) / one_minus)
-
-
-def _qubit_integrand_theta(metric: MetricKind):
-    # density(sin t) * cos t after rho = sin t; the 1/sqrt(1-rho^2) factor
-    # cancels analytically for Bures/BKM
-    if metric is MetricKind.HS:
-        return lambda t: math.sin(t) ** 2 * math.cos(t)
-    if metric is MetricKind.BURES:
-        return lambda t: math.sin(t) ** 2
-    return lambda t: math.sin(t) * _atanh_sin(t)
-
-
 def orbit_volume_qubit(metric: MetricKind, radius: float, spec: QuadratureSpec | None = None) -> VolumeEstimate:
     """Unnormalized volume of the two-level orbit region with Bloch
-    radius up to ``radius``, by adaptive quadrature of the radial
-    density (arcsine-substituted)."""
+    radius up to ``radius``, by adaptive quadrature of the simplex
+    density over the Bloch radius (arcsine-substituted).
+
+    Bures and BKM are scaled by 1/4, the ratio of the Bloch-radius
+    density to the simplex density, so values equal ``qubit_ball_volume``.
+    """
     R = float(radius)
     if not 0.0 <= R <= 1.0:
         raise DomainError(f"radius {R!r} outside [0, 1]")
-    spec = spec or DEFAULT_1D
+    spec = spec or QuadratureSpec()
     if R == 0.0:
         return VolumeEstimate(0.0, 0.0, "quadrature")
-    f = _qubit_integrand_theta(metric)
+    scale = 1.0 if metric is MetricKind.HS else 0.25
+
+    def f(t):
+        # rho = sin t; the spectrum (1 +- rho)/2 is (cos^2 h, sin^2 h)
+        h = math.pi / 4.0 - t / 2.0
+        c, s = math.cos(h), math.sin(h)
+        return _density_from_values(metric, (c * c, s * s)) * math.cos(t) * scale
+
     value = _quad(f, 0.0, math.asin(R), spec.rel_tol, spec.abs_tol, spec.max_subdivisions)
     return VolumeEstimate(max(value, 0.0), 0.0, "quadrature")
 
 
 # --- three-level polar integration -----------------------------------------
-
-def _qutrit_bounds(phi: float, zeta: float | None):
-    """Radial bound b for the region and the exact gap orbit_bound - b.
-
-    The gap is evaluated from a cancellation-free closed form so that
-    eigenvalues near the simplex boundary keep full relative accuracy.
-    """
-    co = math.cos(phi / 3.0)
-    r_orbit = 1.0 / (2.0 * _SQRT3 * co)
-    if zeta is None:
-        return r_orbit, 0.0
-    cp = math.cos(phi / 3.0 + zeta - math.pi / 3.0)
-    if cp <= 0.0:
-        return r_orbit, 0.0
-    r_pos = 1.0 / (4.0 * _SQRT3 * cp)
-    if r_pos >= r_orbit:
-        return r_orbit, 0.0
-    gap = (2.0 * cp - co) / (4.0 * _SQRT3 * co * cp)
-    return r_pos, gap
-
 
 def orbit_volume_qutrit(
     metric: MetricKind,
@@ -179,7 +153,7 @@ def orbit_volume_qutrit(
 
 
 @lru_cache(maxsize=32)
-def qutrit_full_volume(metric: MetricKind, spec: QuadratureSpec = DEFAULT_2D) -> float:
+def qutrit_full_volume(metric: MetricKind, spec: QuadratureSpec) -> float:
     """Full three-level orbit-space volume, cached per metric and spec
     (it is the zeta-independent denominator of every indicator ratio);
     equal-valued specs share one entry."""
@@ -265,26 +239,16 @@ def orbit_volume_simplex(
 
 # --- fixed-order Gauss-Legendre with doubling -------------------------------
 
-def gauss_legendre_doubling(
-    f,
-    a: float,
-    b: float,
-    rel_tol: float = 1e-6,
-    abs_tol: float = 1e-15,
-    max_doublings: int = 4,
-):
+def gauss_legendre_doubling(f, a: float, b: float, rel_tol: float = 1e-6, abs_tol: float = 1e-15):
     """Integrate ``f`` on [a, b] with Gauss-Legendre rules of order 16,
-    32, ... until two consecutive orders agree.  Returns (value, error
-    estimate).  Meant for smooth integrands whose evaluations are
+    32, ..., 256 until two consecutive orders agree.  Returns (value,
+    error estimate).  Meant for smooth integrands whose evaluations are
     expensive (each one may itself be a multidimensional quadrature).
     """
     if b <= a:
         raise DomainError("empty integration interval")
-    if max_doublings < 1:
-        raise DomainError("max_doublings must be at least 1")
     prev = None
-    order = 16
-    for _ in range(max_doublings + 1):
+    for order in (16, 32, 64, 128, 256):
         nodes, weights = np.polynomial.legendre.leggauss(order)
         xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         total = 0.5 * (b - a) * math.fsum(w * f(x) for x, w in zip(xs, weights))
@@ -293,9 +257,7 @@ def gauss_legendre_doubling(
             if err <= max(abs_tol, rel_tol * abs(total)):
                 return total, err
         prev = total
-        order *= 2
     raise ConvergenceError(
-        f"Gauss-Legendre doubling did not settle below rel_tol={rel_tol:g} "
-        f"by order {order // 2}",
+        f"Gauss-Legendre doubling did not settle below rel_tol={rel_tol:g} by order {order}",
         estimate=VolumeEstimate(max(prev, 0.0), 0.0, "quadrature"),
     )

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..measures import log_radial_density
-from ..positivity import min_pairing_batch
+from ..positivity import DEFAULT_CONE_TOL, min_pairing_batch
 from ..spectra import KernelSpectrum, MetricKind
 
 #: Rows per batch of vectorized linear algebra at n <= 4; larger n take
@@ -249,21 +249,21 @@ def sample_mcmc_spectra(metric: MetricKind, n: int, spec: McSpec) -> McmcResult:
 
 # --- fraction estimators -----------------------------------------------------
 
-def positive_fraction_iid(spectra: np.ndarray, kernel: KernelSpectrum, tol: float = 1e-12):
-    """Fraction of independent spectra inside the positive cone, with
-    its binomial standard error."""
-    inside = min_pairing_batch(spectra, kernel) >= -tol
+def positive_fraction_iid(spectra: np.ndarray, kernel: KernelSpectrum):
+    """Fraction of independent spectra inside the positive cone (to
+    ``DEFAULT_CONE_TOL``), with its binomial standard error."""
+    inside = min_pairing_batch(spectra, kernel) >= -DEFAULT_CONE_TOL
     m = inside.shape[0]
     p = float(inside.mean())
     return p, math.sqrt(p * (1.0 - p) / m)
 
 
-def positive_fraction_mcmc(result: McmcResult, kernel: KernelSpectrum, tol: float = 1e-12):
+def positive_fraction_mcmc(result: McmcResult, kernel: KernelSpectrum):
     """Positive-cone fraction from chain output; the standard error comes
     from the spread of per-chain means, so residual autocorrelation
     within chains is accounted for."""
     chains, per_chain, n = result.samples.shape
-    inside = min_pairing_batch(result.flat, kernel) >= -tol
+    inside = min_pairing_batch(result.flat, kernel) >= -DEFAULT_CONE_TOL
     per = inside.reshape(chains, per_chain).mean(axis=1)
     p = float(per.mean())
     if chains > 1:

@@ -42,8 +42,12 @@ def _bkm_weight(x: float, y: float) -> float:
     if abs(diff) < _BKM_SERIES_CUTOFF * x:
         d = diff / x
         return (1.0 + d / 2.0 + d * d / 3.0) / x
+    q = diff / y
+    if q <= -1.0:
+        # x/y is below the float resolution, so log1p(q) would be log(0)
+        return (math.log(x) - math.log(y)) / diff
     # log1p keeps the quotient accurate as the arguments approach each other
-    return math.log1p(diff / y) / diff
+    return math.log1p(q) / diff
 
 
 _WEIGHTS = {MetricKind.BURES: _bures_weight, MetricKind.BKM: _bkm_weight}
@@ -134,30 +138,12 @@ def log_radial_density(metric: MetricKind, points: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(out), -np.inf, out)
 
 
-def qubit_radial_density(metric: MetricKind, rho: float) -> float:
-    """Two-level density reduced to the Bloch radius.
-
-    HS: ``rho^2``;  Bures: ``rho^2 / sqrt(1 - rho^2)``;
-    BKM: ``rho * artanh(rho) / sqrt(1 - rho^2)``.
-    Unnormalized, like everything in this module.
-    """
-    r = float(rho)
-    if r < 0.0:
-        raise DomainError(f"Bloch radius {r!r} must be non-negative")
-    if metric is MetricKind.HS:
-        if r > 1.0:
-            raise DomainError(f"Bloch radius {r!r} exceeds 1")
-        return r * r
-    if r >= 1.0:
-        raise DomainError("Bures/BKM densities diverge at the pure-state boundary")
-    if metric is MetricKind.BURES:
-        return r * r / math.sqrt(1.0 - r * r)
-    return r * math.atanh(r) / math.sqrt(1.0 - r * r)
-
-
 def qubit_ball_volume(metric: MetricKind, radius: float) -> float:
     """Closed-form (unnormalized) volume of the Bloch ball of the given
-    radius; the antiderivative of ``qubit_radial_density``.
+    radius: the integral over the Bloch radius of the two-level density,
+    ``rho^2`` (HS), ``rho^2 / sqrt(1 - rho^2)`` (Bures) or
+    ``rho * artanh(rho) / sqrt(1 - rho^2)`` (BKM).  For Bures and BKM
+    that is a quarter of ``radial_density`` at ``StateSpectrum.qubit(rho)``.
 
     HS: ``R^3/3``;  Bures: ``(arcsin R - R*sqrt(1-R^2))/2``;
     BKM: ``arcsin R - sqrt(1-R^2)*artanh R`` (value pi/2 at R=1 by limit).

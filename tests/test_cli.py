@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from wignerq import McSpec, MetricKind, sample_bures_spectra, sample_hs_spectra, sample_mcmc_spectra
+from wignerq import McSpec, MetricKind, QuadratureSpec, sample_bures_spectra, sample_hs_spectra, sample_mcmc_spectra
 from wignerq.cli import main, parse_angle
 
 SCHEMA = json.loads(
@@ -159,6 +159,19 @@ class TestMinimizeCommand:
     def test_other_dimension_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "minimize", "--n", "2", "--metric", "hs")
         assert code == 2
+
+    @pytest.mark.parametrize("metric, rel_tol", [("hs", 1e-9), ("bures", 1e-7)])
+    def test_abs_tol_reaches_library(self, capsys, monkeypatch, metric, rel_tol):
+        # --abs-tol alone keeps the library's per-metric rel_tol default
+        from wignerq import cli
+
+        specs = []
+        monkeypatch.setattr(
+            cli, "minimize_indicator", lambda m, n, spec, **kw: specs.append(spec) or (0.5, 1e-3)
+        )
+        code, _, _ = run_cli(capsys, "minimize", "--metric", metric, "--abs-tol", "1e-300")
+        assert code == 0
+        assert specs == [QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-300)]
 
 
 def test_worker_default_from_environment(monkeypatch):

@@ -13,7 +13,6 @@ from wignerq import (
     morozova_chentsov,
     positive_ball_radius,
     qubit_ball_volume,
-    qubit_radial_density,
     radial_density,
 )
 from wignerq.measures import _density_from_values, log_radial_density
@@ -23,6 +22,16 @@ SQRT3 = math.sqrt(3.0)
 #: Relative gaps between the first two entries on either side of the BKM
 #: series cutoff (1e-9).
 NEAR_CUTOFF = (0.5e-9, 2e-9)
+
+#: Simplex density of a two-level spectrum over the density in the Bloch
+#: radius alone: rho^2 (HS), rho^2/sqrt(1-rho^2) (Bures) and
+#: rho*artanh(rho)/sqrt(1-rho^2) (BKM).
+BLOCH_FACTOR = {MetricKind.HS: 1.0, MetricKind.BURES: 4.0, MetricKind.BKM: 4.0}
+
+
+def _bloch_density(metric, rho):
+    """Two-level density in the Bloch radius, from the shared simplex density."""
+    return radial_density(metric, StateSpectrum.qubit(rho)) / BLOCH_FACTOR[metric]
 
 
 def _weight_reference(metric, x, y):
@@ -107,6 +116,16 @@ class TestMorozovaChentsov:
             oracle = math.log1p((x - y) / y) / (x - y)
             assert morozova_chentsov(MetricKind.BKM, x, y) == pytest.approx(oracle, rel=1e-10)
 
+    @pytest.mark.parametrize("ratio", [1e-17, 1e-300])
+    def test_bkm_widely_separated_arguments(self, ratio):
+        # (x - y)/y rounds to -1 once x/y is below the float resolution
+        x, y = ratio, 1.0
+        expected = math.log(x / y) / (x - y)
+        assert morozova_chentsov(MetricKind.BKM, x, y) == pytest.approx(expected, rel=1e-14)
+        assert morozova_chentsov(MetricKind.BKM, y, x) == pytest.approx(expected, rel=1e-14)
+        low_first = _density_from_values(MetricKind.BKM, (x, y))
+        assert low_first == pytest.approx(_density_from_values(MetricKind.BKM, (y, x)), rel=1e-14)
+
 
 class TestRadialDensity:
     def test_hs_three_level_product(self):
@@ -132,13 +151,19 @@ class TestRadialDensity:
 
     def test_two_level_reduction_proportional_to_bloch_density(self, metric):
         # simplex density against the one-radial-coordinate form: constant ratio
+        bloch = {
+            MetricKind.HS: lambda r: r * r,
+            MetricKind.BURES: lambda r: r * r / math.sqrt(1.0 - r * r),
+            MetricKind.BKM: lambda r: r * math.atanh(r) / math.sqrt(1.0 - r * r),
+        }[metric]
         rhos = np.linspace(0.01, 0.99, 100)
         ratios = []
         for rho in rhos:
             s = StateSpectrum.qubit(rho)
-            ratios.append(radial_density(metric, s) / qubit_radial_density(metric, rho))
+            ratios.append(radial_density(metric, s) / bloch(rho))
         ratios = np.array(ratios)
         assert np.ptp(ratios) / ratios.mean() < 1e-10
+        assert ratios.mean() == pytest.approx(BLOCH_FACTOR[metric], rel=1e-10)
 
     def test_hs_equals_squared_vandermonde(self, rng):
         for n in range(2, 7):
@@ -180,27 +205,27 @@ class TestDensityKernel:
 
 class TestQubitRadialDensity:
     def test_hs_value(self):
-        assert qubit_radial_density(MetricKind.HS, 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert _bloch_density(MetricKind.HS, 0.5) == pytest.approx(0.25, abs=1e-15)
 
     def test_bures_ratio_by_quadrature(self):
         # integrating the density itself reproduces the positive-ball weight
-        num, _ = integrate.quad(lambda r: qubit_radial_density(MetricKind.BURES, r), 0, 1 / SQRT3)
-        den, _ = integrate.quad(lambda r: qubit_radial_density(MetricKind.BURES, r), 0, 1)
+        num, _ = integrate.quad(lambda r: _bloch_density(MetricKind.BURES, r), 0, 1 / SQRT3)
+        den, _ = integrate.quad(lambda r: _bloch_density(MetricKind.BURES, r), 0, 1)
         assert num / den == pytest.approx(0.09172, abs=2e-5)
         assert num / den == pytest.approx((2 / math.pi) * (math.asin(1 / SQRT3) - math.sqrt(2) / 3), rel=1e-8)
 
     def test_bkm_ratio_by_quadrature(self):
-        num, _ = integrate.quad(lambda r: qubit_radial_density(MetricKind.BKM, r), 0, 1 / SQRT3)
-        den, _ = integrate.quad(lambda r: qubit_radial_density(MetricKind.BKM, r), 0, 1)
+        num, _ = integrate.quad(lambda r: _bloch_density(MetricKind.BKM, r), 0, 1 / SQRT3)
+        den, _ = integrate.quad(lambda r: _bloch_density(MetricKind.BKM, r), 0, 1)
         assert num / den == pytest.approx(0.0495506, abs=2e-7)
 
     def test_domain(self):
-        assert qubit_radial_density(MetricKind.HS, 1.0) == 1.0
-        assert qubit_radial_density(MetricKind.BKM, 0.0) == 0.0
+        assert _bloch_density(MetricKind.HS, 1.0) == 1.0
+        assert _bloch_density(MetricKind.BKM, 0.0) == 0.0
         with pytest.raises(DomainError):
-            qubit_radial_density(MetricKind.BURES, 1.0)
+            _bloch_density(MetricKind.BURES, 1.0)
         with pytest.raises(DomainError):
-            qubit_radial_density(MetricKind.HS, 1.5)
+            _bloch_density(MetricKind.HS, 1.5)
 
 
 class TestQubitBallVolume:
@@ -221,7 +246,7 @@ class TestQubitBallVolume:
         h = 1e-6
         for rho in np.linspace(0.05, 0.95, 100):
             deriv = (qubit_ball_volume(metric, rho + h) - qubit_ball_volume(metric, rho - h)) / (2 * h)
-            assert deriv == pytest.approx(qubit_radial_density(metric, rho), rel=1e-8)
+            assert deriv == pytest.approx(_bloch_density(metric, rho), rel=1e-8)
 
     def test_domain(self):
         with pytest.raises(DomainError):
