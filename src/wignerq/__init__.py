@@ -39,7 +39,6 @@ from .measures import (
 )
 from .positivity import (
     BlochVector,
-    in_positive_cone,
     min_wigner_value,
     qubit_wigner,
     qutrit_orbit_bound,
@@ -81,7 +80,6 @@ __all__ = [
     "average_indicator",
     "closed_indicator",
     "global_indicator",
-    "in_positive_cone",
     "kernel_for",
     "kernel_spectrum_from_direction",
     "min_wigner_value",

@@ -19,7 +19,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -41,7 +40,9 @@ from .indicators import (
 from .integrate import McSpec, QuadratureSpec
 from .spectra import MetricKind, ModuliPoint
 
-_WORKERS_ENV = "WIGNERQ_WORKERS"
+#: Caps on ``sample``: its output is built whole before it is written.
+_SAMPLE_MAX_N = 256
+_SAMPLE_MAX_VALUES = 10**7
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$",
@@ -63,6 +64,8 @@ def parse_angle(text: str) -> float:
             coeff = float(coeff_s)
         value = coeff * math.pi
         if den_s:
+            if float(den_s) == 0.0:
+                raise argparse.ArgumentTypeError(f"zero denominator in angle {text!r}")
             value /= float(den_s)
         return value
     try:
@@ -73,13 +76,6 @@ def parse_angle(text: str) -> float:
 
 def _fmt(x) -> str:
     return format(float(x), ".12g")
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(_WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(args, payload: dict, header: list[str], rows: list[list]) -> None:
@@ -124,14 +120,7 @@ def _quad_spec(args, metric: MetricKind, minimize: bool = False) -> QuadratureSp
 
 
 def _mc_spec(args) -> McSpec:
-    return McSpec(
-        samples=args.samples,
-        seed=args.seed,
-        workers=args.workers,
-        burn_in=args.burn_in,
-        thin=args.thin,
-        chains_per_worker=args.chains,
-    )
+    return McSpec(samples=args.samples, seed=args.seed, workers=args.workers)
 
 
 def _moduli_for(n: int, zeta) -> ModuliPoint:
@@ -166,7 +155,7 @@ def cmd_indicator(args) -> int:
 
 def cmd_average(args) -> int:
     metrics = list(MetricKind) if args.metric == "all" else [MetricKind.from_name(args.metric)]
-    results = [average_indicator(m, args.n, _quad_spec(args, m), inner=args.inner) for m in metrics]
+    results = [average_indicator(m, args.n, _quad_spec(args, m)) for m in metrics]
     payload = {"command": "average", "results": [r.to_json_dict() for r in results]}
     _emit(args, payload, *_indicator_rows(results))
     return 0
@@ -175,9 +164,7 @@ def cmd_average(args) -> int:
 def cmd_minimize(args) -> int:
     metric = MetricKind.from_name(args.metric)
     spec = _quad_spec(args, metric, minimize=True)
-    zeta_star, q_star = minimize_indicator(
-        metric, args.n, spec, method=args.method, zeta_tol=args.zeta_tol
-    )
+    zeta_star, q_star = minimize_indicator(metric, args.n, spec, method=args.method)
     payload = {
         "command": "minimize",
         "metric": metric.value,
@@ -192,7 +179,9 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    radii = np.linspace(0.0, args.r_max, args.points)
+    if args.points < 1:
+        raise DomainError("--points must be at least 1")
+    radii = np.linspace(0.0, 1.0, args.points)
     rows = positivity_curve(radii)
     payload = {
         "command": "curve",
@@ -205,6 +194,11 @@ def cmd_curve(args) -> int:
 
 def cmd_sample(args) -> int:
     metric = MetricKind.from_name(args.metric)
+    if args.n > _SAMPLE_MAX_N or args.samples * args.n > _SAMPLE_MAX_VALUES:
+        raise DomainError(
+            f"sample is capped at --n {_SAMPLE_MAX_N} and at {_SAMPLE_MAX_VALUES:,} "
+            "values (--samples x --n)"
+        )
     spec = _mc_spec(args)
     sampler, draws = sample_spectra(metric, args.n, spec, args.sampler)
     warnings: tuple[str, ...] = ()
@@ -302,11 +296,7 @@ def _add_quad_flags(p):
 def _add_mc_flags(p, samples_default=1_000_000):
     p.add_argument("--samples", type=int, default=samples_default)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help=f"parallel workers (default ${_WORKERS_ENV} or 1)")
-    p.add_argument("--burn-in", type=int, default=10_000)
-    p.add_argument("--thin", type=int, default=10)
-    p.add_argument("--chains", type=int, default=32, help="Markov chains per worker")
+    p.add_argument("--workers", type=int, default=1, help="parallel workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("average", help="moduli average of the n=3 indicator")
     p.add_argument("--metric", default="all", help="hs, bures, bkm or all")
     p.add_argument("--n", type=int, default=3, choices=(3,))
-    p.add_argument("--inner", choices=("auto", "closed", "quadrature"), default="auto")
     _add_quad_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_average)
@@ -340,14 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True)
     p.add_argument("--n", type=int, default=3, choices=(3,))
     p.add_argument("--method", choices=("auto", "closed", "quadrature"), default="auto")
-    p.add_argument("--zeta-tol", type=float, default=1e-6)
     _add_quad_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("curve", help="qubit positivity probability on a radius grid")
     p.add_argument("--points", type=int, default=200)
-    p.add_argument("--r-max", type=float, default=1.0)
     _add_output_flags(p, default_format="csv")
     p.set_defaults(func=cmd_curve)
 

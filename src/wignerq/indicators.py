@@ -44,6 +44,9 @@ AVERAGED = "averaged"
 
 _ZETA_MAX = math.pi / 3.0
 
+#: Width of the final bracket of the moduli minimization.
+_ZETA_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class IndicatorResult:
@@ -51,7 +54,7 @@ class IndicatorResult:
 
     ``moduli`` is the moduli point the value belongs to, or the string
     ``"averaged"`` for moduli averages.  ``error`` is a standard error
-    for Monte Carlo results and a tolerance-based bound for
+    for Monte Carlo results (never 0) and a tolerance-based bound for
     deterministic ones.
     """
 
@@ -301,7 +304,6 @@ def minimize_indicator(
     n: int = 3,
     spec: QuadratureSpec | None = None,
     method: str = "auto",
-    zeta_tol: float = 1e-6,
 ) -> tuple[float, float]:
     """Minimize the three-level indicator over the moduli angle.
 
@@ -313,7 +315,7 @@ def minimize_indicator(
         raise DomainError("moduli minimization is implemented for n = 3")
     spec = spec or default_quad_spec(metric, n, minimize=True)
     f, _ = _qutrit_indicator_fn(metric, spec, method)
-    return _golden_section_min(f, 0.0, _ZETA_MAX, zeta_tol)
+    return _golden_section_min(f, 0.0, _ZETA_MAX, _ZETA_TOL)
 
 
 def qubit_positivity_probability(metric: MetricKind, radius: float) -> float:

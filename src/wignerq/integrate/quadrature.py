@@ -35,19 +35,20 @@ from ..positivity import _qutrit_bounds
 from ..spectra import MetricKind, qutrit_ray
 
 
+#: Subdivision budget of every adaptive quadrature (scipy's ``limit``).
+_MAX_SUBDIVISIONS = 200
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and subdivision budget for adaptive quadrature."""
+    """Tolerances for adaptive quadrature."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-15
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
 
 
 #: Default tolerances for two-dimensional work; one-dimensional work
@@ -71,12 +72,13 @@ class VolumeEstimate:
             raise DomainError("std_error must be non-negative")
 
 
-def _quad(f, a, b, rel_tol, abs_tol, limit):
+def _quad(f, a, b, rel_tol, abs_tol):
     """scipy.integrate.quad with failure turned into ConvergenceError."""
     # Looked up on every call, so a replaced scipy.integrate.quad is seen.
     import scipy.integrate
 
-    res = scipy.integrate.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1)
+    res = scipy.integrate.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=_MAX_SUBDIVISIONS,
+                               full_output=1)
     value, abserr = res[0], res[1]
     if len(res) == 4 and abserr > max(abs_tol, rel_tol * abs(value)):
         raise ConvergenceError(
@@ -108,7 +110,7 @@ def orbit_volume_qubit(metric: MetricKind, radius: float, spec: QuadratureSpec |
         c, s = math.cos(h), math.sin(h)
         return _density_from_values(metric, (c * c, s * s)) * math.cos(t) * scale
 
-    value = _quad(f, 0.0, math.asin(R), spec.rel_tol, spec.abs_tol, spec.max_subdivisions)
+    value = _quad(f, 0.0, math.asin(R), spec.rel_tol, spec.abs_tol)
     return VolumeEstimate(max(value, 0.0), 0.0, "quadrature")
 
 
@@ -143,12 +145,12 @@ def orbit_volume_qutrit(
             vals = eigs(r, k * (gap0 + b * u * u))
             return _density_from_values(metric, vals) * r * 2.0 * b * u
 
-        return _quad(f, 0.0, 1.0, inner_rel, spec.abs_tol / 4.0, spec.max_subdivisions)
+        return _quad(f, 0.0, 1.0, inner_rel, spec.abs_tol / 4.0)
 
     def outer(w):
         return inner(math.pi - w * w) * 2.0 * w
 
-    value = _quad(outer, 0.0, math.sqrt(math.pi), outer_rel, spec.abs_tol, spec.max_subdivisions)
+    value = _quad(outer, 0.0, math.sqrt(math.pi), outer_rel, spec.abs_tol)
     return VolumeEstimate(max(value, 0.0), 0.0, "quadrature")
 
 
@@ -184,7 +186,6 @@ def orbit_volume_simplex(
         if kernel.n != n:
             raise DomainError(f"kernel has {kernel.n} levels, expected {n}")
         pi_asc = list(kernel.values)
-    limit = spec.max_subdivisions
     hs = metric is MetricKind.HS
 
     def level(k, prefix, remaining, rel_tol):
@@ -198,7 +199,7 @@ def orbit_volume_simplex(
             def f(x):
                 return level(k + 1, prefix + [x], remaining - x, rel_tol / 4.0)
 
-            return _quad(f, lo, hi, rel_tol, spec.abs_tol, limit)
+            return _quad(f, lo, hi, rel_tol, spec.abs_tol)
 
         # innermost: r_{n-1} free, r_n = remaining - r_{n-1}
         singular_edge = hi >= remaining  # r_n -> 0 reachable at the top end
@@ -221,7 +222,7 @@ def orbit_volume_simplex(
             return _density_from_values(metric, head + (x, remaining - x))
 
         if hs or not singular_edge:
-            return _quad(g, lo, hi, rel_tol, spec.abs_tol, limit)
+            return _quad(g, lo, hi, rel_tol, spec.abs_tol)
 
         # quadratic map keeps r_n = (remaining - hi) + t^2 exact near zero
         base = remaining - hi
@@ -231,7 +232,7 @@ def orbit_volume_simplex(
             x = hi - t * t
             return _density_from_values(metric, head + (x, base + t * t)) * 2.0 * t
 
-        return _quad(g_sub, 0.0, math.sqrt(span), rel_tol, spec.abs_tol, limit)
+        return _quad(g_sub, 0.0, math.sqrt(span), rel_tol, spec.abs_tol)
 
     value = level(1, [], 1.0, spec.rel_tol / 2.0)
     return VolumeEstimate(max(value, 0.0), 0.0, "quadrature")

@@ -84,8 +84,9 @@ class McmcResult:
         return self.samples.reshape(-1, self.samples.shape[-1])
 
 
-def _worker_rng(seed: int, workers: int, index: int) -> np.random.Generator:
-    child = np.random.SeedSequence(seed).spawn(workers)[index]
+def _worker_rng(seed: int, index: int) -> np.random.Generator:
+    # the child that SeedSequence(seed).spawn(workers)[index] returns, built in O(1)
+    child = np.random.SeedSequence(seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(child))
 
 
@@ -129,8 +130,8 @@ def _spectra_of(w: np.ndarray) -> np.ndarray:
     return ev[:, ::-1]
 
 
-def _matrix_chunk(bures: bool, n: int, count: int, seed: int, workers: int, index: int) -> np.ndarray:
-    rng = _worker_rng(seed, workers, index)
+def _matrix_chunk(bures: bool, n: int, count: int, seed: int, index: int) -> np.ndarray:
+    rng = _worker_rng(seed, index)
     eye = np.eye(n)
     batch = min(_EIG_BATCH, max(1, 16 * _EIG_BATCH // (n * n)))
     out = np.empty((count, n))
@@ -149,7 +150,7 @@ def _matrix_spectra(bures: bool, n: int, spec: McSpec) -> np.ndarray:
     if n < 2:
         raise DomainError("sampling needs n >= 2")
     counts = _split_counts(spec.samples, spec.workers)
-    jobs = [(bures, n, c, spec.seed, spec.workers, i) for i, c in enumerate(counts) if c > 0]
+    jobs = [(bures, n, c, spec.seed, i) for i, c in enumerate(counts) if c > 0]
     return np.concatenate(_map_ordered(_matrix_chunk, jobs, spec.workers), axis=0)
 
 
@@ -190,8 +191,8 @@ def _mh_step(metric, y, logp, sigma, rng):
     return y, logp, int(accept.sum())
 
 
-def _mcmc_chunk(metric, n, chains, per_chain, burn_in, thin, seed, workers, index):
-    rng = _worker_rng(seed, workers, index)
+def _mcmc_chunk(metric, n, chains, per_chain, burn_in, thin, seed, index):
+    rng = _worker_rng(seed, index)
     y = rng.normal(0.0, 0.5, (chains, n - 1))
     logp = _log_target(metric, y)
     sigma = 0.8
@@ -230,8 +231,7 @@ def sample_mcmc_spectra(metric: MetricKind, n: int, spec: McSpec) -> McmcResult:
     chains_total = spec.workers * spec.chains_per_worker
     per_chain = -(-spec.samples // chains_total)  # ceil
     jobs = [
-        (metric, n, spec.chains_per_worker, per_chain, spec.burn_in, spec.thin,
-         spec.seed, spec.workers, i)
+        (metric, n, spec.chains_per_worker, per_chain, spec.burn_in, spec.thin, spec.seed, i)
         for i in range(spec.workers)
     ]
     parts = _map_ordered(_mcmc_chunk, jobs, spec.workers)
@@ -249,13 +249,21 @@ def sample_mcmc_spectra(metric: MetricKind, n: int, spec: McSpec) -> McmcResult:
 
 # --- fraction estimators -----------------------------------------------------
 
+def _nonzero_error(se: float, units: int) -> float:
+    """The standard error, or ``1/(units + 1)`` where it is 0 (no spread
+    among the independent units, as at zero hits).  That is the far end of
+    the z = 1 Wilson score interval at an observed fraction of 0 or 1
+    (Brown, Cai & DasGupta, Stat. Sci. 16, 2001)."""
+    return se if se > 0.0 else 1.0 / (units + 1)
+
+
 def positive_fraction_iid(spectra: np.ndarray, kernel: KernelSpectrum):
     """Fraction of independent spectra inside the positive cone (to
     ``DEFAULT_CONE_TOL``), with its binomial standard error."""
     inside = min_pairing_batch(spectra, kernel) >= -DEFAULT_CONE_TOL
     m = inside.shape[0]
     p = float(inside.mean())
-    return p, math.sqrt(p * (1.0 - p) / m)
+    return p, _nonzero_error(math.sqrt(p * (1.0 - p) / m), m)
 
 
 def positive_fraction_mcmc(result: McmcResult, kernel: KernelSpectrum):
@@ -269,5 +277,5 @@ def positive_fraction_mcmc(result: McmcResult, kernel: KernelSpectrum):
     if chains > 1:
         se = float(per.std(ddof=1) / math.sqrt(chains))
     else:
-        se = math.sqrt(max(p * (1.0 - p), 1e-300) / per_chain)
-    return p, se
+        se = math.sqrt(p * (1.0 - p) / per_chain)
+    return p, _nonzero_error(se, chains)

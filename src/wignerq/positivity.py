@@ -22,8 +22,8 @@ from .spectra import ALGEBRAIC_TOL, KernelSpectrum, StateSpectrum
 
 _SQRT3 = math.sqrt(3.0)
 
-#: Classification tolerance of the positive-cone test; the default of
-#: ``in_positive_cone`` and the one every Monte Carlo fraction uses.
+#: Classification tolerance of the positive-cone test that every Monte
+#: Carlo fraction uses.
 DEFAULT_CONE_TOL = 1e-12
 
 
@@ -61,13 +61,6 @@ def min_wigner_value(r: StateSpectrum, k: KernelSpectrum) -> float:
     if r.n != k.n:
         raise DomainError(f"dimension mismatch: state has {r.n} levels, kernel {k.n}")
     return float(np.dot(r.values, k.values))
-
-
-def in_positive_cone(r: StateSpectrum, k: KernelSpectrum, tol: float = DEFAULT_CONE_TOL) -> bool:
-    """Whether the state's Wigner function is non-negative everywhere."""
-    if tol < 0.0:
-        raise DomainError("tolerance must be non-negative")
-    return min_wigner_value(r, k) >= -tol
 
 
 def min_pairing_batch(spectra: np.ndarray, k: KernelSpectrum) -> np.ndarray:

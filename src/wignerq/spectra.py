@@ -81,19 +81,12 @@ class StateSpectrum:
         return len(self.values)
 
     @classmethod
-    def qubit(cls, bloch_radius: float) -> "StateSpectrum":
+    def qubit(cls, radius: float) -> "StateSpectrum":
         """Two-level spectrum of the state with the given Bloch radius."""
-        rho = float(bloch_radius)
+        rho = float(radius)
         if not 0.0 <= rho <= 1.0 + ALGEBRAIC_TOL:
             raise DomainError(f"Bloch radius {rho!r} outside [0, 1]")
         return cls(((1.0 + rho) / 2.0, (1.0 - rho) / 2.0))
-
-    @property
-    def bloch_radius(self) -> float:
-        """Bloch radius r1 - r2; defined for two-level spectra only."""
-        if self.n != 2:
-            raise DomainError("Bloch radius is a two-level notion")
-        return self.values[0] - self.values[1]
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from wignerq import McSpec, MetricKind, QuadratureSpec, sample_bures_spectra, sample_hs_spectra, sample_mcmc_spectra
@@ -52,6 +53,8 @@ class TestParseAngle:
 
         with pytest.raises(argparse.ArgumentTypeError):
             parse_angle("half a turn")
+        with pytest.raises(argparse.ArgumentTypeError, match="zero denominator"):
+            parse_angle("pi/0")
 
 
 class TestIndicatorCommand:
@@ -106,6 +109,12 @@ class TestIndicatorCommand:
         code, _, err = run_cli(capsys, "indicator", "--n", "3", "--metric", "hs")
         assert code == 2
         assert "zeta" in err
+
+    def test_zero_denominator_angle_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "indicator", "--n", "3", "--metric", "hs", "--zeta", "pi/0")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "Traceback" not in err
 
     def test_unknown_metric_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "indicator", "--n", "2", "--metric", "trace")
@@ -174,14 +183,6 @@ class TestMinimizeCommand:
         assert specs == [QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-300)]
 
 
-def test_worker_default_from_environment(monkeypatch):
-    from wignerq.cli import build_parser
-
-    monkeypatch.setenv("WIGNERQ_WORKERS", "4")
-    args = build_parser().parse_args(["sample", "--metric", "hs"])
-    assert args.workers == 4
-
-
 class TestCurveCommand:
     def test_csv_default(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "--points", "30")
@@ -201,6 +202,13 @@ class TestCurveCommand:
         code, out, _ = run_cli(capsys, "curve", "--points", "5", "--format", "json")
         assert code == 0
         validate(json.loads(out))
+
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_no_points_is_usage_error(self, capsys, points):
+        code, out, err = run_cli(capsys, "curve", "--points", points)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestSampleCommand:
@@ -229,7 +237,7 @@ class TestSampleCommand:
         assert len(payload["spectra"]) == 50
 
     def test_output_equals_sampler_values(self, capsys):
-        spec = McSpec(20, seed=5, burn_in=300)
+        spec = McSpec(20, seed=5)
         expected_by_metric = {
             "hs": sample_hs_spectra(3, spec),
             "bures": sample_bures_spectra(3, spec),
@@ -237,7 +245,7 @@ class TestSampleCommand:
         }
         for metric, arr in expected_by_metric.items():
             argv = ("sample", "--metric", metric, "--n", "3", "--samples", "20", "--seed", "5",
-                    "--workers", "1", "--burn-in", "300")
+                    "--workers", "1")
             expected = arr.tolist()
             code, out, _ = run_cli(capsys, *argv, "--format", "json")
             assert code == 0
@@ -253,6 +261,36 @@ class TestSampleCommand:
         )
         assert code == 2
         assert "BKM" in err
+
+    @pytest.mark.parametrize("n, samples", [(257, 1), (2, 5_000_001), (256, 39_063)])
+    def test_caps_rejected_before_drawing(self, capsys, monkeypatch, n, samples):
+        from wignerq import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(cli, "sample_spectra", never)
+        code, out, err = run_cli(
+            capsys, "sample", "--metric", "hs", "--n", str(n), "--samples", str(samples)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "capped" in err
+
+    @pytest.mark.parametrize("n, samples", [(256, 39_062), (2, 5_000_000)])
+    def test_caps_admit_the_limit(self, capsys, monkeypatch, n, samples):
+        from wignerq import cli
+
+        calls = []
+
+        def tiny(metric, n, spec, sampler):
+            calls.append((n, spec.samples))
+            return "matrix", np.full((1, n), 1.0 / n)
+
+        monkeypatch.setattr(cli, "sample_spectra", tiny)
+        code, _, _ = run_cli(capsys, "sample", "--metric", "hs", "--n", str(n), "--samples", str(samples))
+        assert code == 0
+        assert calls == [(n, samples)]
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "spectra.csv"

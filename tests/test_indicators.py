@@ -83,6 +83,15 @@ class TestGlobalIndicator:
         assert 0.0 < r.value < 1e-3
         assert r.error > 0.0
 
+    def test_mc_zero_hits_reports_wilson_bound(self):
+        # no draw lands in this kernel's positive region (exact HS fraction
+        # about 1e-17), so the binomial error is 0; the far end of the z = 1
+        # Wilson interval, 1/(m + 1), is reported instead
+        m = ModuliPoint.from_direction(4, (1.0, 0.0, 0.0))
+        r = global_indicator(MetricKind.HS, 4, m, McSpec(20_000, seed=1))
+        assert r.value == 0.0
+        assert r.error == 1.0 / 20_001
+
     def test_bkm_matrix_sampler_rejected(self):
         with pytest.raises(DomainError):
             global_indicator(MetricKind.BKM, 2, spec=McSpec(samples=100, seed=1), sampler="matrix")

@@ -14,7 +14,6 @@ from wignerq import (
     KernelSpectrum,
     QutritPolar,
     StateSpectrum,
-    in_positive_cone,
     min_wigner_value,
     qubit_kernel_spectrum,
     qubit_wigner,
@@ -23,6 +22,7 @@ from wignerq import (
     qutrit_positivity_bound,
     spectrum_from_polar,
 )
+from wignerq.positivity import DEFAULT_CONE_TOL
 from wignerq.sw_kernel import kernel_spectrum_from_direction, traceless_basis
 
 SQRT3 = math.sqrt(3.0)
@@ -74,22 +74,22 @@ class TestMinWignerValue:
 class TestPositiveCone:
     def test_qubit_mixed_inside_pure_outside(self):
         k = qubit_kernel_spectrum()
-        assert in_positive_cone(StateSpectrum((0.5, 0.5)), k)
-        assert not in_positive_cone(StateSpectrum((1.0, 0.0)), k)
+        assert min_wigner_value(StateSpectrum((0.5, 0.5)), k) >= -DEFAULT_CONE_TOL
+        assert min_wigner_value(StateSpectrum((1.0, 0.0)), k) < -DEFAULT_CONE_TOL
 
     def test_qubit_ball_radius(self):
         # membership flips exactly at Bloch radius 1/sqrt(3)
         k = qubit_kernel_spectrum()
         for rho in np.linspace(0.0, 1.0, 1001):
             expected = rho <= 1 / SQRT3 + 1e-9
-            assert in_positive_cone(StateSpectrum.qubit(rho), k, tol=1e-9) == expected
+            assert (min_wigner_value(StateSpectrum.qubit(rho), k) >= -1e-9) == expected
 
     def test_qutrit_sign_matches_radial_inequality(self):
         zeta = math.pi / 6
         k = qutrit_kernel_spectrum(zeta)
         s = spectrum_from_polar(QutritPolar(0.1, math.pi / 2))
         expected = 0.1 <= qutrit_positivity_bound(math.pi / 2, zeta)
-        assert in_positive_cone(s, k) == expected
+        assert (min_wigner_value(s, k) >= -DEFAULT_CONE_TOL) == expected
 
     def test_qutrit_sign_cross_check_random(self, rng):
         # pairing sign equals the radial inequality on 1e5 random triples
@@ -110,10 +110,6 @@ class TestPositiveCone:
 
         off_edge = np.abs(r - bound) > 1e-9
         assert np.array_equal((pairing >= -1e-12)[off_edge], (r < bound)[off_edge])
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(DomainError):
-            in_positive_cone(StateSpectrum((0.5, 0.5)), qubit_kernel_spectrum(), tol=-1.0)
 
 
 class TestQutritBounds:

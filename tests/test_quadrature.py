@@ -30,8 +30,6 @@ class TestSpecs:
         QuadratureSpec()
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_subdivisions=0)
 
     def test_volume_estimate_validation(self):
         VolumeEstimate(1.0, 0.0, "quadrature")
@@ -72,7 +70,7 @@ class TestQubitVolumes:
             orbit_volume_qubit(MetricKind.HS, 1.5)
 
     def test_unreachable_tolerance_raises_with_estimate(self):
-        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=2)
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
         with pytest.raises(ConvergenceError) as err:
             orbit_volume_qubit(MetricKind.BKM, 1.0, spec)
         assert err.value.estimate is not None

@@ -56,13 +56,24 @@ class TestDeterminism:
         def no_pool(*args, **kwargs):
             raise OSError("process pool refused")
 
-        jobs = [(False, 2, 500, 99, 2, i) for i in range(2)]
+        jobs = [(False, 2, 500, 99, i) for i in range(2)]
         sequential = sampling_mod._map_ordered(sampling_mod._matrix_chunk, jobs, 1)
         monkeypatch.setattr(sampling_mod, "ProcessPoolExecutor", no_pool)
         with pytest.warns(RuntimeWarning, match=r"2 workers.*process pool refused"):
             fallback = sampling_mod._map_ordered(sampling_mod._matrix_chunk, jobs, 2)
         assert len(fallback) == len(sequential) == 2
         assert all(np.array_equal(a, b) for a, b in zip(fallback, sequential))
+
+    @pytest.mark.parametrize("seed", [0, 7, 123456])
+    def test_worker_stream_is_spawned_child(self, seed):
+        # the O(1) construction gives the child that spawn(workers)[index] gives
+        for workers in range(1, 6):
+            children = np.random.SeedSequence(seed).spawn(workers)
+            for index, child in enumerate(children):
+                direct = np.random.SeedSequence(seed, spawn_key=(index,))
+                assert np.array_equal(direct.generate_state(8), child.generate_state(8))
+                expected = np.random.Generator(np.random.PCG64(child)).bit_generator.state
+                assert sampling_mod._worker_rng(seed, index).bit_generator.state == expected
 
     def test_worker_split_changes_stream(self):
         one = sample_hs_spectra(2, McSpec(samples=1_000, seed=99, workers=1))
@@ -191,3 +202,21 @@ def test_fraction_estimators_shapes():
     assert 0.0 <= p <= 1.0 and se > 0.0
     with pytest.raises(DomainError):
         positive_fraction_iid(arr, qutrit_kernel_spectrum(0.1))
+
+
+class TestFractionErrorNeverZero:
+    MIXED = 0.5  # the maximally mixed qubit is inside the positive cone
+
+    def test_iid_all_inside(self):
+        p, se = positive_fraction_iid(np.full((40, 2), self.MIXED), qubit_kernel_spectrum())
+        assert (p, se) == (1.0, 1.0 / 41)
+
+    @pytest.mark.parametrize("chains", [1, 4])
+    def test_chain_all_inside(self, chains):
+        res = sampling_mod.McmcResult(
+            samples=np.full((chains, 25, 2), self.MIXED), acceptance_rate=0.4, step_scale=1.0,
+            warnings=(),
+        )
+        p, se = positive_fraction_mcmc(res, qubit_kernel_spectrum())
+        assert p == 1.0
+        assert se == 1.0 / (chains + 1) > 0.0

@@ -45,11 +45,6 @@ class TestStateSpectrum:
     def test_qubit_bloch_radius_round_trip(self):
         s = StateSpectrum.qubit(0.4)
         assert s.values == (0.7, 0.3)
-        assert s.bloch_radius == pytest.approx(0.4, abs=1e-15)
-
-    def test_bloch_radius_only_for_two_levels(self):
-        with pytest.raises(DomainError):
-            _ = StateSpectrum((0.5, 0.3, 0.2)).bloch_radius
 
 
 class TestKernelSpectrum:
