@@ -43,6 +43,8 @@ from .spectra import MetricKind, ModuliPoint
 #: Caps on ``sample``: its output is built whole before it is written.
 _SAMPLE_MAX_N = 256
 _SAMPLE_MAX_VALUES = 10**7
+#: Cap on ``--workers``: the per-worker job lists grow with it.
+_MAX_WORKERS = 256
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$",
@@ -120,6 +122,8 @@ def _quad_spec(args, metric: MetricKind, minimize: bool = False) -> QuadratureSp
 
 
 def _mc_spec(args) -> McSpec:
+    if args.workers > _MAX_WORKERS:
+        raise DomainError(f"--workers is capped at {_MAX_WORKERS}")
     return McSpec(samples=args.samples, seed=args.seed, workers=args.workers)
 
 

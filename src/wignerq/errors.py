@@ -8,10 +8,5 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """A numerical routine failed to reach the requested tolerance.
 
-    Carries the best estimate obtained so far in ``estimate`` so callers
-    can inspect or report it.
+    The message gives the value and the error estimate it had reached.
     """
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate

@@ -36,7 +36,7 @@ from .integrate.sampling import (
     sample_mcmc_spectra,
 )
 from .measures import positive_ball_radius, qubit_ball_volume
-from .spectra import MetricKind, ModuliPoint
+from .spectra import MetricKind, ModuliPoint, _check_bloch_radius, _check_zeta
 from .sw_kernel import kernel_for
 
 #: Moduli tag carried by averaged results instead of a point.
@@ -108,10 +108,7 @@ def _default_moduli(n: int, moduli: ModuliPoint | None) -> ModuliPoint:
 def qutrit_indicator_closed_form(zeta: float) -> float:
     """Flat-metric three-level indicator as a function of the apex angle:
     ``(1/128) * (1 + 20 c^2) / (4 c^2 - 1)^5`` with ``c = cos(zeta - pi/6)``."""
-    z = float(zeta)
-    if not 0.0 <= z <= _ZETA_MAX + 1e-12:
-        raise DomainError(f"zeta {z!r} outside [0, pi/3]")
-    c2 = math.cos(z - math.pi / 6.0) ** 2
+    c2 = math.cos(_check_zeta(zeta) - math.pi / 6.0) ** 2
     return (1.0 + 20.0 * c2) / (128.0 * (4.0 * c2 - 1.0) ** 5)
 
 
@@ -322,9 +319,7 @@ def qubit_positivity_probability(metric: MetricKind, radius: float) -> float:
     """Probability that a two-level state drawn uniformly (under the
     metric's measure) from the Bloch ball of the given radius has a
     non-negative Wigner function; 1 for radii inside the positive ball."""
-    R = float(radius)
-    if not 0.0 <= R <= 1.0:
-        raise DomainError(f"radius {R!r} outside [0, 1]")
+    R = _check_bloch_radius(radius)
     rp = positive_ball_radius()
     if R <= rp:
         return 1.0

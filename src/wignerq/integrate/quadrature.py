@@ -4,16 +4,14 @@ Volume integrals are set up so that every integrable endpoint
 singularity is removed by substitution before the adaptive routine sees
 it:
 
-* two-level radial integrals use the arcsine substitution, turning the
-  inverse-square-root factor at the pure-state boundary into a bounded
-  (or merely logarithmic) integrand, with the smaller eigenvalue taken
-  from a half-angle identity so it stays exact up to the edge;
+* the two-level route and the innermost level of the general-N nested
+  simplex route share one edge integral: the free eigenvalue ``x`` runs
+  up to the edge ``hi`` through ``x = hi - t^2``, so the last eigenvalue
+  ``(remaining - hi) + t^2`` stays exact as it reaches 0;
 * three-level integrals run in polar coordinates; the radial variable
   is mapped by ``r = b*(1 - u^2)`` so the smallest eigenvalue, computed
   through an exact boundary-gap identity, stays positive and accurate
-  all the way to the edge;
-* the general-N nested simplex integration applies the same quadratic
-  map on its innermost level.
+  all the way to the edge.
 
 All volumes are unnormalized; only ratios are meaningful.
 
@@ -32,7 +30,7 @@ import numpy as np
 from ..errors import ConvergenceError, DomainError
 from ..measures import _density_from_values
 from ..positivity import _qutrit_bounds
-from ..spectra import MetricKind, qutrit_ray
+from ..spectra import MetricKind, _check_bloch_radius, _check_zeta, qutrit_ray
 
 
 #: Subdivision budget of every adaptive quadrature (scipy's ``limit``).
@@ -82,36 +80,38 @@ def _quad(f, a, b, rel_tol, abs_tol):
     value, abserr = res[0], res[1]
     if len(res) == 4 and abserr > max(abs_tol, rel_tol * abs(value)):
         raise ConvergenceError(
-            f"quadrature stalled: error estimate {abserr:.3e} for value {value:.6e} ({res[3]})",
-            estimate=VolumeEstimate(max(value, 0.0), 0.0, "quadrature"),
+            f"quadrature stalled: error estimate {abserr:.3e} for value {value:.6e} ({res[3]})"
         )
     return value
 
 
-def orbit_volume_qubit(metric: MetricKind, radius: float, spec: QuadratureSpec | None = None) -> VolumeEstimate:
-    """Unnormalized volume of the two-level orbit region with Bloch
-    radius up to ``radius``, by adaptive quadrature of the simplex
-    density over the Bloch radius (arcsine-substituted).
-
-    Bures and BKM are scaled by 1/4, the ratio of the Bloch-radius
-    density to the simplex density, so values equal ``qubit_ball_volume``.
-    """
-    R = float(radius)
-    if not 0.0 <= R <= 1.0:
-        raise DomainError(f"radius {R!r} outside [0, 1]")
-    spec = spec or QuadratureSpec()
-    if R == 0.0:
-        return VolumeEstimate(0.0, 0.0, "quadrature")
-    scale = 1.0 if metric is MetricKind.HS else 0.25
+def _edge_integral(metric, head, lo, hi, remaining, rel_tol, abs_tol):
+    """Integral over x in [lo, hi] of the density at the spectrum
+    ``head + (x, remaining - x)``, through ``x = hi - t^2`` so the last
+    eigenvalue ``(remaining - hi) + t^2`` stays exact as it reaches 0."""
+    base = remaining - hi
 
     def f(t):
-        # rho = sin t; the spectrum (1 +- rho)/2 is (cos^2 h, sin^2 h)
-        h = math.pi / 4.0 - t / 2.0
-        c, s = math.cos(h), math.sin(h)
-        return _density_from_values(metric, (c * c, s * s)) * math.cos(t) * scale
+        tt = t * t
+        return _density_from_values(metric, head + (hi - tt, base + tt)) * 2.0 * t
 
-    value = _quad(f, 0.0, math.asin(R), spec.rel_tol, spec.abs_tol)
-    return VolumeEstimate(max(value, 0.0), 0.0, "quadrature")
+    return _quad(f, 0.0, math.sqrt(hi - lo), rel_tol, abs_tol)
+
+
+def orbit_volume_qubit(metric: MetricKind, radius: float, spec: QuadratureSpec | None = None) -> VolumeEstimate:
+    """Unnormalized volume of the two-level orbit region with Bloch
+    radius up to ``radius``: the edge integral of the simplex density
+    over the larger eigenvalue ``x = (1 + rho)/2``.
+
+    ``drho = 2 dx``; Bures and BKM are further scaled by 1/4, the ratio
+    of the Bloch-radius density to the simplex density, so values equal
+    ``qubit_ball_volume``.
+    """
+    R = _check_bloch_radius(radius)
+    spec = spec or QuadratureSpec()
+    scale = 2.0 if metric is MetricKind.HS else 0.5
+    value = _edge_integral(metric, (), 0.5, (1.0 + R) / 2.0, 1.0, spec.rel_tol, spec.abs_tol / scale)
+    return VolumeEstimate(max(value * scale, 0.0), 0.0, "quadrature")
 
 
 # --- three-level polar integration -----------------------------------------
@@ -129,8 +129,8 @@ def orbit_volume_qutrit(
     ``phi = pi - w^2`` to soften the corner where two eigenvalues vanish
     together.
     """
-    if zeta is not None and not 0.0 <= float(zeta) <= math.pi / 3.0 + 1e-12:
-        raise DomainError(f"zeta {zeta!r} outside [0, pi/3]")
+    if zeta is not None:
+        zeta = _check_zeta(zeta)
     spec = spec or DEFAULT_2D
     inner_rel = spec.rel_tol / 4.0
     outer_rel = spec.rel_tol / 2.0
@@ -185,8 +185,7 @@ def orbit_volume_simplex(
     if kernel is not None:
         if kernel.n != n:
             raise DomainError(f"kernel has {kernel.n} levels, expected {n}")
-        pi_asc = list(kernel.values)
-    hs = metric is MetricKind.HS
+        pi_asc = kernel.values
 
     def level(k, prefix, remaining, rel_tol):
         # choose r_k; eigenvalues r_1..r_{k-1} fixed in prefix
@@ -197,12 +196,11 @@ def orbit_volume_simplex(
             return 0.0
         if k < n - 1:
             def f(x):
-                return level(k + 1, prefix + [x], remaining - x, rel_tol / 4.0)
+                return level(k + 1, prefix + (x,), remaining - x, rel_tol / 4.0)
 
             return _quad(f, lo, hi, rel_tol, spec.abs_tol)
 
         # innermost: r_{n-1} free, r_n = remaining - r_{n-1}
-        singular_edge = hi >= remaining  # r_n -> 0 reachable at the top end
         if pi_asc is not None:
             partial = sum(p * q for p, q in zip(prefix, pi_asc)) + remaining * pi_asc[n - 1]
             slope = pi_asc[n - 1] - pi_asc[n - 2]
@@ -210,31 +208,12 @@ def orbit_volume_simplex(
                 cut = partial / slope
                 if cut <= lo:
                     return 0.0
-                if cut < hi:
-                    hi = cut
-                    singular_edge = False
+                hi = min(hi, cut)
             elif partial < 0.0:
                 return 0.0
+        return _edge_integral(metric, prefix, lo, hi, remaining, rel_tol, spec.abs_tol)
 
-        head = tuple(prefix)
-
-        def g(x):
-            return _density_from_values(metric, head + (x, remaining - x))
-
-        if hs or not singular_edge:
-            return _quad(g, lo, hi, rel_tol, spec.abs_tol)
-
-        # quadratic map keeps r_n = (remaining - hi) + t^2 exact near zero
-        base = remaining - hi
-        span = hi - lo
-
-        def g_sub(t):
-            x = hi - t * t
-            return _density_from_values(metric, head + (x, base + t * t)) * 2.0 * t
-
-        return _quad(g_sub, 0.0, math.sqrt(span), rel_tol, spec.abs_tol)
-
-    value = level(1, [], 1.0, spec.rel_tol / 2.0)
+    value = level(1, (), 1.0, spec.rel_tol / 2.0)
     return VolumeEstimate(max(value, 0.0), 0.0, "quadrature")
 
 
@@ -259,6 +238,6 @@ def gauss_legendre_doubling(f, a: float, b: float, rel_tol: float = 1e-6, abs_to
                 return total, err
         prev = total
     raise ConvergenceError(
-        f"Gauss-Legendre doubling did not settle below rel_tol={rel_tol:g} by order {order}",
-        estimate=VolumeEstimate(max(prev, 0.0), 0.0, "quadrature"),
+        f"Gauss-Legendre doubling did not settle below rel_tol={rel_tol:g} by order {order}: "
+        f"value {total:.6e}, change {err:.3e}"
     )

@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError
-from .spectra import MetricKind, StateSpectrum
+from .spectra import MetricKind, StateSpectrum, _check_bloch_radius
 
 #: Relative separation below which the BKM weight switches to its series.
 _BKM_SERIES_CUTOFF = 1e-9
@@ -148,9 +148,7 @@ def qubit_ball_volume(metric: MetricKind, radius: float) -> float:
     HS: ``R^3/3``;  Bures: ``(arcsin R - R*sqrt(1-R^2))/2``;
     BKM: ``arcsin R - sqrt(1-R^2)*artanh R`` (value pi/2 at R=1 by limit).
     """
-    R = float(radius)
-    if not 0.0 <= R <= 1.0:
-        raise DomainError(f"radius {R!r} outside [0, 1]")
+    R = _check_bloch_radius(radius)
     if metric is MetricKind.HS:
         return R ** 3 / 3.0
     if metric is MetricKind.BURES:

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spectra import ALGEBRAIC_TOL, KernelSpectrum, StateSpectrum
-
-_SQRT3 = math.sqrt(3.0)
+from .spectra import _SQRT3, ALGEBRAIC_TOL, KernelSpectrum, StateSpectrum, _check_zeta
 
 #: Classification tolerance of the positive-cone test that every Monte
 #: Carlo fraction uses.
@@ -113,12 +111,9 @@ def qutrit_positivity_bound(phi: float, zeta: float) -> float:
     bound (which also covers rays where the cosine is not positive).
     """
     p = float(phi)
-    z = float(zeta)
     if not -ALGEBRAIC_TOL <= p <= math.pi + ALGEBRAIC_TOL:
         raise DomainError(f"phi {p!r} outside [0, pi]")
-    if not -ALGEBRAIC_TOL <= z <= math.pi / 3.0 + ALGEBRAIC_TOL:
-        raise DomainError(f"zeta {z!r} outside [0, pi/3]")
-    return _qutrit_bounds(p, z)[0]
+    return _qutrit_bounds(p, _check_zeta(zeta))[0]
 
 
 def qubit_wigner(xi: BlochVector, n_vec) -> float:

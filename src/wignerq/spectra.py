@@ -33,6 +33,22 @@ ALGEBRAIC_TOL = 1e-12
 _SQRT3 = math.sqrt(3.0)
 
 
+def _check_zeta(zeta) -> float:
+    """The three-level apex angle as a float, checked to lie in [0, pi/3]."""
+    z = float(zeta)
+    if not 0.0 <= z <= math.pi / 3.0 + ALGEBRAIC_TOL:
+        raise DomainError(f"zeta {z!r} outside [0, pi/3]")
+    return z
+
+
+def _check_bloch_radius(radius) -> float:
+    """A Bloch radius as a float, checked to lie in [0, 1]."""
+    R = float(radius)
+    if not 0.0 <= R <= 1.0:
+        raise DomainError(f"radius {R!r} outside [0, 1]")
+    return R
+
+
 class MetricKind(enum.Enum):
     """Riemannian metric on the state space selecting a volume measure."""
 
@@ -163,10 +179,7 @@ class ModuliPoint:
         elif self.n == 3:
             if self.zeta is None or self.direction is not None:
                 raise DomainError("a three-level moduli point is the angle zeta alone")
-            z = float(self.zeta)
-            object.__setattr__(self, "zeta", z)
-            if not 0.0 <= z <= math.pi / 3.0 + ALGEBRAIC_TOL:
-                raise DomainError(f"zeta {z!r} outside [0, pi/3]")
+            object.__setattr__(self, "zeta", _check_zeta(self.zeta))
         else:
             if self.direction is None or self.zeta is not None:
                 raise DomainError(f"an n={self.n} moduli point needs a direction vector")

@@ -16,9 +16,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .spectra import KernelSpectrum, ModuliPoint
-
-_SQRT3 = math.sqrt(3.0)
+from .spectra import _SQRT3, KernelSpectrum, ModuliPoint, _check_zeta
 
 #: Validation tolerance for direction vectors.
 DIRECTION_TOL = 1e-10
@@ -31,9 +29,7 @@ def qubit_kernel_spectrum() -> KernelSpectrum:
 
 def qutrit_kernel_spectrum(zeta: float) -> KernelSpectrum:
     """Three-level kernel spectrum at apex angle ``zeta`` in [0, pi/3]."""
-    z = float(zeta)
-    if not 0.0 <= z <= math.pi / 3.0 + 1e-12:
-        raise DomainError(f"zeta {z!r} outside [0, pi/3]")
+    z = _check_zeta(zeta)
     s = (2.0 / _SQRT3) * math.sin(z)
     c = (2.0 / 3.0) * math.cos(z)
     third = 1.0 / 3.0

@@ -292,6 +292,20 @@ class TestSampleCommand:
         assert code == 0
         assert calls == [(n, samples)]
 
+    def test_workers_cap_admits_the_limit(self, capsys, monkeypatch):
+        from wignerq import cli
+
+        workers = []
+
+        def tiny(metric, n, spec, sampler):
+            workers.append(spec.workers)
+            return "matrix", np.full((1, n), 1.0 / n)
+
+        monkeypatch.setattr(cli, "sample_spectra", tiny)
+        code, _, _ = run_cli(capsys, "sample", "--metric", "hs", "--samples", "1", "--workers", "256")
+        assert code == 0
+        assert workers == [256]
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "spectra.csv"
         code, out, _ = run_cli(
@@ -301,6 +315,28 @@ class TestSampleCommand:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("r1,r2")
+
+
+@pytest.mark.parametrize(
+    "runner, argv",
+    [
+        ("sample_spectra", ["sample", "--metric", "hs"]),
+        ("global_indicator", ["indicator", "--metric", "hs", "--n", "2", "--method", "mc"]),
+        ("_reproduce_checks", ["reproduce-paper", "--fast"]),
+    ],
+    ids=["sample", "indicator", "reproduce-paper"],
+)
+def test_workers_above_cap_rejected_before_running(capsys, monkeypatch, runner, argv):
+    from wignerq import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the Monte Carlo work ran")
+
+    monkeypatch.setattr(cli, runner, never)
+    code, out, err = run_cli(capsys, *argv, "--workers", "257")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--workers is capped at 256" in err
 
 
 _NO_SCIPY_SCRIPT = """

@@ -1,6 +1,7 @@
 """Domain types and the polar parametrization of the qutrit orbit space."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,11 @@ from wignerq import (
     ModuliPoint,
     QutritPolar,
     StateSpectrum,
+    orbit_volume_qutrit,
     polar_from_spectrum,
+    qutrit_indicator_closed_form,
+    qutrit_kernel_spectrum,
+    qutrit_positivity_bound,
     spectrum_from_polar,
 )
 
@@ -187,3 +192,20 @@ def test_orbit_membership_matches_inequality(rng):
     eigs = 1 / 3 - (2 * r[:, None] / SQRT3) * np.cos((phi[:, None] + 2 * np.pi * ks) / 3)
     by_eigenvalue = eigs.min(axis=1) >= -1e-12
     assert np.array_equal(by_inequality, by_eigenvalue)
+
+
+_ZETA_TAKERS = {
+    "ModuliPoint.qutrit": ModuliPoint.qutrit,
+    "qutrit_kernel_spectrum": qutrit_kernel_spectrum,
+    "qutrit_indicator_closed_form": qutrit_indicator_closed_form,
+    "orbit_volume_qutrit": lambda z: orbit_volume_qutrit(MetricKind.HS, z),
+    "qutrit_positivity_bound": lambda z: qutrit_positivity_bound(0.5, z),
+}
+
+
+@pytest.mark.parametrize("zeta", [-1e-9, math.pi / 3 + 1e-9])
+@pytest.mark.parametrize("name", sorted(_ZETA_TAKERS))
+def test_every_zeta_taker_rejects_the_same_range(name, zeta):
+    with pytest.raises(DomainError, match=re.escape(f"zeta {zeta!r} outside [0, pi/3]")):
+        _ZETA_TAKERS[name](zeta)
+
