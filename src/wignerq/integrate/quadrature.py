@@ -1,6 +1,13 @@
 """Deterministic quadrature over the orbit space.
 
-Volume integrals are set up so that every integrable endpoint
+General-N flat-metric (HS) volumes are exact: the region is the ordered
+simplex, cut by one half-space for a positive part, and the density a
+polynomial of degree N(N-1), so a Grundmann-Moller rule of that degree
+on each piece of a triangulation gives the volume to rounding (N <= 6).
+Bures and BKM volumes use nested adaptive quadrature, practical up to
+N = 5.
+
+Adaptive integrals are set up so that every integrable endpoint
 singularity is removed by substitution before the adaptive routine sees
 it:
 
@@ -24,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -162,7 +170,85 @@ def qutrit_full_volume(metric: MetricKind, spec: QuadratureSpec) -> float:
     return orbit_volume_qutrit(metric, None, spec).value
 
 
-# --- general-N nested simplex integration ----------------------------------
+# --- general-N simplex integration -----------------------------------------
+
+#: Largest N of the exact flat-metric route.  At N = 7 the float rule has
+#: 1.18M points and has lost accuracy to about 1e-8; at N = 9 its points
+#: would not fit in memory.
+_EXACT_HS_MAX_N = 6
+
+
+@lru_cache(maxsize=None)
+def _gm_rule(d: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grundmann-Moller rule of degree 2s+1 on a d-simplex: barycentric
+    points (m, d+1) and weights summing to 1 (Grundmann & Moller, SIAM
+    J. Numer. Anal. 15, 1978).  The weights alternate in sign."""
+    points, weights = [], []
+    for i in range(s + 1):
+        denom = d + 2 * s + 1 - 2 * i
+        # integer quotient, so the weight is correctly rounded
+        w = ((-1) ** i * denom ** (2 * s + 1) * math.factorial(d)
+             / (2 ** (2 * s) * math.factorial(i) * math.factorial(d + 2 * s + 1 - i)))
+        # compositions beta of s - i into d + 1 parts, by stars and bars
+        for bars in combinations(range(s - i + d), d):
+            beta = np.diff((-1,) + bars + (s - i + d,)) - 1
+            points.append((2 * beta + 1) / denom)
+            weights.append(w)
+    points, weights = np.array(points), np.array(weights)
+    points.flags.writeable = weights.flags.writeable = False
+    return points, weights
+
+
+def _cut_pieces(verts, ells):
+    """Simplices triangulating ``conv(verts) & {l >= 0}``, given the
+    vertices and their values ``ells`` of the linear form l.
+
+    Pulling triangulation from the first vertex p with l(p) >= 0: the cone
+    from p over the staircase triangulation of the cut section (spanned
+    by the points x_ij where l = 0 on the edges from the positive vertices
+    p_i to the negative ones q_j, combinatorially a product of two
+    simplices, one piece per monotone lattice path), and the cone from p
+    over the same construction on the facet opposite p.  A vertex with
+    l = 0 counts as positive; the pieces it makes degenerate have volume 0.
+    """
+    pos = [i for i, e in enumerate(ells) if e >= 0.0]
+    neg = [i for i, e in enumerate(ells) if e < 0.0]
+    if not neg:
+        return [list(verts)]
+    if not pos:
+        return []
+    apex = verts[pos[0]]
+    cross = [[verts[i] + ells[i] / (ells[i] - ells[j]) * (verts[j] - verts[i]) for j in neg] for i in pos]
+    steps = len(pos) + len(neg) - 2
+    pieces = []
+    for up in combinations(range(steps), len(pos) - 1):
+        i = j = 0
+        section = [cross[0][0]]
+        for k in range(steps):
+            i, j = (i + 1, j) if k in up else (i, j + 1)
+            section.append(cross[i][j])
+        pieces.append([apex] + section)
+    keep = [k for k in range(len(verts)) if k != pos[0]]
+    rest = _cut_pieces([verts[k] for k in keep], [ells[k] for k in keep])
+    return pieces + [[apex] + piece for piece in rest]
+
+
+def _exact_hs_volume(n: int, pi_asc) -> float:
+    """Flat-metric volume of the ordered simplex, or of its part where the
+    pairing with the ascending kernel spectrum ``pi_asc`` is non-negative,
+    by a Grundmann-Moller rule exact for the density's degree n(n-1) on
+    each piece of a triangulation.  The measure is dr_1 ... dr_{n-1}."""
+    verts = [np.array([1.0 / k if i < k else 0.0 for i in range(n)]) for k in range(1, n + 1)]
+    ells = [0.0] * n if pi_asc is None else [sum(x * p for x, p in zip(v, pi_asc)) for v in verts]
+    bary, weights = _gm_rule(n - 1, n * (n - 1) // 2)
+    terms = []
+    for piece in _cut_pieces(verts, ells):
+        corners = np.array(piece)
+        jacobian = abs(np.linalg.det(corners[1:, :-1] - corners[0, :-1])) / math.factorial(n - 1)
+        for w, x in zip(weights, (bary @ corners).tolist()):
+            terms.append(jacobian * w * _density_from_values(MetricKind.HS, x))
+    return math.fsum(terms)
+
 
 def orbit_volume_simplex(
     metric: MetricKind,
@@ -171,21 +257,29 @@ def orbit_volume_simplex(
     spec: QuadratureSpec | None = None,
 ) -> VolumeEstimate:
     """Unnormalized volume of the ordered eigenvalue simplex (or of its
-    positive cone for the given kernel spectrum) by nested adaptive
-    quadrature in the coordinates r_1 >= ... >= r_{n-1}.
+    positive cone for the given kernel spectrum) in the coordinates
+    r_1 >= ... >= r_{n-1}.
 
-    The positivity constraint is linear in the innermost variable and is
-    resolved there as an upper-bound cut.  Cost grows exponentially with
-    ``n``; practical up to n = 5.
+    HS: the region is a polytope and the density a polynomial, so an
+    exact cubature on a triangulation gives the volume to rounding
+    (method ``"exact"``); supported for n <= 6, and ``spec`` does not
+    apply.  Bures and BKM: nested adaptive quadrature, the positivity
+    constraint, linear in the innermost variable, resolved there as an
+    upper-bound cut; cost grows exponentially with ``n``, practical up
+    to n = 5.
     """
     if n < 2:
         raise DomainError("simplex integration needs n >= 2")
-    spec = spec or DEFAULT_2D
     pi_asc = None
     if kernel is not None:
         if kernel.n != n:
             raise DomainError(f"kernel has {kernel.n} levels, expected {n}")
         pi_asc = kernel.values
+    if metric is MetricKind.HS:
+        if n > _EXACT_HS_MAX_N:
+            raise DomainError(f"exact flat-metric volumes are supported up to n = {_EXACT_HS_MAX_N}, got {n}")
+        return VolumeEstimate(max(_exact_hs_volume(n, pi_asc), 0.0), 0.0, "exact")
+    spec = spec or DEFAULT_2D
 
     def level(k, prefix, remaining, rel_tol):
         # choose r_k; eigenvalues r_1..r_{k-1} fixed in prefix

@@ -45,8 +45,9 @@ class BlochVector:
         return math.fsum(c * c for c in self.xi)
 
     def spectrum(self) -> StateSpectrum:
-        """Eigenvalues ((1 + |xi|)/2, (1 - |xi|)/2) of the state."""
-        return StateSpectrum.qubit(math.sqrt(self.norm_sq))
+        """Eigenvalues ((1 + |xi|)/2, (1 - |xi|)/2) of the state; a norm
+        above 1 by roundoff, which the ball check admits, is taken as 1."""
+        return StateSpectrum.qubit(min(1.0, math.sqrt(self.norm_sq)))
 
 
 def min_wigner_value(r: StateSpectrum, k: KernelSpectrum) -> float:

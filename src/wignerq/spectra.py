@@ -99,9 +99,7 @@ class StateSpectrum:
     @classmethod
     def qubit(cls, radius: float) -> "StateSpectrum":
         """Two-level spectrum of the state with the given Bloch radius."""
-        rho = float(radius)
-        if not 0.0 <= rho <= 1.0 + ALGEBRAIC_TOL:
-            raise DomainError(f"Bloch radius {rho!r} outside [0, 1]")
+        rho = _check_bloch_radius(radius)
         return cls(((1.0 + rho) / 2.0, (1.0 - rho) / 2.0))
 
 

@@ -191,6 +191,9 @@ class TestBlochVector:
         s = BlochVector((0.0, 0.6, 0.0)).spectrum()
         assert s.values == pytest.approx((0.8, 0.2), abs=1e-14)
 
+    def test_roundoff_outside_unit_sphere_is_a_pure_state(self):
+        assert BlochVector((1.0 + 1e-14, 0.0, 0.0)).spectrum().values == (1.0, 0.0)
+
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))
 @settings(max_examples=200, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 from wignerq import (
     ConvergenceError,
     DomainError,
+    KernelSpectrum,
     MetricKind,
     QuadratureSpec,
     VolumeEstimate,
@@ -17,9 +18,11 @@ from wignerq import (
     orbit_volume_simplex,
     qubit_ball_volume,
     qubit_kernel_spectrum,
+    qutrit_indicator_closed_form,
     qutrit_kernel_spectrum,
 )
 from wignerq.integrate import DEFAULT_2D, gauss_legendre_doubling, qutrit_full_volume
+from wignerq.integrate.quadrature import _cut_pieces, _exact_hs_volume, _gm_rule
 from wignerq.measures import _density_from_values
 from wignerq.spectra import qutrit_ray
 
@@ -139,10 +142,10 @@ class TestSimplexVolumes:
         assert num / den == pytest.approx(expected, rel=1e-7)
 
     def test_three_level_flat_ratio(self):
-        spec = QuadratureSpec(rel_tol=1e-7)
-        num = orbit_volume_simplex(MetricKind.HS, 3, qutrit_kernel_spectrum(math.pi / 6), spec).value
-        den = orbit_volume_simplex(MetricKind.HS, 3, None, spec).value
-        assert num / den == pytest.approx(21 / 31104, rel=1e-6)
+        den = orbit_volume_simplex(MetricKind.HS, 3).value
+        for zeta in np.linspace(0.0, math.pi / 3, 7):
+            num = orbit_volume_simplex(MetricKind.HS, 3, qutrit_kernel_spectrum(zeta)).value
+            assert num / den == pytest.approx(qutrit_indicator_closed_form(zeta), rel=1e-12, abs=0.0)
 
     def test_three_level_monotone_ratio_matches_polar_route(self, metric):
         spec = QuadratureSpec(rel_tol=1e-6)
@@ -154,8 +157,12 @@ class TestSimplexVolumes:
         ratio_polar = orbit_volume_qutrit(metric, zeta).value / qutrit_full_volume(metric, DEFAULT_2D)
         assert ratio_simplex == pytest.approx(ratio_polar, rel=1e-6)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("metric", [MetricKind.HS, MetricKind.BURES], ids=["hs", "bures"])
+    @pytest.mark.parametrize(
+        "metric, n",
+        [(m, n) for m in (MetricKind.HS, MetricKind.BURES) for n in (2, 3, 4)]
+        + [(MetricKind.HS, 5), (MetricKind.HS, 6)],
+        ids=lambda v: v.value if isinstance(v, MetricKind) else str(v),
+    )
     def test_full_volume_matches_closed_form(self, metric, n):
         # HS: 1/(N! C) with C = Gamma(N^2) / prod_{j<N} Gamma(N-j) Gamma(N-j+1)
         # (Zyczkowski & Sommers, J. Phys. A 34, 7111, 2001).  Bures with the
@@ -169,11 +176,42 @@ class TestSimplexVolumes:
                 math.pi ** (n / 2) * math.prod(math.factorial(j) for j in range(1, n + 1))
                 / (math.factorial(n) * 2 ** (n * (n - 1) // 2) * math.gamma(n * n / 2))
             )
-        assert orbit_volume_simplex(metric, n).value == pytest.approx(expected, rel=1e-6)
+        assert orbit_volume_simplex(metric, n).value == pytest.approx(expected, rel=1e-6, abs=0.0)
 
     def test_kernel_dimension_checked(self):
         with pytest.raises(DomainError):
             orbit_volume_simplex(MetricKind.HS, 3, qubit_kernel_spectrum())
+
+    def test_flat_positive_part_is_exact(self):
+        # the exact rational integral of the flat density over the
+        # triangulated positive polytope (bench/polytope.py) at n = 4,
+        # kernel direction (1, 0, 0)
+        step = math.sqrt(4 - 1 / 4) / math.sqrt(2)
+        kernel = KernelSpectrum((0.25 + step, 0.25 - step, 0.25, 0.25))
+        result = orbit_volume_simplex(MetricKind.HS, 4, kernel)
+        assert result.method == "exact"
+        assert result.value == pytest.approx(5.521267622623806e-18, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_flat_cut_and_its_complement_fill_the_simplex(self, n, rng):
+        verts = [np.array([1.0 / k if i < k else 0.0 for i in range(n)]) for k in range(1, n + 1)]
+        full = _exact_hs_volume(n, None)
+        tested = 0
+        while tested < 5:
+            form = rng.normal(size=n)
+            ells = [float(v @ form) for v in verts]
+            if min(sum(e >= 0.0 for e in ells), sum(e < 0.0 for e in ells)) < 2:
+                continue
+            assert len(_cut_pieces(verts, ells)) > 1
+            both = _exact_hs_volume(n, form) + _exact_hs_volume(n, -form)
+            assert both == pytest.approx(full, rel=1e-11, abs=0.0)
+            tested += 1
+
+    def test_flat_route_rejects_large_n_before_building_a_rule(self):
+        before = _gm_rule.cache_info()
+        with pytest.raises(DomainError, match="up to n = 6"):
+            orbit_volume_simplex(MetricKind.HS, 7)
+        assert _gm_rule.cache_info() == before
 
 
 class TestGaussLegendreDoubling:

@@ -51,6 +51,10 @@ class TestStateSpectrum:
         s = StateSpectrum.qubit(0.4)
         assert s.values == (0.7, 0.3)
 
+    def test_qubit_bloch_radius_above_one_rejected(self):
+        with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+            StateSpectrum.qubit(1.0 + 1e-13)
+
 
 class TestKernelSpectrum:
     def test_constructor_sorts_ascending(self):
