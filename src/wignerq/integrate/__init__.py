@@ -1,4 +1,4 @@
-"""Numerical engines: adaptive quadrature and Monte Carlo sampling."""
+"""Numerical engines: quadrature and cubature over the orbit space, and Monte Carlo sampling."""
 
 from .quadrature import (
     DEFAULT_2D,

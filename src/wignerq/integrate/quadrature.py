@@ -1,20 +1,25 @@
 """Deterministic quadrature over the orbit space.
 
-General-N flat-metric (HS) volumes are exact: the region is the ordered
-simplex, cut by one half-space for a positive part, and the density a
-polynomial of degree N(N-1), so a Grundmann-Moller rule of that degree
-on each piece of a triangulation gives the volume to rounding (N <= 6).
-Bures and BKM volumes use nested adaptive quadrature, practical up to
-N = 5.
+General-N volumes triangulate the region -- the ordered simplex, cut by
+one half-space for a positive part -- and integrate each piece:
 
-Adaptive integrals are set up so that every integrable endpoint
-singularity is removed by substitution before the adaptive routine sees
-it:
+* flat metric (HS): the density is a polynomial of degree N(N-1), so a
+  Grundmann-Moller rule of that degree gives the volume to rounding
+  (N <= 6);
+* Bures and BKM: a collapsed tensor Gauss-Legendre rule (Duffy map, then
+  ``u = s^p``) turns the inverse-square-root and log singularities where
+  eigenvalues vanish into powers of ``s``; its order doubles until two
+  orders agree to ``rel_tol`` (``abs_tol`` does not apply), and it stops
+  with ConvergenceError before 2^21 points per piece.  Bures converges to
+  N = 5, BKM to N = 4 at the default tolerance.
 
-* the two-level route and the innermost level of the general-N nested
-  simplex route share one edge integral: the free eigenvalue ``x`` runs
-  up to the edge ``hi`` through ``x = hi - t^2``, so the last eigenvalue
-  ``(remaining - hi) + t^2`` stays exact as it reaches 0;
+Adaptive integrals (scipy's ``quad``) are set up so that every integrable
+endpoint singularity is removed by substitution before the adaptive
+routine sees it:
+
+* the two-level integral runs the larger eigenvalue ``x`` up to the edge
+  ``hi`` through ``x = hi - t^2``, so the other eigenvalue
+  ``(1 - hi) + t^2`` stays exact as it reaches 0;
 * three-level integrals run in polar coordinates; the radial variable
   is mapped by ``r = b*(1 - u^2)`` so the smallest eigenvalue, computed
   through an exact boundary-gap identity, stays positive and accurate
@@ -22,8 +27,8 @@ it:
 
 All volumes are unnormalized; only ratios are meaningful.
 
-scipy is imported by the first quadrature that runs, not with the
-package, so closed-form work never loads it.
+scipy is imported by the first adaptive quadrature that runs, not with
+the package, so closed-form and general-N work never load it.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError
-from ..measures import _density_from_values
+from ..measures import _density_batch, _density_from_values
 from ..positivity import _qutrit_bounds
 from ..spectra import MetricKind, _check_bloch_radius, _check_zeta, qutrit_ray
 
@@ -93,23 +98,12 @@ def _quad(f, a, b, rel_tol, abs_tol):
     return value
 
 
-def _edge_integral(metric, head, lo, hi, remaining, rel_tol, abs_tol):
-    """Integral over x in [lo, hi] of the density at the spectrum
-    ``head + (x, remaining - x)``, through ``x = hi - t^2`` so the last
-    eigenvalue ``(remaining - hi) + t^2`` stays exact as it reaches 0."""
-    base = remaining - hi
-
-    def f(t):
-        tt = t * t
-        return _density_from_values(metric, head + (hi - tt, base + tt)) * 2.0 * t
-
-    return _quad(f, 0.0, math.sqrt(hi - lo), rel_tol, abs_tol)
-
-
 def orbit_volume_qubit(metric: MetricKind, radius: float, spec: QuadratureSpec | None = None) -> VolumeEstimate:
     """Unnormalized volume of the two-level orbit region with Bloch
-    radius up to ``radius``: the edge integral of the simplex density
-    over the larger eigenvalue ``x = (1 + rho)/2``.
+    radius up to ``radius``: the integral of the simplex density over the
+    larger eigenvalue ``x = (1 + rho)/2`` in [1/2, hi], through
+    ``x = hi - t^2`` so the other eigenvalue ``(1 - hi) + t^2`` stays
+    exact as it reaches 0.
 
     ``drho = 2 dx``; Bures and BKM are further scaled by 1/4, the ratio
     of the Bloch-radius density to the simplex density, so values equal
@@ -118,7 +112,14 @@ def orbit_volume_qubit(metric: MetricKind, radius: float, spec: QuadratureSpec |
     R = _check_bloch_radius(radius)
     spec = spec or QuadratureSpec()
     scale = 2.0 if metric is MetricKind.HS else 0.5
-    value = _edge_integral(metric, (), 0.5, (1.0 + R) / 2.0, 1.0, spec.rel_tol, spec.abs_tol / scale)
+    hi = (1.0 + R) / 2.0
+    base = 1.0 - hi
+
+    def f(t):
+        tt = t * t
+        return _density_from_values(metric, (hi - tt, base + tt)) * 2.0 * t
+
+    value = _quad(f, 0.0, math.sqrt(hi - 0.5), spec.rel_tol, spec.abs_tol / scale)
     return VolumeEstimate(max(value * scale, 0.0), 0.0, "quadrature")
 
 
@@ -172,10 +173,11 @@ def qutrit_full_volume(metric: MetricKind, spec: QuadratureSpec) -> float:
 
 # --- general-N simplex integration -----------------------------------------
 
-#: Largest N of the exact flat-metric route.  At N = 7 the float rule has
-#: 1.18M points and has lost accuracy to about 1e-8; at N = 9 its points
-#: would not fit in memory.
-_EXACT_HS_MAX_N = 6
+#: Largest N of the simplex routes.  Flat metric: at N = 7 the float rule
+#: has 1.18M points and has lost accuracy to about 1e-8, at N = 9 its
+#: points would not fit in memory.  Bures and BKM: the collapsed rule at
+#: orders 8 and 16 has 16^(N-1) points, past its limit from N = 7 on.
+_SIMPLEX_MAX_N = 6
 
 
 @lru_cache(maxsize=None)
@@ -233,21 +235,98 @@ def _cut_pieces(verts, ells):
     return pieces + [[apex] + piece for piece in rest]
 
 
-def _exact_hs_volume(n: int, pi_asc) -> float:
-    """Flat-metric volume of the ordered simplex, or of its part where the
-    pairing with the ascending kernel spectrum ``pi_asc`` is non-negative,
-    by a Grundmann-Moller rule exact for the density's degree n(n-1) on
-    each piece of a triangulation.  The measure is dr_1 ... dr_{n-1}."""
+def _simplex_pieces(n: int, pi_asc) -> list[tuple[np.ndarray, float]]:
+    """Corners (d+1, n) and volume in r_1 ... r_{n-1} of each piece of a
+    triangulation of the ordered simplex, or of its part where the pairing
+    with the ascending kernel spectrum ``pi_asc`` is non-negative."""
     verts = [np.array([1.0 / k if i < k else 0.0 for i in range(n)]) for k in range(1, n + 1)]
     ells = [0.0] * n if pi_asc is None else [sum(x * p for x, p in zip(v, pi_asc)) for v in verts]
-    bary, weights = _gm_rule(n - 1, n * (n - 1) // 2)
-    terms = []
+    pieces = []
     for piece in _cut_pieces(verts, ells):
         corners = np.array(piece)
-        jacobian = abs(np.linalg.det(corners[1:, :-1] - corners[0, :-1])) / math.factorial(n - 1)
-        for w, x in zip(weights, (bary @ corners).tolist()):
-            terms.append(jacobian * w * _density_from_values(MetricKind.HS, x))
+        pieces.append((corners, abs(np.linalg.det(corners[1:, :-1] - corners[0, :-1])) / math.factorial(n - 1)))
+    return pieces
+
+
+def _exact_hs_volume(n: int, pi_asc) -> float:
+    """Flat-metric volume of the ordered simplex, or of its positive part
+    for ``pi_asc``, by a Grundmann-Moller rule exact for the density's
+    degree n(n-1) on each piece of the triangulation."""
+    bary, weights = _gm_rule(n - 1, n * (n - 1) // 2)
+    terms = []
+    for corners, volume in _simplex_pieces(n, pi_asc):
+        terms += (volume * weights * _density_batch(MetricKind.HS, bary @ corners)).tolist()
     return math.fsum(terms)
+
+
+#: Power p of the substitution u = s^p in the collapsed rule.  p = 2 turns
+#: the Bures half-integer powers into integer ones; the BKM log weight at
+#: the pure-state corner needs p = 8 to reach 1e-10 by order 128 at n = 3.
+_COLLAPSE_POWER = {MetricKind.BURES: 2, MetricKind.BKM: 8}
+
+#: Limits of the order doubling: tensor points per piece, and the 1-D order
+#: (numpy's leggauss solves a dense eigenproblem of that size).
+_MAX_POINTS = 2 ** 21
+_MAX_ORDER = 1024
+
+#: Points evaluated at once, which bounds the memory of one step.
+_CHUNK = 2 ** 12
+
+
+def _collapsed_rule_sum(metric, pieces, order: int) -> float:
+    """Sum over the pieces of the tensor Gauss-Legendre rule of the given
+    order in s, through u = s^p and the Duffy map from the unit cube to
+    barycentric coordinates, b_0 = 1 - u_1, b_k = u_1...u_k (1 - u_{k+1}),
+    b_d = u_1...u_d, whose Jacobian is prod_k u_k^(d-k)."""
+    p = _COLLAPSE_POWER[metric]
+    d = len(pieces[0][0]) - 1
+    s, w = np.polynomial.legendre.leggauss(order)
+    s, w = (s + 1.0) / 2.0, w / 2.0
+    u = s ** p
+    # per-axis weights: Gauss weight, ds-to-du factor and Duffy Jacobian
+    axis_weights = [w * p * s ** (p - 1) * u ** (d - k) for k in range(1, d + 1)]
+    total = []
+    for corners, volume in pieces:
+        for start in range(0, order ** d, _CHUNK):
+            idx = np.unravel_index(np.arange(start, min(start + _CHUNK, order ** d)), (order,) * d)
+            bary = np.empty((len(idx[0]), d + 1))
+            weight = np.full(len(idx[0]), math.factorial(d) * volume)
+            prefix = 1.0
+            for k, i in enumerate(idx):
+                bary[:, k] = prefix * (1.0 - u[i])
+                prefix = prefix * u[i]
+                weight *= axis_weights[k][i]
+            bary[:, d] = prefix
+            total.append(float(weight @ _density_batch(metric, bary @ corners)))
+    return math.fsum(total)
+
+
+def _collapsed_volume(metric, n: int, pi_asc, rel_tol: float) -> float:
+    """Bures or BKM volume by the collapsed rule at orders 8, 16, 32, ...
+    until two consecutive orders agree to ``rel_tol``, relative only.
+
+    Each piece's corners are sorted by their count of zero eigenvalues,
+    most first.  Zero sets in the ordered simplex nest (r_k = 0 implies
+    r_{k+1..n} = 0), so every eigenvalue is then u_1...u_j times a factor
+    bounded away from 0, and the singularities where eigenvalues vanish
+    become powers of s (times a log, for BKM)."""
+    pieces = [(corners[np.argsort(-(corners == 0.0).sum(axis=1), kind="stable")], volume)
+              for corners, volume in _simplex_pieces(n, pi_asc) if volume > 0.0]
+    if not pieces:
+        return 0.0
+    order, prev, change = 8, None, math.inf
+    while order <= _MAX_ORDER and order ** (n - 1) <= _MAX_POINTS:
+        value = _collapsed_rule_sum(metric, pieces, order)
+        if prev is not None:
+            change = abs(value - prev)
+            if change <= rel_tol * abs(value):
+                return value
+        prev, order = value, 2 * order
+    what = f"{metric.value} n={n} {'full volume' if pi_asc is None else 'positive part'}"
+    raise ConvergenceError(
+        f"{what}: collapsed cubature did not settle below rel_tol={rel_tol:g} before order {order} "
+        f"(limits: order {_MAX_ORDER}, {_MAX_POINTS} points per piece): value {prev:.6e}, last change {change:.3e}"
+    )
 
 
 def orbit_volume_simplex(
@@ -260,55 +339,28 @@ def orbit_volume_simplex(
     positive cone for the given kernel spectrum) in the coordinates
     r_1 >= ... >= r_{n-1}.
 
-    HS: the region is a polytope and the density a polynomial, so an
-    exact cubature on a triangulation gives the volume to rounding
-    (method ``"exact"``); supported for n <= 6, and ``spec`` does not
-    apply.  Bures and BKM: nested adaptive quadrature, the positivity
-    constraint, linear in the innermost variable, resolved there as an
-    upper-bound cut; cost grows exponentially with ``n``, practical up
-    to n = 5.
+    The region is a polytope, triangulated into simplices; supported for
+    2 <= n <= 6.  HS: the density is a polynomial, so a Grundmann-Moller
+    rule exact for its degree gives the volume to rounding (method
+    ``"exact"``), and ``spec`` does not apply.  Bures and BKM: a collapsed
+    tensor Gauss-Legendre rule on each simplex (method ``"cubature"``), its
+    order doubled until two orders agree to ``spec.rel_tol``.
+    ``spec.abs_tol`` does not apply, so a tiny positive part is not
+    accepted on an absolute tolerance larger than itself.
+    ConvergenceError when the next order would exceed 2^21 points per
+    simplex: BKM n = 5 at the default spec, or n = 6 at useful tolerances.
     """
-    if n < 2:
-        raise DomainError("simplex integration needs n >= 2")
+    if not 2 <= n <= _SIMPLEX_MAX_N:
+        raise DomainError(f"simplex volumes are supported from n = 2 up to n = {_SIMPLEX_MAX_N}, got {n}")
     pi_asc = None
     if kernel is not None:
         if kernel.n != n:
             raise DomainError(f"kernel has {kernel.n} levels, expected {n}")
         pi_asc = kernel.values
     if metric is MetricKind.HS:
-        if n > _EXACT_HS_MAX_N:
-            raise DomainError(f"exact flat-metric volumes are supported up to n = {_EXACT_HS_MAX_N}, got {n}")
         return VolumeEstimate(max(_exact_hs_volume(n, pi_asc), 0.0), 0.0, "exact")
     spec = spec or DEFAULT_2D
-
-    def level(k, prefix, remaining, rel_tol):
-        # choose r_k; eigenvalues r_1..r_{k-1} fixed in prefix
-        levels_left = n - k + 1          # r_k .. r_n
-        lo = remaining / levels_left
-        hi = min(prefix[-1], remaining) if prefix else 1.0
-        if hi <= lo:
-            return 0.0
-        if k < n - 1:
-            def f(x):
-                return level(k + 1, prefix + (x,), remaining - x, rel_tol / 4.0)
-
-            return _quad(f, lo, hi, rel_tol, spec.abs_tol)
-
-        # innermost: r_{n-1} free, r_n = remaining - r_{n-1}
-        if pi_asc is not None:
-            partial = sum(p * q for p, q in zip(prefix, pi_asc)) + remaining * pi_asc[n - 1]
-            slope = pi_asc[n - 1] - pi_asc[n - 2]
-            if slope > 0.0:
-                cut = partial / slope
-                if cut <= lo:
-                    return 0.0
-                hi = min(hi, cut)
-            elif partial < 0.0:
-                return 0.0
-        return _edge_integral(metric, prefix, lo, hi, remaining, rel_tol, spec.abs_tol)
-
-    value = level(1, (), 1.0, spec.rel_tol / 2.0)
-    return VolumeEstimate(max(value, 0.0), 0.0, "quadrature")
+    return VolumeEstimate(max(_collapsed_volume(metric, n, pi_asc, spec.rel_tol), 0.0), 0.0, "cubature")
 
 
 # --- fixed-order Gauss-Legendre with doubling -------------------------------

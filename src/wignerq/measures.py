@@ -74,9 +74,10 @@ def _density_from_values(metric: MetricKind, vals) -> float:
     Bures and BKM raise DomainError unless every value is positive.
     """
     # The multiplication order (the product, then per pair d*d and the
-    # weight) is kept on purpose: every quadrature integrates this
-    # function, so reordering it would move quadrature results in their
-    # last bits.  tests/test_measures.py pins the bits.
+    # weight) is kept on purpose: every adaptive quadrature integrates this
+    # function, and _density_batch follows it, so reordering it would move
+    # quadrature results in their last bits.  tests/test_measures.py pins
+    # the bits.
     if metric is MetricKind.HS:
         out = 1.0
         for x, y in combinations(vals, 2):
@@ -91,6 +92,46 @@ def _density_from_values(metric: MetricKind, vals) -> float:
         d = x - y
         out *= d * d
         out *= weight(x, y)
+    return out
+
+
+def _bkm_weight_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_bkm_weight`` elementwise, with the same three branches."""
+    diff = x - y
+    q = diff / y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log1p(q) / diff
+    far = q <= -1.0
+    if far.any():
+        out[far] = (np.log(x[far]) - np.log(y[far])) / diff[far]
+    near = np.abs(diff) < _BKM_SERIES_CUTOFF * x
+    if near.any():
+        d = diff[near] / x[near]
+        out[near] = (1.0 + d / 2.0 + d * d / 3.0) / x[near]
+    return out
+
+
+def _density_batch(metric: MetricKind, pts: np.ndarray) -> np.ndarray:
+    """``_density_from_values`` for each row of an (m, n) array, with the
+    same multiplication order; the flat-metric values are bit-identical
+    to the scalar ones."""
+    cols = np.asarray(pts, dtype=float).T
+    weight = None
+    if metric is MetricKind.HS:
+        out = np.ones(cols.shape[1])
+    else:
+        if (cols <= 0.0).any():
+            raise DomainError("Bures/BKM density requires strictly positive eigenvalues")
+        weight = _bkm_weight_batch if metric is MetricKind.BKM else _bures_weight
+        out = cols[0].copy()
+        for x in cols[1:]:
+            out *= x
+        out **= -0.5
+    for x, y in combinations(cols, 2):
+        d = x - y
+        out *= d * d
+        if weight is not None:
+            out *= weight(x, y)
     return out
 
 

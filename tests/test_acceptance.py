@@ -72,7 +72,7 @@ def test_criterion_2_qubit_bures_indicator():
         target = (2.0 / math.pi) * (math.asin(1.0 / SQRT3) - math.sqrt(2.0) / 3.0)
         assert target == pytest.approx(0.09172, abs=1e-5)
         closed = closed_indicator(MetricKind.BURES, 2).value
-        assert closed == pytest.approx(target, rel=1e-12)
+        assert closed == pytest.approx(target, rel=1e-12, abs=0.0)
         quad = global_indicator(MetricKind.BURES, 2, spec=QuadratureSpec(rel_tol=1e-9)).value
         assert quad == pytest.approx(closed, rel=1e-8)
         mc = global_indicator(MetricKind.BURES, 2, spec=McSpec(samples=1_000_000, seed=102))
@@ -86,7 +86,7 @@ def test_criterion_3_qubit_bkm_indicator():
         )
         assert target == pytest.approx(0.0495506, abs=1e-7)
         closed = closed_indicator(MetricKind.BKM, 2).value
-        assert closed == pytest.approx(target, rel=1e-12)
+        assert closed == pytest.approx(target, rel=1e-12, abs=0.0)
         quad = global_indicator(MetricKind.BKM, 2, spec=QuadratureSpec(rel_tol=1e-9)).value
         assert quad == pytest.approx(closed, rel=1e-8)
         mc = global_indicator(MetricKind.BKM, 2, spec=McSpec(samples=1_000_000, seed=103))

@@ -15,7 +15,7 @@ from wignerq import (
     qubit_ball_volume,
     radial_density,
 )
-from wignerq.measures import _density_from_values, log_radial_density
+from wignerq.measures import _density_batch, _density_from_values, log_radial_density
 
 SQRT3 = math.sqrt(3.0)
 
@@ -131,8 +131,8 @@ class TestRadialDensity:
     def test_hs_three_level_product(self):
         s = StateSpectrum((1 / 2, 1 / 3, 1 / 6))
         expected = (1 / 6) ** 2 * (1 / 3) ** 2 * (1 / 6) ** 2
-        assert expected == pytest.approx(1 / 11664, rel=1e-12)
-        assert radial_density(MetricKind.HS, s) == pytest.approx(expected, rel=1e-12)
+        assert expected == pytest.approx(1 / 11664, rel=1e-12, abs=0.0)
+        assert radial_density(MetricKind.HS, s) == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert radial_density(MetricKind.HS, s) == pytest.approx(8.5734e-5, rel=1e-4)
 
     def test_degenerate_spectrum_vanishes(self, metric):
@@ -194,6 +194,24 @@ class TestDensityKernel:
         for metric in (MetricKind.BURES, MetricKind.BKM):
             with pytest.raises(DomainError):
                 _density_from_values(metric, vals)
+
+    def test_batch_matches_scalar(self, rng, metric):
+        # same multiplication order: flat values are bit-identical, the
+        # others differ by numpy's pow and log, a few ulps
+        by_n = {}
+        for vals in _density_points(rng):
+            by_n.setdefault(len(vals), []).append(vals)
+        by_n[2].append((1e-17, 1.0))  # BKM: x/y below the float resolution
+        for rows in by_n.values():
+            batch = _density_batch(metric, np.array(rows))
+            scalar = np.array([_density_from_values(metric, vals) for vals in rows])
+            if metric is MetricKind.HS:
+                assert np.array_equal(batch, scalar)
+            else:
+                np.testing.assert_allclose(batch, scalar, rtol=4e-15, atol=0.0)
+        if metric is not MetricKind.HS:
+            with pytest.raises(DomainError):
+                _density_batch(metric, np.array([[0.5, 0.3, 0.2, 0.0]]))
 
     def test_agrees_with_batch_log_density(self, rng, metric):
         # the scalar and the batch kernel encode the BKM series separately

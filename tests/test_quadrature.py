@@ -1,7 +1,11 @@
 """Quadrature engines against closed forms and against each other."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,8 @@ from wignerq import (
     qutrit_kernel_spectrum,
 )
 from wignerq.integrate import DEFAULT_2D, gauss_legendre_doubling, qutrit_full_volume
-from wignerq.integrate.quadrature import _cut_pieces, _exact_hs_volume, _gm_rule
+from wignerq.integrate import quadrature
+from wignerq.integrate.quadrature import _collapsed_volume, _cut_pieces, _exact_hs_volume, _gm_rule
 from wignerq.measures import _density_from_values
 from wignerq.spectra import qutrit_ray
 
@@ -149,18 +154,16 @@ class TestSimplexVolumes:
 
     def test_three_level_monotone_ratio_matches_polar_route(self, metric):
         spec = QuadratureSpec(rel_tol=1e-6)
-        zeta = math.pi / 6
-        ratio_simplex = (
-            orbit_volume_simplex(metric, 3, qutrit_kernel_spectrum(zeta), spec).value
-            / orbit_volume_simplex(metric, 3, None, spec).value
-        )
-        ratio_polar = orbit_volume_qutrit(metric, zeta).value / qutrit_full_volume(metric, DEFAULT_2D)
-        assert ratio_simplex == pytest.approx(ratio_polar, rel=1e-6)
+        full = orbit_volume_simplex(metric, 3, None, spec).value
+        for zeta in np.linspace(0.0, math.pi / 3, 6):
+            ratio_simplex = orbit_volume_simplex(metric, 3, qutrit_kernel_spectrum(zeta), spec).value / full
+            ratio_polar = orbit_volume_qutrit(metric, zeta).value / qutrit_full_volume(metric, DEFAULT_2D)
+            assert ratio_simplex == pytest.approx(ratio_polar, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize(
         "metric, n",
         [(m, n) for m in (MetricKind.HS, MetricKind.BURES) for n in (2, 3, 4)]
-        + [(MetricKind.HS, 5), (MetricKind.HS, 6)],
+        + [(MetricKind.HS, 5), (MetricKind.HS, 6), (MetricKind.BURES, 5)],
         ids=lambda v: v.value if isinstance(v, MetricKind) else str(v),
     )
     def test_full_volume_matches_closed_form(self, metric, n):
@@ -206,6 +209,61 @@ class TestSimplexVolumes:
             both = _exact_hs_volume(n, form) + _exact_hs_volume(n, -form)
             assert both == pytest.approx(full, rel=1e-11, abs=0.0)
             tested += 1
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("metric", [MetricKind.BURES, MetricKind.BKM], ids=lambda m: m.value)
+    def test_curved_cut_and_its_complement_fill_the_simplex(self, metric, n, rng):
+        verts = [np.array([1.0 / k if i < k else 0.0 for i in range(n)]) for k in range(1, n + 1)]
+        rel_tol = DEFAULT_2D.rel_tol
+        full = orbit_volume_simplex(metric, n).value
+        tested = 0
+        while tested < 3:
+            form = rng.normal(size=n)
+            ells = [float(v @ form) for v in verts]
+            # n = 3 has 3 vertices, so one side holds a single vertex
+            if min(sum(e >= 0.0 for e in ells), sum(e < 0.0 for e in ells)) < n // 2:
+                continue
+            both = _collapsed_volume(metric, n, form, rel_tol) + _collapsed_volume(metric, n, -form, rel_tol)
+            # at the tolerance the calls ran with (observed: Bures within
+            # 2e-14, BKM within 1e-9 over 20 forms each)
+            assert both == pytest.approx(full, rel=rel_tol, abs=0.0)
+            tested += 1
+
+    def test_collapsed_rule_stops_at_its_point_limit(self, monkeypatch):
+        evaluated = []
+        batch = quadrature._density_batch
+
+        def counting(metric, pts):
+            evaluated.append(len(pts))
+            return batch(metric, pts)
+
+        monkeypatch.setattr(quadrature, "_density_batch", counting)
+        with pytest.raises(ConvergenceError, match=r"bkm n=5 full volume: .* last change \S+$"):
+            orbit_volume_simplex(MetricKind.BKM, 5, spec=QuadratureSpec(rel_tol=1e-15))
+        # one piece; orders double, so the points sum to less than twice the last order's
+        assert max(evaluated) <= quadrature._CHUNK
+        assert sum(evaluated) < 2 * quadrature._MAX_POINTS
+        # at n = 7 two orders cannot fit, so the route refuses before any work
+        calls = len(evaluated)
+        with pytest.raises(DomainError, match="up to n = 6"):
+            orbit_volume_simplex(MetricKind.BURES, 7)
+        assert len(evaluated) == calls
+
+    def test_simplex_route_never_imports_scipy(self):
+        script = (
+            "import sys\n"
+            "from wignerq import MetricKind, orbit_volume_simplex, qutrit_kernel_spectrum\n"
+            "for m in MetricKind:\n"
+            "    orbit_volume_simplex(m, 3, qutrit_kernel_spectrum(0.5))\n"
+            "    orbit_volume_simplex(m, 4)\n"
+            "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_flat_route_rejects_large_n_before_building_a_rule(self):
         before = _gm_rule.cache_info()
