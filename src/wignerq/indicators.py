@@ -254,7 +254,7 @@ def average_indicator(
 
     The one-dimensional moduli integral is done by Gauss-Legendre
     doubling; each node evaluates the indicator either in closed form
-    (flat metric, the default) or by two-dimensional quadrature.
+    (flat metric, the default) or from the volumes of ``orbit_volume_qutrit``.
     """
     if n != 3:
         raise DomainError("moduli averaging is implemented for n = 3")

@@ -13,22 +13,14 @@ one half-space for a positive part -- and integrate each piece:
   with ConvergenceError before 2^21 points per piece.  Bures converges to
   N = 5, BKM to N = 4 at the default tolerance.
 
-Adaptive integrals (scipy's ``quad``) are set up so that every integrable
-endpoint singularity is removed by substitution before the adaptive
-routine sees it:
-
-* the two-level integral runs the larger eigenvalue ``x`` up to the edge
-  ``hi`` through ``x = hi - t^2``, so the other eigenvalue
-  ``(1 - hi) + t^2`` stays exact as it reaches 0;
-* three-level integrals run in polar coordinates; the radial variable
-  is mapped by ``r = b*(1 - u^2)`` so the smallest eigenvalue, computed
-  through an exact boundary-gap identity, stays positive and accurate
-  all the way to the edge.
+The three-level volumes are this route at N = 3; the two-level volume
+is one adaptive integral (scipy's ``quad``) up to the edge of the Bloch
+ball.
 
 All volumes are unnormalized; only ratios are meaningful.
 
-scipy is imported by the first adaptive quadrature that runs, not with
-the package, so closed-form and general-N work never load it.
+scipy is imported by the first two-level quadrature that runs, not with
+the package, so closed-form and N >= 3 work never load it.
 """
 
 from __future__ import annotations
@@ -42,11 +34,11 @@ import numpy as np
 
 from ..errors import ConvergenceError, DomainError
 from ..measures import _density_batch, _density_from_values
-from ..positivity import _qutrit_bounds
-from ..spectra import MetricKind, _check_bloch_radius, _check_zeta, qutrit_ray
+from ..spectra import MetricKind, _check_bloch_radius
+from ..sw_kernel import qutrit_kernel_spectrum
 
 
-#: Subdivision budget of every adaptive quadrature (scipy's ``limit``).
+#: Subdivision budget of the two-level quadrature (scipy's ``limit``).
 _MAX_SUBDIVISIONS = 200
 
 
@@ -83,21 +75,6 @@ class VolumeEstimate:
             raise DomainError("std_error must be non-negative")
 
 
-def _quad(f, a, b, rel_tol, abs_tol):
-    """scipy.integrate.quad with failure turned into ConvergenceError."""
-    # Looked up on every call, so a replaced scipy.integrate.quad is seen.
-    import scipy.integrate
-
-    res = scipy.integrate.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=_MAX_SUBDIVISIONS,
-                               full_output=1)
-    value, abserr = res[0], res[1]
-    if len(res) == 4 and abserr > max(abs_tol, rel_tol * abs(value)):
-        raise ConvergenceError(
-            f"quadrature stalled: error estimate {abserr:.3e} for value {value:.6e} ({res[3]})"
-        )
-    return value
-
-
 def orbit_volume_qubit(metric: MetricKind, radius: float, spec: QuadratureSpec | None = None) -> VolumeEstimate:
     """Unnormalized volume of the two-level orbit region with Bloch
     radius up to ``radius``: the integral of the simplex density over the
@@ -107,7 +84,8 @@ def orbit_volume_qubit(metric: MetricKind, radius: float, spec: QuadratureSpec |
 
     ``drho = 2 dx``; Bures and BKM are further scaled by 1/4, the ratio
     of the Bloch-radius density to the simplex density, so values equal
-    ``qubit_ball_volume``.
+    ``qubit_ball_volume``.  ConvergenceError when scipy's ``quad`` flags
+    a failure and its error estimate misses the tolerances.
     """
     R = _check_bloch_radius(radius)
     spec = spec or QuadratureSpec()
@@ -119,11 +97,18 @@ def orbit_volume_qubit(metric: MetricKind, radius: float, spec: QuadratureSpec |
         tt = t * t
         return _density_from_values(metric, (hi - tt, base + tt)) * 2.0 * t
 
-    value = _quad(f, 0.0, math.sqrt(hi - 0.5), spec.rel_tol, spec.abs_tol / scale)
-    return VolumeEstimate(max(value * scale, 0.0), 0.0, "quadrature")
+    # Looked up on every call, so a replaced scipy.integrate.quad is seen.
+    import scipy.integrate
 
+    res = scipy.integrate.quad(f, 0.0, math.sqrt(hi - 0.5), epsabs=spec.abs_tol / scale, epsrel=spec.rel_tol,
+                               limit=_MAX_SUBDIVISIONS, full_output=1)
+    value, abserr = res[0] * scale, res[1] * scale
+    if len(res) == 4 and abserr > max(spec.abs_tol, spec.rel_tol * abs(value)):
+        raise ConvergenceError(
+            f"quadrature stalled: error estimate {abserr:.3e} for value {value:.6e} ({res[3]})"
+        )
+    return VolumeEstimate(max(value, 0.0), 0.0, "quadrature")
 
-# --- three-level polar integration -----------------------------------------
 
 def orbit_volume_qutrit(
     metric: MetricKind,
@@ -131,36 +116,14 @@ def orbit_volume_qutrit(
     spec: QuadratureSpec | None = None,
 ) -> VolumeEstimate:
     """Unnormalized volume of the three-level orbit space (``zeta=None``)
-    or of its Wigner-positive part for the kernel at apex angle ``zeta``.
-
-    Two nested adaptive quadratures in polar coordinates; radial
-    direction substituted by ``r = b*(1-u^2)``, the angle by
-    ``phi = pi - w^2`` to soften the corner where two eigenvalues vanish
-    together.
+    or of its Wigner-positive part for the kernel at apex angle ``zeta``:
+    ``orbit_volume_simplex`` at n = 3 (method ``"exact"`` for HS,
+    ``"cubature"`` otherwise).  Values are in the simplex coordinates
+    r_1, r_2, as at every n; polar coordinates (r, phi) would give
+    3*sqrt(3)/2 times these values and the same ratios.
     """
-    if zeta is not None:
-        zeta = _check_zeta(zeta)
-    spec = spec or DEFAULT_2D
-    inner_rel = spec.rel_tol / 4.0
-    outer_rel = spec.rel_tol / 2.0
-
-    def inner(phi):
-        b, gap0 = _qutrit_bounds(phi, zeta)
-        k, eigs = qutrit_ray(phi)
-
-        def f(u):
-            r = b * (1.0 - u * u)
-            # distance to the orbit boundary is gap0 + b*u^2, free of cancellation
-            vals = eigs(r, k * (gap0 + b * u * u))
-            return _density_from_values(metric, vals) * r * 2.0 * b * u
-
-        return _quad(f, 0.0, 1.0, inner_rel, spec.abs_tol / 4.0)
-
-    def outer(w):
-        return inner(math.pi - w * w) * 2.0 * w
-
-    value = _quad(outer, 0.0, math.sqrt(math.pi), outer_rel, spec.abs_tol)
-    return VolumeEstimate(max(value, 0.0), 0.0, "quadrature")
+    kernel = None if zeta is None else qutrit_kernel_spectrum(zeta)
+    return orbit_volume_simplex(metric, 3, kernel, spec)
 
 
 @lru_cache(maxsize=32)

@@ -71,38 +71,13 @@ def min_pairing_batch(spectra: np.ndarray, k: KernelSpectrum) -> np.ndarray:
     return arr @ np.asarray(k.values)
 
 
-def _qutrit_bounds(phi: float, zeta: float | None) -> tuple[float, float]:
-    """Radial bound b along direction phi of the three-level orbit space
-    (``zeta=None``) or of its Wigner-positive part for the kernel at apex
-    angle zeta, and the gap ``orbit bound - b``.
-
-    The orbit bound is ``1/(2*sqrt(3)*cos(phi/3))``, the positivity bound
-    ``1/(4*sqrt(3)*cos(phi/3 + zeta - pi/3))`` where that cosine is
-    positive.  The gap is evaluated from a cancellation-free closed form
-    so that eigenvalues near the simplex boundary keep full relative
-    accuracy.
-    """
-    co = math.cos(phi / 3.0)
-    r_orbit = 1.0 / (2.0 * _SQRT3 * co)
-    if zeta is None:
-        return r_orbit, 0.0
-    cp = math.cos(phi / 3.0 + zeta - math.pi / 3.0)
-    if cp <= 0.0:
-        return r_orbit, 0.0
-    r_pos = 1.0 / (4.0 * _SQRT3 * cp)
-    if r_pos >= r_orbit:
-        return r_orbit, 0.0
-    gap = (2.0 * cp - co) / (4.0 * _SQRT3 * co * cp)
-    return r_pos, gap
-
-
 def qutrit_orbit_bound(phi: float) -> float:
     """Radial extent of the three-level orbit space along direction phi:
     ``1/(2*sqrt(3)*cos(phi/3))``."""
     p = float(phi)
     if not -ALGEBRAIC_TOL <= p <= math.pi + ALGEBRAIC_TOL:
         raise DomainError(f"phi {p!r} outside [0, pi]")
-    return _qutrit_bounds(p, None)[0]
+    return 1.0 / (2.0 * _SQRT3 * math.cos(p / 3.0))
 
 
 def qutrit_positivity_bound(phi: float, zeta: float) -> float:
@@ -111,10 +86,11 @@ def qutrit_positivity_bound(phi: float, zeta: float) -> float:
     ``1/(4*sqrt(3)*cos(phi/3 + zeta - pi/3))``, clipped at the orbit
     bound (which also covers rays where the cosine is not positive).
     """
-    p = float(phi)
-    if not -ALGEBRAIC_TOL <= p <= math.pi + ALGEBRAIC_TOL:
-        raise DomainError(f"phi {p!r} outside [0, pi]")
-    return _qutrit_bounds(p, _check_zeta(zeta))[0]
+    r_orbit = qutrit_orbit_bound(phi)
+    cp = math.cos(float(phi) / 3.0 + _check_zeta(zeta) - math.pi / 3.0)
+    if cp <= 0.0:
+        return r_orbit
+    return min(1.0 / (4.0 * _SQRT3 * cp), r_orbit)
 
 
 def qubit_wigner(xi: BlochVector, n_vec) -> float:

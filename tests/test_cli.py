@@ -349,6 +349,9 @@ commands = [
     ["minimize", "--metric", "hs"],
     ["curve"],
     ["sample", "--metric", "hs", "--n", "3", "--samples", "100"],
+    ["indicator", "--n", "3", "--metric", "bures", "--zeta", "0.4", "--method", "quad"],
+    ["average", "--metric", "bkm"],
+    ["minimize", "--metric", "bures"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in commands]
@@ -365,7 +368,7 @@ def test_commands_without_integration_never_import_scipy():
         [sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
-    assert json.loads(proc.stdout) == {"codes": [0] * 5, "scipy": []}
+    assert json.loads(proc.stdout) == {"codes": [0] * 8, "scipy": []}
 
 
 class TestReproduceCommand:

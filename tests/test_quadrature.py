@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from wignerq import (
     ConvergenceError,
@@ -32,6 +33,39 @@ from wignerq.measures import _density_from_values
 from wignerq.spectra import qutrit_ray
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _polar_volume(metric, zeta):
+    """Three-level volume by nested adaptive quadrature in polar
+    coordinates (r, phi), an oracle for the simplex cubature that shares
+    neither its parametrization nor its rule; its unit is 3*sqrt(3)/2
+    times the simplex one.  The radius runs through r = b*(1 - u^2), the
+    angle through phi = pi - w^2, which softens the corner where two
+    eigenvalues vanish together; the smallest eigenvalue comes from the
+    distance to the orbit boundary, gap0 + b*u^2, free of cancellation.
+    Tolerances rel 1e-7, abs 1e-15 overall."""
+
+    def quad(f, upper, rel, abs_):
+        res = scipy.integrate.quad(f, 0.0, upper, epsabs=abs_, epsrel=rel, limit=200, full_output=1)
+        assert len(res) == 3 or res[1] <= max(abs_, rel * abs(res[0])), res[3]
+        return res[0]
+
+    def inner(phi):
+        k, eigs = qutrit_ray(phi)
+        co = math.cos(phi / 3.0)
+        b, gap0 = 1.0 / (2.0 * SQRT3 * co), 0.0
+        cp = math.cos(phi / 3.0 + zeta - math.pi / 3.0) if zeta is not None else 0.0
+        if 2.0 * cp > co:
+            # the positivity bound lies inside the orbit bound
+            b, gap0 = 1.0 / (4.0 * SQRT3 * cp), (2.0 * cp - co) / (4.0 * SQRT3 * co * cp)
+
+        def f(u):
+            r = b * (1.0 - u * u)
+            return _density_from_values(metric, eigs(r, k * (gap0 + b * u * u))) * r * 2.0 * b * u
+
+        return quad(f, 1.0, 2.5e-8, 2.5e-16)
+
+    return quad(lambda w: inner(math.pi - w * w) * 2.0 * w, math.sqrt(math.pi), 5e-8, 1e-15)
 
 
 class TestSpecs:
@@ -86,6 +120,8 @@ class TestQubitVolumes:
         found = re.search(r"error estimate (\S+) for value (\S+) ", str(err.value))
         assert found is not None
         assert math.isfinite(float(found[1])) and float(found[2]) > 0.0
+        # the value is the volume asked for, not the unscaled edge integral
+        assert float(found[2]) == pytest.approx(math.pi / 2, rel=1e-6, abs=0.0)
 
 
 class TestQutritVolumes:
@@ -121,6 +157,13 @@ class TestQutritVolumes:
         tight = orbit_volume_qutrit(metric, zeta, QuadratureSpec(rel_tol=5e-7)).value
         assert abs(tight - loose) / tight < 1e-6
 
+    def test_bkm_full_volume_at_tight_tolerance(self):
+        # rel_tol 1e-11 is tighter than the rounding of an adaptive inner
+        # integral allows, so it needs a rule that stops on relative change
+        tight = orbit_volume_qutrit(MetricKind.BKM, None, QuadratureSpec(rel_tol=1e-11)).value
+        loose = orbit_volume_qutrit(MetricKind.BKM, None, QuadratureSpec(rel_tol=1e-10)).value
+        assert tight == pytest.approx(loose, rel=1e-10, abs=0.0)
+
     def test_zeta_domain(self):
         with pytest.raises(DomainError):
             orbit_volume_qutrit(MetricKind.HS, 1.2)
@@ -155,10 +198,17 @@ class TestSimplexVolumes:
     def test_three_level_monotone_ratio_matches_polar_route(self, metric):
         spec = QuadratureSpec(rel_tol=1e-6)
         full = orbit_volume_simplex(metric, 3, None, spec).value
+        full_polar = _polar_volume(metric, None)
         for zeta in np.linspace(0.0, math.pi / 3, 6):
             ratio_simplex = orbit_volume_simplex(metric, 3, qutrit_kernel_spectrum(zeta), spec).value / full
-            ratio_polar = orbit_volume_qutrit(metric, zeta).value / qutrit_full_volume(metric, DEFAULT_2D)
+            ratio_polar = _polar_volume(metric, zeta) / full_polar
             assert ratio_simplex == pytest.approx(ratio_polar, rel=1e-6, abs=0.0)
+
+    def test_three_level_volumes_are_in_simplex_units(self, metric):
+        # dr_1 dr_2 = (2 / (3 sqrt 3)) r dr dphi: the same volume in polar
+        # units is 3*sqrt(3)/2 times larger
+        polar = _polar_volume(metric, None)
+        assert orbit_volume_qutrit(metric).value * 3.0 * SQRT3 / 2.0 == pytest.approx(polar, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize(
         "metric, n",
