@@ -30,6 +30,7 @@ from .integrate import (
     sample_bures_spectra,
     sample_hs_spectra,
     sample_mcmc_spectra,
+    sample_weighted_spectra,
 )
 from .measures import (
     morozova_chentsov,
@@ -103,5 +104,6 @@ __all__ = [
     "sample_bures_spectra",
     "sample_hs_spectra",
     "sample_mcmc_spectra",
+    "sample_weighted_spectra",
     "spectrum_from_polar",
 ]

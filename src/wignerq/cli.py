@@ -35,6 +35,7 @@ from .indicators import (
     minimize_indicator,
     positivity_curve,
     qutrit_indicator_closed_form,
+    resolve_sampler,
     sample_spectra,
 )
 from .integrate import McSpec, QuadratureSpec
@@ -198,17 +199,24 @@ def cmd_curve(args) -> int:
 
 def cmd_sample(args) -> int:
     metric = MetricKind.from_name(args.metric)
-    if args.n > _SAMPLE_MAX_N or args.samples * args.n > _SAMPLE_MAX_VALUES:
+    sampler = resolve_sampler(metric, args.sampler)
+    per_row = args.n + (sampler == "weighted")
+    if args.n > _SAMPLE_MAX_N or args.samples * per_row > _SAMPLE_MAX_VALUES:
         raise DomainError(
             f"sample is capped at --n {_SAMPLE_MAX_N} and at {_SAMPLE_MAX_VALUES:,} "
-            "values (--samples x --n)"
+            "values (--samples x --n, plus one weight per row for the weighted sampler)"
         )
     spec = _mc_spec(args)
-    sampler, draws = sample_spectra(metric, args.n, spec, args.sampler)
+    sampler, draws = sample_spectra(metric, args.n, spec, sampler)
     warnings: tuple[str, ...] = ()
+    weights = None
     if sampler == "mcmc":
         warnings = draws.warnings
         draws = draws.flat[: spec.samples]
+    elif sampler == "weighted":
+        draws, log_w = draws
+        weights = np.exp(log_w - log_w.max())
+        weights = (weights / weights.mean()).tolist()
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     rows = draws.tolist()
@@ -223,6 +231,10 @@ def cmd_sample(args) -> int:
         "spectra": rows,
     }
     header = [f"r{i + 1}" for i in range(args.n)]
+    if weights is not None:
+        payload["weights"] = weights
+        header.append("weight")
+        rows = [row + [w] for row, w in zip(rows, weights)]
     _emit(args, payload, header, rows)
     return 0
 
@@ -316,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=parse_angle, default=None,
                    help="moduli angle for n=3; accepts pi-fractions like pi/6")
     p.add_argument("--method", choices=("auto", "closed", "quad", "mc"), default="auto")
-    p.add_argument("--sampler", choices=("matrix", "mcmc"), default=None)
+    p.add_argument("--sampler", choices=("matrix", "weighted", "mcmc"), default=None)
     _add_quad_flags(p)
     _add_mc_flags(p)
     _add_output_flags(p)
@@ -345,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw random spectra and write them out")
     p.add_argument("--metric", required=True)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--sampler", choices=("auto", "matrix", "mcmc"), default="auto")
+    p.add_argument("--sampler", choices=("auto", "matrix", "weighted", "mcmc"), default="auto")
     _add_mc_flags(p, samples_default=10_000)
     _add_output_flags(p, default_format="csv")
     p.set_defaults(func=cmd_sample)

@@ -31,9 +31,11 @@ from .integrate.sampling import (
     McSpec,
     positive_fraction_iid,
     positive_fraction_mcmc,
+    positive_fraction_weighted,
     sample_bures_spectra,
     sample_hs_spectra,
     sample_mcmc_spectra,
+    sample_weighted_spectra,
 )
 from .measures import positive_ball_radius, qubit_ball_volume
 from .spectra import MetricKind, ModuliPoint, _check_bloch_radius, _check_zeta
@@ -149,38 +151,53 @@ def _quadrature_indicator(metric, n, moduli, spec: QuadratureSpec) -> IndicatorR
     )
 
 
+def resolve_sampler(metric: MetricKind, sampler: str | None) -> str:
+    """The sampler a request names, with ``None``/'auto' resolved to the
+    default: the importance sampler for BKM, which has no matrix model,
+    and the matrix model otherwise."""
+    if sampler in (None, "auto"):
+        return "weighted" if metric is MetricKind.BKM else "matrix"
+    if sampler not in ("matrix", "weighted", "mcmc"):
+        raise DomainError(f"unknown sampler {sampler!r}; expected 'matrix', 'weighted' or 'mcmc'")
+    return sampler
+
+
 def sample_spectra(metric: MetricKind, n: int, spec: McSpec, sampler: str | None = None):
     """Draw spectra for the metric's measure; returns ``(sampler, draws)``.
 
-    ``sampler`` is 'matrix', 'mcmc', or ``None``/'auto' for the default:
-    the Markov chain for BKM, which has no matrix model, and the matrix
-    model otherwise.  ``draws`` is an (m, n) array from a matrix model
-    or the ``McmcResult`` of the chain.
+    ``sampler`` is 'matrix', 'weighted', 'mcmc', or ``None``/'auto' for
+    the default (``resolve_sampler``).  ``draws`` is an (m, n) array from
+    a matrix model, the ``(spectra, log_weights)`` pair of the importance
+    sampler, or the ``McmcResult`` of the opt-in Markov chain.
     """
-    if sampler in (None, "auto"):
-        sampler = "mcmc" if metric is MetricKind.BKM else "matrix"
+    sampler = resolve_sampler(metric, sampler)
+    if sampler == "weighted":
+        return sampler, sample_weighted_spectra(metric, n, spec)
     if sampler == "mcmc":
         return sampler, sample_mcmc_spectra(metric, n, spec)
-    if sampler != "matrix":
-        raise DomainError(f"unknown sampler {sampler!r}; expected 'matrix' or 'mcmc'")
     if metric is MetricKind.HS:
         return sampler, sample_hs_spectra(n, spec)
     if metric is MetricKind.BURES:
         return sampler, sample_bures_spectra(n, spec)
-    raise DomainError("no matrix model is available for the BKM measure; use the 'mcmc' sampler")
+    raise DomainError("no matrix model is available for the BKM measure; use the 'weighted' sampler")
 
 
 def _mc_indicator(metric, n, moduli, spec: McSpec, sampler) -> IndicatorResult:
     kernel = kernel_for(moduli)
     sampler, draws = sample_spectra(metric, n, spec, sampler)
+    meta = {"sampler": sampler}
+    warnings: tuple[str, ...] = ()
     if sampler == "matrix":
         p, se = positive_fraction_iid(draws, kernel)
-        warnings: tuple[str, ...] = ()
-        drawn = draws.shape[0]
+        meta["samples"] = draws.shape[0]
+    elif sampler == "weighted":
+        p, se, ess = positive_fraction_weighted(*draws, kernel)
+        meta["samples"] = draws[0].shape[0]
+        meta["ess"] = ess
     else:
         p, se = positive_fraction_mcmc(draws, kernel)
         warnings = draws.warnings
-        drawn = draws.flat.shape[0]
+        meta["samples"] = draws.flat.shape[0]
     return IndicatorResult(
         p,
         se,
@@ -189,7 +206,7 @@ def _mc_indicator(metric, n, moduli, spec: McSpec, sampler) -> IndicatorResult:
         moduli,
         "monte-carlo",
         warnings=warnings,
-        meta={"sampler": sampler, "samples": drawn, "seed": spec.seed, "workers": spec.workers},
+        meta={**meta, "seed": spec.seed, "workers": spec.workers},
     )
 
 
@@ -205,9 +222,10 @@ def global_indicator(
     The type of ``spec`` selects the path: a ``QuadratureSpec`` (or
     ``None``) runs deterministic quadrature, an ``McSpec`` estimates the
     positive-cone fraction from random spectra.  ``sampler`` overrides
-    the Monte Carlo sampler choice ('matrix' or 'mcmc'); by default the
-    BKM metric uses the Markov chain and the others their matrix models.
-    Samples count as positive to ``positivity.DEFAULT_CONE_TOL``.
+    the Monte Carlo sampler choice ('matrix', 'weighted' or 'mcmc'); by
+    default the BKM metric uses the importance sampler and the others
+    their matrix models.  Samples count as positive to
+    ``positivity.DEFAULT_CONE_TOL``.
     """
     moduli = _default_moduli(n, moduli)
     if isinstance(spec, McSpec):

@@ -15,9 +15,11 @@ from .sampling import (
     McmcResult,
     positive_fraction_iid,
     positive_fraction_mcmc,
+    positive_fraction_weighted,
     sample_bures_spectra,
     sample_hs_spectra,
     sample_mcmc_spectra,
+    sample_weighted_spectra,
 )
 
 __all__ = [
@@ -33,7 +35,9 @@ __all__ = [
     "qutrit_full_volume",
     "positive_fraction_iid",
     "positive_fraction_mcmc",
+    "positive_fraction_weighted",
     "sample_bures_spectra",
     "sample_hs_spectra",
     "sample_mcmc_spectra",
+    "sample_weighted_spectra",
 ]

@@ -2,8 +2,12 @@
 
 * Hilbert-Schmidt: square of a complex Gaussian matrix, trace-normalized.
 * Bures: the (I + U) G construction with a Haar-random unitary U.
-* BKM (and, as a cross-check, the other two): random-walk Metropolis on
-  the simplex in logit coordinates, targeting the radial density.
+* Any metric, and the default for BKM, which has no matrix model:
+  importance sampling.  Sorted Dirichlet(1/2, ..., 1/2) spectra, each
+  weighted by the radial density over the proposal density, feed a
+  self-normalized estimator.
+* Any metric, opt-in: random-walk Metropolis on the simplex in logit
+  coordinates, targeting the radial density.
 
 Parallelism and reproducibility: the master seed is split into one
 independent child stream per worker; chunks are combined in worker
@@ -166,6 +170,39 @@ def sample_bures_spectra(n: int, spec: McSpec) -> np.ndarray:
     return _matrix_spectra(True, n, spec)
 
 
+# --- importance sampling -----------------------------------------------------
+
+def _weighted_chunk(metric: MetricKind, n: int, count: int, seed: int, index: int):
+    rng = _worker_rng(seed, index)
+    r = np.sort(rng.dirichlet(np.full(n, 0.5), count), axis=1)[:, ::-1]
+    with np.errstate(divide="ignore"):
+        # boundary rows: log_radial_density is -inf there, so the weight is 0
+        log_w = log_radial_density(metric, r) + 0.5 * np.log(r).sum(axis=1)
+    return r, log_w
+
+
+def sample_weighted_spectra(metric: MetricKind, n: int, spec: McSpec):
+    """Importance sample of the radial density of any supported metric.
+
+    Returns ``(spectra, log_weights)``: (samples, n) Dirichlet(1/2, ...,
+    1/2) spectra with rows descending, and the log of each row's
+    unnormalized weight, radial density over proposal density.  The
+    proposal's ``prod r_i^(-1/2)`` cancels the same factor of the Bures
+    and BKM densities, so the weights stay bounded for Bures and HS and
+    grow only logarithmically for BKM.  Rows on the simplex boundary
+    have weight 0 (log weight ``-inf``).
+    """
+    if n < 2:
+        raise DomainError("sampling needs n >= 2")
+    counts = _split_counts(spec.samples, spec.workers)
+    jobs = [(metric, n, c, spec.seed, i) for i, c in enumerate(counts) if c > 0]
+    parts = _map_ordered(_weighted_chunk, jobs, spec.workers)
+    return (
+        np.concatenate([p[0] for p in parts], axis=0),
+        np.concatenate([p[1] for p in parts]),
+    )
+
+
 # --- Metropolis on the simplex ----------------------------------------------
 
 def _logit_to_simplex(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,8 +260,8 @@ def sample_mcmc_spectra(metric: MetricKind, n: int, spec: McSpec) -> McmcResult:
     density is permutation symmetric) and reports sorted spectra.  The
     step scale adapts toward ~40% acceptance during burn-in and is then
     frozen; a post-adaptation acceptance rate outside [0.1, 0.9] is
-    reported as a warning.  The only sampler available for the BKM
-    metric, and a cross-check for the other two.
+    reported as a warning.  An opt-in cross-check of the independent
+    samplers for every metric.
     """
     if n < 2:
         raise DomainError("sampling needs n >= 2")
@@ -264,6 +301,25 @@ def positive_fraction_iid(spectra: np.ndarray, kernel: KernelSpectrum):
     m = inside.shape[0]
     p = float(inside.mean())
     return p, _nonzero_error(math.sqrt(p * (1.0 - p) / m), m)
+
+
+def positive_fraction_weighted(spectra: np.ndarray, log_weights: np.ndarray, kernel: KernelSpectrum):
+    """Self-normalized importance-sampling estimate of the positive-cone
+    fraction: returns ``(p, se, ess)``.
+
+    ``p = sum(w * inside) / sum(w)``; ``se`` is the delta-method error
+    ``sqrt(sum(w^2 (inside - p)^2)) / sum(w)`` and ``ess`` the effective
+    sample size ``sum(w)^2 / sum(w^2)`` (Owen, *Monte Carlo theory,
+    methods and examples*, ch. 9).  Where the error is 0, as at zero
+    hits, it is floored in units of the effective sample size.
+    """
+    inside = min_pairing_batch(spectra, kernel) >= -DEFAULT_CONE_TOL
+    w = np.exp(log_weights - log_weights.max())
+    total = float(w.sum())
+    p = float(w @ inside) / total
+    se = math.sqrt(float(((w * (inside - p)) ** 2).sum())) / total
+    ess = total * total / float(w @ w)
+    return p, _nonzero_error(se, int(ess)), ess
 
 
 def positive_fraction_mcmc(result: McmcResult, kernel: KernelSpectrum):

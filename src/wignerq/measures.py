@@ -150,7 +150,8 @@ def log_radial_density(metric: MetricKind, points: np.ndarray) -> np.ndarray:
     points (any eigenvalue order; the density is permutation symmetric).
 
     Rows touching the boundary (a non-positive entry) get ``-inf``.
-    Used as the Markov-chain target; kept vectorized for speed.
+    The numerator of the importance sampler's weights and the target of
+    the opt-in Markov chain; kept vectorized for speed.
     """
     pts = np.asarray(points, dtype=float)
     m, n = pts.shape

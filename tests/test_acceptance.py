@@ -90,7 +90,7 @@ def test_criterion_3_qubit_bkm_indicator():
         quad = global_indicator(MetricKind.BKM, 2, spec=QuadratureSpec(rel_tol=1e-9)).value
         assert quad == pytest.approx(closed, rel=1e-8)
         mc = global_indicator(MetricKind.BKM, 2, spec=McSpec(samples=1_000_000, seed=103))
-        assert mc.method == "monte-carlo" and mc.meta["sampler"] == "mcmc"
+        assert mc.method == "monte-carlo" and mc.meta["sampler"] == "weighted"
         assert abs(mc.value - target) < 3.0 * mc.error
 
 
@@ -183,7 +183,7 @@ def test_criterion_7_cross_estimator_consistency():
         def within(a, sa, b, sb):
             return abs(a - b) <= 3.0 * math.hypot(sa, sb)
 
-        # two-level systems: quadrature vs matrix model vs Markov chain
+        # two-level systems: quadrature vs matrix model vs importance sampler
         for metric, seed in ((MetricKind.HS, 201), (MetricKind.BURES, 202), (MetricKind.BKM, 203)):
             quad = global_indicator(metric, 2).value
             estimates = []
@@ -191,7 +191,7 @@ def test_criterion_7_cross_estimator_consistency():
                 r = global_indicator(metric, 2, spec=McSpec(samples=600_000, seed=seed))
                 estimates.append((r.value, r.error))
             r = global_indicator(
-                metric, 2, spec=McSpec(samples=400_000, seed=seed + 10), sampler="mcmc"
+                metric, 2, spec=McSpec(samples=400_000, seed=seed + 10), sampler="weighted"
             )
             estimates.append((r.value, r.error))
             for value, err in estimates:
@@ -201,7 +201,7 @@ def test_criterion_7_cross_estimator_consistency():
 
         # three-level systems at the symmetric kernel
         m = ModuliPoint.qutrit(math.pi / 6.0)
-        for metric, seed, n_matrix, n_mcmc in (
+        for metric, seed, n_matrix, n_weighted in (
             (MetricKind.HS, 301, 1_000_000, 1_000_000),
             (MetricKind.BURES, 302, 600_000, 400_000),
             (MetricKind.BKM, 303, 0, 1_000_000),
@@ -212,7 +212,7 @@ def test_criterion_7_cross_estimator_consistency():
                 r = global_indicator(metric, 3, m, McSpec(samples=n_matrix, seed=seed))
                 estimates.append((r.value, r.error))
             r = global_indicator(
-                metric, 3, m, McSpec(samples=n_mcmc, seed=seed + 10), sampler="mcmc"
+                metric, 3, m, McSpec(samples=n_weighted, seed=seed + 10), sampler="weighted"
             )
             estimates.append((r.value, r.error))
             for value, err in estimates:

@@ -15,7 +15,14 @@ import jsonschema
 import numpy as np
 import pytest
 
-from wignerq import McSpec, MetricKind, QuadratureSpec, sample_bures_spectra, sample_hs_spectra, sample_mcmc_spectra
+from wignerq import (
+    McSpec,
+    MetricKind,
+    QuadratureSpec,
+    sample_bures_spectra,
+    sample_hs_spectra,
+    sample_weighted_spectra,
+)
 from wignerq.cli import main, parse_angle
 
 SCHEMA = json.loads(
@@ -104,6 +111,19 @@ class TestIndicatorCommand:
         payload = json.loads(out1)
         validate(payload)
         assert payload["meta"]["seed"] == 42
+
+    def test_bkm_mc_weighted_deterministic_with_workers(self, capsys):
+        args = ("indicator", "--n", "3", "--metric", "bkm", "--zeta", "0", "--method", "mc",
+                "--samples", "50000", "--seed", "5", "--workers", "2")
+        code1, out1, _ = run_cli(capsys, *args)
+        code2, out2, _ = run_cli(capsys, *args)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        payload = json.loads(out1)
+        validate(payload)
+        meta = payload["meta"]
+        assert meta["sampler"] == "weighted" and meta["samples"] == 50_000
+        assert 0.0 < meta["ess"] <= 50_000
 
     def test_missing_zeta_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "indicator", "--n", "3", "--metric", "hs")
@@ -233,26 +253,47 @@ class TestSampleCommand:
         assert out1 == out2
         payload = json.loads(out1)
         validate(payload)
-        assert payload["sampler"] == "mcmc"
-        assert len(payload["spectra"]) == 50
+        assert payload["sampler"] == "weighted"
+        assert len(payload["spectra"]) == len(payload["weights"]) == 50
+        assert np.mean(payload["weights"]) == pytest.approx(1.0, rel=1e-12)
+
+    def test_weighted_without_weights_fails_schema(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sample", "--metric", "hs", "--n", "2", "--samples", "5", "--sampler", "weighted",
+            "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload)
+        del payload["weights"]
+        with pytest.raises(jsonschema.ValidationError):
+            validate(payload)
 
     def test_output_equals_sampler_values(self, capsys):
         spec = McSpec(20, seed=5)
+        bkm, log_w = sample_weighted_spectra(MetricKind.BKM, 3, spec)
+        weights = np.exp(log_w - log_w.max())
+        weights = weights / weights.mean()
         expected_by_metric = {
-            "hs": sample_hs_spectra(3, spec),
-            "bures": sample_bures_spectra(3, spec),
-            "bkm": sample_mcmc_spectra(MetricKind.BKM, 3, spec).flat[:20],
+            "hs": (sample_hs_spectra(3, spec), None),
+            "bures": (sample_bures_spectra(3, spec), None),
+            "bkm": (bkm, weights.tolist()),
         }
-        for metric, arr in expected_by_metric.items():
+        for metric, (arr, w) in expected_by_metric.items():
             argv = ("sample", "--metric", metric, "--n", "3", "--samples", "20", "--seed", "5",
                     "--workers", "1")
             expected = arr.tolist()
             code, out, _ = run_cli(capsys, *argv, "--format", "json")
             assert code == 0
-            assert json.loads(out)["spectra"] == expected
+            payload = json.loads(out)
+            assert payload["spectra"] == expected
+            assert payload.get("weights") == w
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
             rows = list(csv.reader(io.StringIO(out)))
+            if w is not None:
+                assert rows[0] == ["r1", "r2", "r3", "weight"]
+                expected = [row + [x] for row, x in zip(expected, w)]
             assert rows[1:] == [[format(v, ".12g") for v in row] for row in expected]
 
     def test_bkm_matrix_sampler_is_usage_error(self, capsys):
@@ -291,6 +332,21 @@ class TestSampleCommand:
         code, _, _ = run_cli(capsys, "sample", "--metric", "hs", "--n", str(n), "--samples", str(samples))
         assert code == 0
         assert calls == [(n, samples)]
+
+    @pytest.mark.parametrize("samples, code", [(3_333_334, 2), (3_333_333, 0)])
+    def test_weighted_cap_counts_the_weight(self, capsys, monkeypatch, samples, code):
+        # each weighted row is n spectrum values plus one weight
+        from wignerq import cli
+
+        def tiny(metric, n, spec, sampler):
+            return sampler, (np.full((1, n), 1.0 / n), np.zeros(1))
+
+        monkeypatch.setattr(cli, "sample_spectra", tiny)
+        result, _, err = run_cli(
+            capsys, "sample", "--metric", "bkm", "--n", "2", "--samples", str(samples)
+        )
+        assert result == code
+        assert ("capped" in err) == (code == 2)
 
     def test_workers_cap_admits_the_limit(self, capsys, monkeypatch):
         from wignerq import cli

@@ -10,14 +10,17 @@ from wignerq import (
     DomainError,
     McSpec,
     MetricKind,
+    closed_indicator,
+    orbit_volume_simplex,
     qubit_ball_volume,
     qubit_kernel_spectrum,
     qutrit_kernel_spectrum,
     sample_bures_spectra,
     sample_hs_spectra,
     sample_mcmc_spectra,
+    sample_weighted_spectra,
 )
-from wignerq.integrate import positive_fraction_iid, positive_fraction_mcmc
+from wignerq.integrate import positive_fraction_iid, positive_fraction_mcmc, positive_fraction_weighted
 from wignerq.integrate import sampling as sampling_mod
 
 SQRT3 = math.sqrt(3.0)
@@ -158,6 +161,51 @@ class TestBuresSampler:
             p = (radii <= R).mean()
             se = math.sqrt(expected * (1 - expected) / radii.size)
             assert abs(p - expected) < 4 * se
+
+
+class TestWeightedSampler:
+    def test_fixed_seed_bit_identical(self):
+        spec = McSpec(samples=2_000, seed=99, workers=2)
+        a, log_a = sample_weighted_spectra(MetricKind.BKM, 3, spec)
+        b, log_b = sample_weighted_spectra(MetricKind.BKM, 3, spec)
+        assert np.array_equal(a, b)
+        assert np.array_equal(log_a, log_b)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_rows_are_sorted_distributions_with_finite_weights(self, metric):
+        arr, log_w = sample_weighted_spectra(metric, 4, McSpec(samples=5_000, seed=14, workers=2))
+        assert arr.shape == (5_000, 4) and log_w.shape == (5_000,)
+        assert np.allclose(arr.sum(axis=1), 1.0, atol=1e-12)
+        assert (np.diff(arr, axis=1) <= 0.0).all()
+        assert np.isfinite(log_w).all()
+
+    @pytest.mark.parametrize("metric, seed", [(MetricKind.HS, 31), (MetricKind.BURES, 32), (MetricKind.BKM, 33)])
+    def test_two_level_positive_fraction(self, metric, seed):
+        arr, log_w = sample_weighted_spectra(metric, 2, McSpec(samples=200_000, seed=seed))
+        p, se, ess = positive_fraction_weighted(arr, log_w, qubit_kernel_spectrum())
+        assert 0.0 < ess <= 200_000
+        assert abs(p - closed_indicator(metric, 2).value) < 3 * se
+
+    @pytest.mark.parametrize("metric, seed", [(MetricKind.HS, 34), (MetricKind.BURES, 35), (MetricKind.BKM, 36)])
+    def test_three_level_rare_fraction_against_cubature(self, metric, seed):
+        kernel = qutrit_kernel_spectrum(math.pi / 6)
+        exact = orbit_volume_simplex(metric, 3, kernel).value / orbit_volume_simplex(metric, 3).value
+        arr, log_w = sample_weighted_spectra(metric, 3, McSpec(samples=200_000, seed=seed))
+        p, se, _ = positive_fraction_weighted(arr, log_w, kernel)
+        assert abs(p - exact) < 3 * se
+
+    def test_zero_hits_floor_counts_effective_samples(self):
+        # every row lies outside the positive ball, so the spread is 0
+        arr = np.tile([0.95, 0.05], (40, 1))
+        log_w = np.random.default_rng(15).normal(size=40)
+        p, se, ess = positive_fraction_weighted(arr, log_w, qubit_kernel_spectrum())
+        assert p == 0.0
+        assert 1.0 < ess < 40.0
+        assert se == 1.0 / (int(ess) + 1)
+
+    def test_one_level_rejected(self):
+        with pytest.raises(DomainError):
+            sample_weighted_spectra(MetricKind.BKM, 1, McSpec(samples=10))
 
 
 class TestMcmcSampler:
