@@ -33,7 +33,6 @@ from .integrate import (
     sample_weighted_spectra,
 )
 from .measures import (
-    morozova_chentsov,
     positive_ball_radius,
     qubit_ball_volume,
     radial_density,
@@ -85,7 +84,6 @@ __all__ = [
     "kernel_spectrum_from_direction",
     "min_wigner_value",
     "minimize_indicator",
-    "morozova_chentsov",
     "orbit_volume_qubit",
     "orbit_volume_qutrit",
     "orbit_volume_simplex",

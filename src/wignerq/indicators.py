@@ -9,7 +9,8 @@ representation-independent figures.
 
 Three evaluation paths exist and cross-check each other: closed forms
 (two-level systems and the flat three-level case), deterministic
-quadrature, and Monte Carlo.
+quadrature (the simplex volumes of ``integrate.orbit_volume_simplex``,
+2 <= N <= 6), and Monte Carlo.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from .integrate.quadrature import (
     DEFAULT_2D,
     QuadratureSpec,
     gauss_legendre_doubling,
-    orbit_volume_qubit,
+    orbit_volume_qubit,  # noqa: F401 -- bench/spans.py wraps this attribute in a traced pass
     orbit_volume_qutrit,
+    orbit_volume_simplex,
     qutrit_full_volume,
+    simplex_full_volume,
 )
 from .integrate.sampling import (
     McSpec,
@@ -128,21 +131,10 @@ def closed_indicator(metric: MetricKind, n: int, moduli: ModuliPoint | None = No
 
 
 def _quadrature_indicator(metric, n, moduli, spec: QuadratureSpec) -> IndicatorResult:
-    if n == 2:
-        num = orbit_volume_qubit(metric, positive_ball_radius(), spec).value
-        den = orbit_volume_qubit(metric, 1.0, spec).value
-    elif n == 3:
-        num = orbit_volume_qutrit(metric, moduli.zeta, spec).value
-        den = qutrit_full_volume(metric, spec)
-    else:
-        raise DomainError(
-            "the quadrature path covers n in {2, 3}; use the Monte Carlo path "
-            "or integrate.orbit_volume_simplex for larger systems"
-        )
-    value = num / den
+    value = orbit_volume_simplex(metric, n, kernel_for(moduli), spec).value / simplex_full_volume(metric, n, spec)
     return IndicatorResult(
         value,
-        2.0 * spec.rel_tol * value + spec.abs_tol,
+        2.0 * spec.rel_tol * value,
         metric,
         n,
         moduli,
@@ -220,11 +212,13 @@ def global_indicator(
     """Relative volume of the Wigner-positive orbit-space region.
 
     The type of ``spec`` selects the path: a ``QuadratureSpec`` (or
-    ``None``) runs deterministic quadrature, an ``McSpec`` estimates the
-    positive-cone fraction from random spectra.  ``sampler`` overrides
-    the Monte Carlo sampler choice ('matrix', 'weighted' or 'mcmc'); by
-    default the BKM metric uses the importance sampler and the others
-    their matrix models.  Samples count as positive to
+    ``None``) runs deterministic quadrature, the simplex volumes of
+    ``integrate.orbit_volume_simplex`` for 2 <= n <= 6 (DomainError
+    beyond, ConvergenceError where the cubature does not settle, as for
+    BKM at n = 5); an ``McSpec`` estimates the positive-cone fraction
+    from random spectra.  ``sampler`` overrides the Monte Carlo sampler
+    choice ('matrix', 'weighted' or 'mcmc'); by default the BKM metric
+    uses the importance sampler and the others their matrix models.  Samples count as positive to
     ``positivity.DEFAULT_CONE_TOL``.
     """
     moduli = _default_moduli(n, moduli)

@@ -1,7 +1,8 @@
 """Deterministic quadrature over the orbit space.
 
-General-N volumes triangulate the region -- the ordered simplex, cut by
-one half-space for a positive part -- and integrate each piece:
+Every volume, from N = 2 to N = 6, triangulates its region -- the ordered
+simplex, cut by one half-space for a positive part or a smaller Bloch
+ball -- and integrates each piece:
 
 * flat metric (HS): the density is a polynomial of degree N(N-1), so a
   Grundmann-Moller rule of that degree gives the volume to rounding
@@ -13,14 +14,10 @@ one half-space for a positive part -- and integrate each piece:
   with ConvergenceError before 2^21 points per piece.  Bures converges to
   N = 5, BKM to N = 4 at the default tolerance.
 
-The three-level volumes are this route at N = 3; the two-level volume
-is one adaptive integral (scipy's ``quad``) up to the edge of the Bloch
-ball.
+The two- and three-level volumes are this route at N = 2 and N = 3.
 
-All volumes are unnormalized; only ratios are meaningful.
-
-scipy is imported by the first two-level quadrature that runs, not with
-the package, so closed-form and N >= 3 work never load it.
+All volumes are unnormalized, in the simplex coordinates r_1 ... r_{N-1};
+only ratios are meaningful.
 """
 
 from __future__ import annotations
@@ -33,18 +30,16 @@ from itertools import combinations
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError
-from ..measures import _density_batch, _density_from_values
+from ..measures import _density_batch
 from ..spectra import MetricKind, _check_bloch_radius
 from ..sw_kernel import qutrit_kernel_spectrum
 
 
-#: Subdivision budget of the two-level quadrature (scipy's ``limit``).
-_MAX_SUBDIVISIONS = 200
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances for adaptive quadrature."""
+    """Quadrature tolerances.  Volumes stop on ``rel_tol`` alone;
+    ``abs_tol`` applies only to the moduli average's Gauss-Legendre
+    doubling."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-15
@@ -77,37 +72,19 @@ class VolumeEstimate:
 
 def orbit_volume_qubit(metric: MetricKind, radius: float, spec: QuadratureSpec | None = None) -> VolumeEstimate:
     """Unnormalized volume of the two-level orbit region with Bloch
-    radius up to ``radius``: the integral of the simplex density over the
-    larger eigenvalue ``x = (1 + rho)/2`` in [1/2, hi], through
-    ``x = hi - t^2`` so the other eigenvalue ``(1 - hi) + t^2`` stays
-    exact as it reaches 0.
+    radius up to ``radius``: the route of ``orbit_volume_simplex`` at
+    n = 2 on the ordered 1-simplex, cut by the linear form
+    ``((R - 1)/2, (R + 1)/2)``, whose pairing is non-negative where
+    r_1 - r_2 <= R.
 
-    ``drho = 2 dx``; Bures and BKM are further scaled by 1/4, the ratio
-    of the Bloch-radius density to the simplex density, so values equal
-    ``qubit_ball_volume``.  ConvergenceError when scipy's ``quad`` flags
-    a failure and its error estimate misses the tolerances.
+    Values are in the simplex coordinate r_1 = (1 + rho)/2, as at every n:
+    ``qubit_ball_volume`` times 1/2 for HS and times 2 for Bures and BKM
+    (dr_1 = drho/2, and the simplex density of the curved metrics is four
+    times their density in the Bloch radius); ratios are the same.  The
+    default spec is ``QuadratureSpec()``.
     """
     R = _check_bloch_radius(radius)
-    spec = spec or QuadratureSpec()
-    scale = 2.0 if metric is MetricKind.HS else 0.5
-    hi = (1.0 + R) / 2.0
-    base = 1.0 - hi
-
-    def f(t):
-        tt = t * t
-        return _density_from_values(metric, (hi - tt, base + tt)) * 2.0 * t
-
-    # Looked up on every call, so a replaced scipy.integrate.quad is seen.
-    import scipy.integrate
-
-    res = scipy.integrate.quad(f, 0.0, math.sqrt(hi - 0.5), epsabs=spec.abs_tol / scale, epsrel=spec.rel_tol,
-                               limit=_MAX_SUBDIVISIONS, full_output=1)
-    value, abserr = res[0] * scale, res[1] * scale
-    if len(res) == 4 and abserr > max(spec.abs_tol, spec.rel_tol * abs(value)):
-        raise ConvergenceError(
-            f"quadrature stalled: error estimate {abserr:.3e} for value {value:.6e} ({res[3]})"
-        )
-    return VolumeEstimate(max(value, 0.0), 0.0, "quadrature")
+    return _region_volume(metric, 2, ((R - 1.0) / 2.0, (R + 1.0) / 2.0), spec or QuadratureSpec())
 
 
 def orbit_volume_qutrit(
@@ -126,12 +103,9 @@ def orbit_volume_qutrit(
     return orbit_volume_simplex(metric, 3, kernel, spec)
 
 
-@lru_cache(maxsize=32)
 def qutrit_full_volume(metric: MetricKind, spec: QuadratureSpec) -> float:
-    """Full three-level orbit-space volume, cached per metric and spec
-    (it is the zeta-independent denominator of every indicator ratio);
-    equal-valued specs share one entry."""
-    return orbit_volume_qutrit(metric, None, spec).value
+    """Full three-level orbit-space volume: ``simplex_full_volume`` at n = 3."""
+    return simplex_full_volume(metric, 3, spec)
 
 
 # --- general-N simplex integration -----------------------------------------
@@ -320,10 +294,23 @@ def orbit_volume_simplex(
         if kernel.n != n:
             raise DomainError(f"kernel has {kernel.n} levels, expected {n}")
         pi_asc = kernel.values
+    return _region_volume(metric, n, pi_asc, spec or DEFAULT_2D)
+
+
+def _region_volume(metric, n: int, pi_asc, spec: QuadratureSpec) -> VolumeEstimate:
+    """The ordered simplex, or its part where the pairing with ``pi_asc``
+    is non-negative: exact for HS, the collapsed cubature otherwise."""
     if metric is MetricKind.HS:
         return VolumeEstimate(max(_exact_hs_volume(n, pi_asc), 0.0), 0.0, "exact")
-    spec = spec or DEFAULT_2D
     return VolumeEstimate(max(_collapsed_volume(metric, n, pi_asc, spec.rel_tol), 0.0), 0.0, "cubature")
+
+
+@lru_cache(maxsize=32)
+def simplex_full_volume(metric: MetricKind, n: int, spec: QuadratureSpec) -> float:
+    """Full orbit-space volume of ``orbit_volume_simplex``, cached per
+    metric, n and spec (it is the moduli-independent denominator of every
+    indicator ratio); equal-valued specs share one entry."""
+    return orbit_volume_simplex(metric, n, None, spec).value
 
 
 # --- fixed-order Gauss-Legendre with doubling -------------------------------

@@ -11,10 +11,13 @@ where ``c`` is the Morozova-Chentsov weight of the metric: ``2/(x+y)``
 for Bures and ``ln(x/y)/(x-y)`` for BKM.  Normalization constants are
 deliberately never computed -- all consumers take ratios.
 
+One vectorized kernel, ``_density_batch``, evaluates the density for
+every quadrature and cubature; ``log_radial_density`` is its log form for
+the samplers.
+
 For two-level systems everything reduces to one radial coordinate (the
-Bloch radius) and the ball volumes have closed forms, kept here both as
-the fast path and as the oracle the quadrature engines are tested
-against.
+Bloch radius), and the ball volumes have the closed forms that the
+qubit indicator's closed-form path uses.
 """
 
 from __future__ import annotations
@@ -33,70 +36,15 @@ _BKM_SERIES_CUTOFF = 1e-9
 _POSITIVE_BALL_RADIUS = 1.0 / math.sqrt(3.0)
 
 
-def _bures_weight(x: float, y: float) -> float:
+def _bures_weight(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 2.0 / (x + y)
 
 
-def _bkm_weight(x: float, y: float) -> float:
-    diff = x - y
-    if abs(diff) < _BKM_SERIES_CUTOFF * x:
-        d = diff / x
-        return (1.0 + d / 2.0 + d * d / 3.0) / x
-    q = diff / y
-    if q <= -1.0:
-        # x/y is below the float resolution, so log1p(q) would be log(0)
-        return (math.log(x) - math.log(y)) / diff
-    # log1p keeps the quotient accurate as the arguments approach each other
-    return math.log1p(q) / diff
-
-
-_WEIGHTS = {MetricKind.BURES: _bures_weight, MetricKind.BKM: _bkm_weight}
-
-
-def morozova_chentsov(metric: MetricKind, x: float, y: float) -> float:
-    """Morozova-Chentsov weight c(x, y) of the metric for x, y > 0.
-
-    Bures: ``2/(x+y)``.  BKM: ``ln(x/y)/(x-y)`` with the analytic limit
-    ``1/x`` at coinciding arguments, evaluated through a short series in
-    ``(x-y)/x`` below relative separation 1e-9 to avoid cancellation.
-    HS: 1 by convention (the flat metric carries no weight).
-    """
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError(f"Morozova-Chentsov arguments must be positive, got ({x}, {y})")
-    if metric is MetricKind.HS:
-        return 1.0
-    return _WEIGHTS[metric](x, y)
-
-
-def _density_from_values(metric: MetricKind, vals) -> float:
-    """Unnormalized density at an eigenvalue tuple, any order.
-
-    Bures and BKM raise DomainError unless every value is positive.
-    """
-    # The multiplication order (the product, then per pair d*d and the
-    # weight) is kept on purpose: every adaptive quadrature integrates this
-    # function, and _density_batch follows it, so reordering it would move
-    # quadrature results in their last bits.  tests/test_measures.py pins
-    # the bits.
-    if metric is MetricKind.HS:
-        out = 1.0
-        for x, y in combinations(vals, 2):
-            d = x - y
-            out *= d * d
-        return out
-    if min(vals) <= 0.0:
-        raise DomainError("Bures/BKM density requires strictly positive eigenvalues")
-    weight = _WEIGHTS[metric]
-    out = math.prod(vals) ** -0.5
-    for x, y in combinations(vals, 2):
-        d = x - y
-        out *= d * d
-        out *= weight(x, y)
-    return out
-
-
 def _bkm_weight_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``_bkm_weight`` elementwise, with the same three branches."""
+    """BKM weight ``ln(x/y)/(x-y)`` elementwise for x, y > 0: a series in
+    ``(x-y)/x`` with limit ``1/x`` below relative separation 1e-9, ``log1p``
+    above it, and a difference of logs where ``x/y`` is below the float
+    resolution (``log1p`` would be ``log(0)``)."""
     diff = x - y
     q = diff / y
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -112,9 +60,15 @@ def _bkm_weight_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _density_batch(metric: MetricKind, pts: np.ndarray) -> np.ndarray:
-    """``_density_from_values`` for each row of an (m, n) array, with the
-    same multiplication order; the flat-metric values are bit-identical
-    to the scalar ones."""
+    """Unnormalized density at each row of an (m, n) array of eigenvalues,
+    any order; Bures and BKM raise DomainError unless every value is
+    positive.
+
+    The multiplication order (the product, then per pair d*d and the
+    weight, pairs in index order) is kept on purpose: every volume
+    integrates this function, so reordering it would move their last
+    bits.  tests/test_measures.py pins the bits.
+    """
     cols = np.asarray(pts, dtype=float).T
     weight = None
     if metric is MetricKind.HS:
@@ -142,7 +96,7 @@ def radial_density(metric: MetricKind, r: StateSpectrum) -> float:
     positive); the inverse-square-root boundary singularity is
     integrable but not evaluable.  HS accepts any spectrum.
     """
-    return _density_from_values(metric, r.values)
+    return float(_density_batch(metric, np.array([r.values]))[0])
 
 
 def log_radial_density(metric: MetricKind, points: np.ndarray) -> np.ndarray:

@@ -147,6 +147,17 @@ class TestIndicatorCommand:
         )
         assert code == 2
 
+    def test_abs_tol_moves_neither_value_nor_error(self, capsys):
+        # no volume is bounded by an absolute tolerance, at any n
+        argv = ["indicator", "--n", "3", "--metric", "bures", "--zeta", "0.4", "--method", "quad"]
+        code, default, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, loose, _ = run_cli(capsys, *argv, "--abs-tol", "1e-3")
+        assert code == 0
+        default, loose = json.loads(default), json.loads(loose)
+        assert (loose["value"], loose["error"]) == (default["value"], default["error"])
+        assert default["error"] < 1e-3
+
     def test_unreachable_tolerance_is_numerical_failure(self, capsys):
         code, _, err = run_cli(
             capsys, "indicator", "--n", "2", "--metric", "bkm", "--method", "quad",
@@ -408,6 +419,8 @@ commands = [
     ["indicator", "--n", "3", "--metric", "bures", "--zeta", "0.4", "--method", "quad"],
     ["average", "--metric", "bkm"],
     ["minimize", "--metric", "bures"],
+    ["indicator", "--n", "2", "--metric", "bkm", "--method", "quad"],
+    ["reproduce-paper", "--fast"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in commands]
@@ -424,7 +437,7 @@ def test_commands_without_integration_never_import_scipy():
         [sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
-    assert json.loads(proc.stdout) == {"codes": [0] * 8, "scipy": []}
+    assert json.loads(proc.stdout) == {"codes": [0] * 10, "scipy": []}
 
 
 class TestReproduceCommand:

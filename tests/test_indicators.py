@@ -16,7 +16,9 @@ from wignerq import (
     average_indicator,
     closed_indicator,
     global_indicator,
+    kernel_for,
     minimize_indicator,
+    orbit_volume_simplex,
     positivity_curve,
     qubit_positivity_probability,
     qutrit_indicator_closed_form,
@@ -66,8 +68,25 @@ class TestGlobalIndicator:
             global_indicator(MetricKind.HS, 2, ModuliPoint.qutrit(0.1))
 
     def test_quadrature_limited_to_small_n(self):
-        with pytest.raises(DomainError):
-            global_indicator(MetricKind.HS, 4, ModuliPoint.from_direction(4, (1.0, 0.0, 0.0)))
+        with pytest.raises(DomainError, match="up to n = 6"):
+            global_indicator(MetricKind.HS, 7, ModuliPoint.from_direction(7, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)))
+
+    def test_four_level_quadrature_matches_simplex_ratio(self):
+        m = ModuliPoint.from_direction(4, (1.0, 0.0, 0.0))
+        r = global_indicator(MetricKind.HS, 4, m)
+        assert r.method == "quadrature"
+        positive = orbit_volume_simplex(MetricKind.HS, 4, kernel_for(m)).value
+        assert r.value == pytest.approx(positive / orbit_volume_simplex(MetricKind.HS, 4).value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("metric", [MetricKind.HS, MetricKind.BURES], ids=lambda m: m.value)
+    def test_four_level_quadrature_matches_weighted_sampler(self, metric):
+        # an estimator that shares no code with the cubature: 4e5 weighted
+        # draws, within 3 standard errors
+        m = ModuliPoint.from_direction(4, (1.0, 0.0, 0.0))
+        quad = global_indicator(metric, 4, m)
+        mc = global_indicator(metric, 4, m, McSpec(samples=400_000, seed=13), sampler="weighted")
+        assert mc.meta["sampler"] == "weighted"
+        assert abs(quad.value - mc.value) < 3.0 * mc.error
 
     def test_monte_carlo_spec_selects_mc_path(self):
         r = global_indicator(MetricKind.HS, 2, spec=McSpec(samples=100_000, seed=21))
@@ -85,7 +104,7 @@ class TestGlobalIndicator:
 
     def test_mc_zero_hits_reports_wilson_bound(self):
         # no draw lands in this kernel's positive region (exact HS fraction
-        # about 1e-17), so the binomial error is 0; the far end of the z = 1
+        # 5.0e-8), so the binomial error is 0; the far end of the z = 1
         # Wilson interval, 1/(m + 1), is reported instead
         m = ModuliPoint.from_direction(4, (1.0, 0.0, 0.0))
         r = global_indicator(MetricKind.HS, 4, m, McSpec(20_000, seed=1))

@@ -4,18 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from density_reference import density_reference, weight_reference
 from scipy import integrate
 
 from wignerq import (
     DomainError,
     MetricKind,
     StateSpectrum,
-    morozova_chentsov,
     positive_ball_radius,
     qubit_ball_volume,
     radial_density,
 )
-from wignerq.measures import _density_batch, _density_from_values, log_radial_density
+from wignerq.measures import _bkm_weight_batch, _bures_weight, _density_batch, log_radial_density
 
 SQRT3 = math.sqrt(3.0)
 
@@ -28,41 +28,47 @@ NEAR_CUTOFF = (0.5e-9, 2e-9)
 #: rho*artanh(rho)/sqrt(1-rho^2) (BKM).
 BLOCH_FACTOR = {MetricKind.HS: 1.0, MetricKind.BURES: 4.0, MetricKind.BKM: 4.0}
 
+#: The density kernel's Morozova-Chentsov weight functions (arrays in, arrays out).
+BATCH_WEIGHT = {MetricKind.BURES: _bures_weight, MetricKind.BKM: _bkm_weight_batch}
+
 
 def _bloch_density(metric, rho):
     """Two-level density in the Bloch radius, from the shared simplex density."""
     return radial_density(metric, StateSpectrum.qubit(rho)) / BLOCH_FACTOR[metric]
 
 
-def _weight_reference(metric, x, y):
-    """The Morozova-Chentsov weight as first written, one formula per metric."""
-    if metric is MetricKind.BURES:
-        return 2.0 / (x + y)
-    d = (x - y) / x
-    if abs(x - y) < 1e-9 * x:
-        return (1.0 + d / 2.0 + d * d / 3.0) / x
-    return math.log1p((x - y) / y) / (x - y)
+def _weight(metric, x, y):
+    """The kernel's weight at one pair; each value must also agree with the
+    reference formula's, to numpy's log against the math module's (a few ulps)."""
+    w = float(BATCH_WEIGHT[metric](np.array([x]), np.array([y]))[0])
+    assert w == pytest.approx(weight_reference(metric, x, y), rel=4e-15, abs=0.0)
+    return w
 
 
-def _density_reference(metric, vals):
-    """The density loop as first written: the product, then each pair's
-    squared difference and its weight, multiplied in index order.  Each
-    weight from morozova_chentsov must also equal _weight_reference."""
-    n = len(vals)
-    out = 1.0
-    if metric is not MetricKind.HS:
-        prod = 1.0
-        for v in vals:
-            prod *= v
-        out = prod ** -0.5
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = vals[i] - vals[j]
-            out *= d * d
-            if metric is not MetricKind.HS:
-                w = morozova_chentsov(metric, vals[i], vals[j])
-                assert w == _weight_reference(metric, vals[i], vals[j])
-                out *= w
+def _numpy_pair_loop(metric, rows):
+    """The density of each row written out in numpy, one pair at a time:
+    the product of the entries to the power -1/2 (Bures, BKM), then each
+    pair's squared difference and its weight, multiplied in index order."""
+    cols = np.asarray(rows, dtype=float).T
+    if metric is MetricKind.HS:
+        out = np.ones(cols.shape[1])
+    else:
+        out = cols[0].copy()
+        for x in cols[1:]:
+            out = out * x
+        out = out ** -0.5
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            x, y = cols[i], cols[j]
+            diff = x - y
+            out = out * (diff * diff)
+            if metric is MetricKind.BURES:
+                out = out * (2.0 / (x + y))
+            elif metric is MetricKind.BKM:
+                d = diff / x
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    w = np.where(diff / y <= -1.0, (np.log(x) - np.log(y)) / diff, np.log1p(diff / y) / diff)
+                out = out * np.where(np.abs(diff) < 1e-9 * x, (1.0 + d / 2.0 + d * d / 3.0) / x, w)
     return out
 
 
@@ -81,50 +87,53 @@ def _density_points(rng):
 
 class TestMorozovaChentsov:
     def test_bures(self):
-        assert morozova_chentsov(MetricKind.BURES, 1.0, 3.0) == pytest.approx(0.5, abs=1e-15)
+        assert _weight(MetricKind.BURES, 1.0, 3.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_bkm_equal_arguments_limit(self):
-        assert morozova_chentsov(MetricKind.BKM, 2.0, 2.0) == pytest.approx(0.5, abs=1e-15)
+        assert _weight(MetricKind.BKM, 2.0, 2.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_bkm_generic(self):
-        v = morozova_chentsov(MetricKind.BKM, math.e, 1.0)
+        v = _weight(MetricKind.BKM, math.e, 1.0)
         assert v == pytest.approx(1.0 / (math.e - 1.0), rel=1e-14)
         assert v == pytest.approx(0.58198, abs=1e-5)
 
     def test_hs_is_flat(self):
-        assert morozova_chentsov(MetricKind.HS, 0.2, 0.9) == 1.0
+        # the flat density carries no weight: only the squared difference
+        assert _density_batch(MetricKind.HS, np.array([[0.2, 0.9]]))[0] == (0.2 - 0.9) ** 2
 
     def test_positive_arguments_required(self):
-        with pytest.raises(DomainError):
-            morozova_chentsov(MetricKind.BURES, 0.0, 1.0)
+        for metric in (MetricKind.BURES, MetricKind.BKM):
+            with pytest.raises(DomainError):
+                _density_batch(metric, np.array([[0.0, 1.0]]))
 
     def test_symmetry(self, rng, metric):
         for _ in range(100):
             x, y = rng.uniform(1e-6, 2.0, 2)
-            assert morozova_chentsov(metric, x, y) == pytest.approx(
-                morozova_chentsov(metric, y, x), rel=1e-12
-            )
+            pair, swapped = _density_batch(metric, np.array([[x, y], [y, x]]))
+            assert pair == pytest.approx(swapped, rel=1e-12)
+            if metric is not MetricKind.HS:
+                assert _weight(metric, x, y) == pytest.approx(_weight(metric, y, x), rel=1e-12)
 
     def test_bkm_series_branch_is_continuous(self):
         x = 0.7
-        below = morozova_chentsov(MetricKind.BKM, x, x * (1 - 0.99e-9))
-        above = morozova_chentsov(MetricKind.BKM, x, x * (1 - 1.01e-9))
+        below = _weight(MetricKind.BKM, x, x * (1 - 0.99e-9))
+        above = _weight(MetricKind.BKM, x, x * (1 - 1.01e-9))
         assert below == pytest.approx(above, rel=1e-10)
         assert below == pytest.approx(1 / x, rel=1e-9)
         # both branches against a log1p oracle
         for y in (x * (1 - 0.5e-9), x * (1 - 2e-9), x * (1 - 1e-5)):
             oracle = math.log1p((x - y) / y) / (x - y)
-            assert morozova_chentsov(MetricKind.BKM, x, y) == pytest.approx(oracle, rel=1e-10)
+            assert _weight(MetricKind.BKM, x, y) == pytest.approx(oracle, rel=1e-10)
 
     @pytest.mark.parametrize("ratio", [1e-17, 1e-300])
     def test_bkm_widely_separated_arguments(self, ratio):
         # (x - y)/y rounds to -1 once x/y is below the float resolution
         x, y = ratio, 1.0
         expected = math.log(x / y) / (x - y)
-        assert morozova_chentsov(MetricKind.BKM, x, y) == pytest.approx(expected, rel=1e-14)
-        assert morozova_chentsov(MetricKind.BKM, y, x) == pytest.approx(expected, rel=1e-14)
-        low_first = _density_from_values(MetricKind.BKM, (x, y))
-        assert low_first == pytest.approx(_density_from_values(MetricKind.BKM, (y, x)), rel=1e-14)
+        assert _weight(MetricKind.BKM, x, y) == pytest.approx(expected, rel=1e-14)
+        assert _weight(MetricKind.BKM, y, x) == pytest.approx(expected, rel=1e-14)
+        low_first, high_first = _density_batch(MetricKind.BKM, np.array([[x, y], [y, x]]))
+        assert low_first == pytest.approx(high_first, rel=1e-14)
 
 
 class TestRadialDensity:
@@ -184,27 +193,31 @@ class TestRadialDensity:
 
 class TestDensityKernel:
     def test_bits_match_per_pair_loop(self, rng, metric):
-        # every quadrature integrates this kernel: its bits must not move
+        # every volume integrates this kernel: its bits must not move
+        by_n = {}
         for vals in _density_points(rng):
-            assert _density_from_values(metric, vals) == _density_reference(metric, vals)
+            by_n.setdefault(len(vals), []).append(vals)
+        by_n[2].append((1e-17, 1.0))  # BKM: x/y below the float resolution
+        for rows in by_n.values():
+            assert np.array_equal(_density_batch(metric, np.array(rows)), _numpy_pair_loop(metric, rows))
 
     def test_zero_last_entry(self):
         vals = (0.5, 0.3, 0.2, 0.0)
-        assert _density_from_values(MetricKind.HS, vals) == _density_reference(MetricKind.HS, vals)
+        assert _density_batch(MetricKind.HS, np.array([vals]))[0] == density_reference(MetricKind.HS, vals)
         for metric in (MetricKind.BURES, MetricKind.BKM):
             with pytest.raises(DomainError):
-                _density_from_values(metric, vals)
+                _density_batch(metric, np.array([vals]))
 
     def test_batch_matches_scalar(self, rng, metric):
-        # same multiplication order: flat values are bit-identical, the
-        # others differ by numpy's pow and log, a few ulps
+        # against the math-module reference: flat values are bit-identical,
+        # the others differ by numpy's pow and log, a few ulps
         by_n = {}
         for vals in _density_points(rng):
             by_n.setdefault(len(vals), []).append(vals)
         by_n[2].append((1e-17, 1.0))  # BKM: x/y below the float resolution
         for rows in by_n.values():
             batch = _density_batch(metric, np.array(rows))
-            scalar = np.array([_density_from_values(metric, vals) for vals in rows])
+            scalar = np.array([density_reference(metric, vals) for vals in rows])
             if metric is MetricKind.HS:
                 assert np.array_equal(batch, scalar)
             else:
@@ -214,10 +227,10 @@ class TestDensityKernel:
                 _density_batch(metric, np.array([[0.5, 0.3, 0.2, 0.0]]))
 
     def test_agrees_with_batch_log_density(self, rng, metric):
-        # the scalar and the batch kernel encode the BKM series separately
+        # the density kernel and its log form encode the BKM series separately
         for vals in _density_points(rng):
             batch = log_radial_density(metric, np.array([vals]))[0]
-            scalar = math.log(_density_from_values(metric, vals))
+            scalar = math.log(density_reference(metric, vals))
             assert abs(scalar - batch) <= 1e-12 * max(1.0, abs(batch))
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
+from density_reference import density_reference
 
 from wignerq import (
     ConvergenceError,
@@ -28,11 +29,19 @@ from wignerq import (
 )
 from wignerq.integrate import DEFAULT_2D, gauss_legendre_doubling, qutrit_full_volume
 from wignerq.integrate import quadrature
-from wignerq.integrate.quadrature import _collapsed_volume, _cut_pieces, _exact_hs_volume, _gm_rule
-from wignerq.measures import _density_from_values
+from wignerq.integrate.quadrature import (
+    _collapsed_volume,
+    _cut_pieces,
+    _exact_hs_volume,
+    _gm_rule,
+    simplex_full_volume,
+)
 from wignerq.spectra import qutrit_ray
 
 SQRT3 = math.sqrt(3.0)
+
+#: Two-level volumes in the simplex coordinate r_1 over ``qubit_ball_volume``.
+QUBIT_UNIT = {MetricKind.HS: 0.5, MetricKind.BURES: 2.0, MetricKind.BKM: 2.0}
 
 
 def _polar_volume(metric, zeta):
@@ -61,7 +70,7 @@ def _polar_volume(metric, zeta):
 
         def f(u):
             r = b * (1.0 - u * u)
-            return _density_from_values(metric, eigs(r, k * (gap0 + b * u * u))) * r * 2.0 * b * u
+            return density_reference(metric, eigs(r, k * (gap0 + b * u * u))) * r * 2.0 * b * u
 
         return quad(f, 1.0, 2.5e-8, 2.5e-16)
 
@@ -86,24 +95,24 @@ class TestQubitVolumes:
     def test_hs_unit_ball(self):
         v = orbit_volume_qubit(MetricKind.HS, 1.0)
         assert v.std_error == 0.0
-        assert v.method == "quadrature"
-        assert v.value == pytest.approx(1 / 3, rel=1e-8)
+        assert v.method == "exact"
+        assert v.value == pytest.approx(1 / 3 * QUBIT_UNIT[MetricKind.HS], rel=1e-8)
 
     def test_bures_positive_ball(self):
         # frozen from the antiderivative at 1/sqrt(3)
         expected = (math.asin(1 / SQRT3) - math.sqrt(2) / 3) / 2
         assert expected == pytest.approx(0.0720376, abs=1e-7)
         v = orbit_volume_qubit(MetricKind.BURES, 1 / SQRT3)
-        assert v.value == pytest.approx(expected, rel=1e-8)
+        assert v.value == pytest.approx(expected * QUBIT_UNIT[MetricKind.BURES], rel=1e-8)
 
     def test_bkm_unit_ball_endpoint_singularity(self):
         v = orbit_volume_qubit(MetricKind.BKM, 1.0)
-        assert v.value == pytest.approx(math.pi / 2, rel=1e-8)
+        assert v.value == pytest.approx(math.pi / 2 * QUBIT_UNIT[MetricKind.BKM], rel=1e-8)
 
     def test_matches_closed_forms_on_grid(self, metric):
         for radius in (0.2, 1 / SQRT3, 0.9, 1.0):
             v = orbit_volume_qubit(metric, radius)
-            assert v.value == pytest.approx(qubit_ball_volume(metric, radius), rel=1e-8)
+            assert v.value == pytest.approx(qubit_ball_volume(metric, radius) * QUBIT_UNIT[metric], rel=1e-8)
 
     def test_zero_radius(self, metric):
         assert orbit_volume_qubit(metric, 0.0).value == 0.0
@@ -116,12 +125,13 @@ class TestQubitVolumes:
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
         with pytest.raises(ConvergenceError) as err:
             orbit_volume_qubit(MetricKind.BKM, 1.0, spec)
-        # the message carries the stalled integral's value and error estimate
-        found = re.search(r"error estimate (\S+) for value (\S+) ", str(err.value))
+        # the message carries the last cubature value and its change
+        found = re.search(r"value (\S+), last change (\S+)$", str(err.value))
         assert found is not None
-        assert math.isfinite(float(found[1])) and float(found[2]) > 0.0
-        # the value is the volume asked for, not the unscaled edge integral
-        assert float(found[2]) == pytest.approx(math.pi / 2, rel=1e-6, abs=0.0)
+        assert math.isfinite(float(found[2])) and float(found[1]) > 0.0
+        # the value is the volume asked for, in the function's own units
+        assert float(found[1]) == pytest.approx(math.pi, rel=1e-6, abs=0.0)
+        assert float(found[1]) == pytest.approx(orbit_volume_qubit(MetricKind.BKM, 1.0).value, rel=1e-6, abs=0.0)
 
 
 class TestQutritVolumes:
@@ -136,14 +146,18 @@ class TestQutritVolumes:
 
     def test_full_volume_cache_shared_by_equal_specs(self):
         # the cache keys on the arguments as passed, so the spec has no
-        # default that could make a second entry; equal-valued specs are one
+        # default that could make a second entry; equal-valued specs are
+        # one, and the three-level volume is the n = 3 entry
         first = qutrit_full_volume(MetricKind.HS, DEFAULT_2D)
-        hits = qutrit_full_volume.cache_info().hits
-        again = qutrit_full_volume(MetricKind.HS, QuadratureSpec(rel_tol=1e-7))
-        assert qutrit_full_volume.cache_info().hits == hits + 1
+        hits = simplex_full_volume.cache_info().hits
+        again = simplex_full_volume(MetricKind.HS, 3, QuadratureSpec(rel_tol=1e-7))
+        assert simplex_full_volume.cache_info().hits == hits + 1
         assert again.hex() == first.hex()
+        assert again.hex() == orbit_volume_simplex(MetricKind.HS, 3, None, DEFAULT_2D).value.hex()
         with pytest.raises(TypeError):
             qutrit_full_volume(MetricKind.HS)
+        with pytest.raises(TypeError):
+            simplex_full_volume(MetricKind.HS, 3)
 
     def test_full_volume_self_convergence(self, metric):
         # halving the tolerance moves the value by less than the tolerance
@@ -175,7 +189,7 @@ class TestQutritVolumes:
         for r in np.linspace(0.05, 0.28, 20):
             for phi in np.linspace(0.1, math.pi - 0.1, 20):
                 k, eigs = qutrit_ray(phi)
-                density = _density_from_values(MetricKind.HS, eigs(r, 1 / 3 - k * r))
+                density = density_reference(MetricKind.HS, eigs(r, 1 / 3 - k * r))
                 ratios.append(density * r / (r**7 * math.sin(phi) ** 2))
         ratios = np.array(ratios)
         assert np.ptp(ratios) / ratios.mean() < 1e-10
@@ -302,8 +316,11 @@ class TestSimplexVolumes:
     def test_simplex_route_never_imports_scipy(self):
         script = (
             "import sys\n"
-            "from wignerq import MetricKind, orbit_volume_simplex, qutrit_kernel_spectrum\n"
+            "from wignerq import MetricKind, orbit_volume_qubit, orbit_volume_simplex, qubit_kernel_spectrum,"
+            " qutrit_kernel_spectrum\n"
             "for m in MetricKind:\n"
+            "    orbit_volume_qubit(m, 0.9)\n"
+            "    orbit_volume_simplex(m, 2, qubit_kernel_spectrum())\n"
             "    orbit_volume_simplex(m, 3, qutrit_kernel_spectrum(0.5))\n"
             "    orbit_volume_simplex(m, 4)\n"
             "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
