@@ -21,7 +21,6 @@ from .indicators import (
 )
 from .integrate import (
     McSpec,
-    McmcResult,
     QuadratureSpec,
     VolumeEstimate,
     orbit_volume_qubit,
@@ -37,21 +36,12 @@ from .measures import (
     qubit_ball_volume,
     radial_density,
 )
-from .positivity import (
-    BlochVector,
-    min_wigner_value,
-    qubit_wigner,
-    qutrit_orbit_bound,
-    qutrit_positivity_bound,
-)
+from .positivity import min_wigner_value
 from .spectra import (
     KernelSpectrum,
     MetricKind,
     ModuliPoint,
-    QutritPolar,
     StateSpectrum,
-    polar_from_spectrum,
-    spectrum_from_polar,
 )
 from .sw_kernel import (
     kernel_for,
@@ -64,17 +54,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AVERAGED",
-    "BlochVector",
     "ConvergenceError",
     "DomainError",
     "IndicatorResult",
     "KernelSpectrum",
     "McSpec",
-    "McmcResult",
     "MetricKind",
     "ModuliPoint",
     "QuadratureSpec",
-    "QutritPolar",
     "StateSpectrum",
     "VolumeEstimate",
     "average_indicator",
@@ -87,21 +74,16 @@ __all__ = [
     "orbit_volume_qubit",
     "orbit_volume_qutrit",
     "orbit_volume_simplex",
-    "polar_from_spectrum",
     "positive_ball_radius",
     "positivity_curve",
     "qubit_ball_volume",
     "qubit_kernel_spectrum",
     "qubit_positivity_probability",
-    "qubit_wigner",
     "qutrit_indicator_closed_form",
     "qutrit_kernel_spectrum",
-    "qutrit_orbit_bound",
-    "qutrit_positivity_bound",
     "radial_density",
     "sample_bures_spectra",
     "sample_hs_spectra",
     "sample_mcmc_spectra",
     "sample_weighted_spectra",
-    "spectrum_from_polar",
 ]

@@ -46,6 +46,12 @@ _SAMPLE_MAX_N = 256
 _SAMPLE_MAX_VALUES = 10**7
 #: Cap on ``--workers``: the per-worker job lists grow with it.
 _MAX_WORKERS = 256
+#: Cap on ``--samples`` of the Monte Carlo commands: every spectrum is
+#: held in memory at once, and the weighted BKM sampler at n = 3 (the
+#: command line's largest n) peaks near 120 bytes per sample.
+_MC_MAX_SAMPLES = 2 * 10**7
+#: Cap on ``curve --points``: the table is built whole before it is written.
+_CURVE_MAX_POINTS = 10**6
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$",
@@ -125,6 +131,8 @@ def _quad_spec(args, metric: MetricKind, minimize: bool = False) -> QuadratureSp
 def _mc_spec(args) -> McSpec:
     if args.workers > _MAX_WORKERS:
         raise DomainError(f"--workers is capped at {_MAX_WORKERS}")
+    if args.samples > _MC_MAX_SAMPLES:
+        raise DomainError(f"--samples is capped at {_MC_MAX_SAMPLES:,}")
     return McSpec(samples=args.samples, seed=args.seed, workers=args.workers)
 
 
@@ -184,8 +192,8 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    if args.points < 1:
-        raise DomainError("--points must be at least 1")
+    if not 1 <= args.points <= _CURVE_MAX_POINTS:
+        raise DomainError(f"--points must lie in [1, {_CURVE_MAX_POINTS:,}]")
     radii = np.linspace(0.0, 1.0, args.points)
     rows = positivity_curve(radii)
     payload = {

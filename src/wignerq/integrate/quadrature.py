@@ -45,8 +45,8 @@ class QuadratureSpec:
     abs_tol: float = 1e-15
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise DomainError("quadrature tolerances must be positive")
+        if not all(math.isfinite(t) and t > 0.0 for t in (self.rel_tol, self.abs_tol)):
+            raise DomainError("quadrature tolerances must be finite and positive")
 
 
 #: Default tolerances for two-dimensional work; one-dimensional work

@@ -123,13 +123,7 @@ def log_radial_density(metric: MetricKind, points: np.ndarray) -> np.ndarray:
                 if metric is MetricKind.BURES:
                     out += math.log(2.0) - np.log(a + b)
                 elif metric is MetricKind.BKM:
-                    hi = np.maximum(a, b)
-                    lo = np.minimum(a, b)
-                    near = d < _BKM_SERIES_CUTOFF * hi
-                    s = (hi - lo) / hi
-                    series = (1.0 + s / 2.0 + s * s / 3.0) / hi
-                    ratio = np.log1p(d / lo) / np.where(near, 1.0, d)
-                    out += np.log(np.where(near, series, ratio))
+                    out += np.log(_bkm_weight_batch(np.maximum(a, b), np.minimum(a, b)))
     out = np.where(interior, out, -np.inf)
     return np.where(np.isnan(out), -np.inf, out)
 

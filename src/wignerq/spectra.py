@@ -13,8 +13,9 @@ only, so the central objects are small immutable tuples:
   family admitted for an N-level system.  For N=2 the kernel is unique,
   for N=3 a single apex angle ``zeta`` in [0, pi/3] remains, and for
   larger N a unit direction on the kernel sphere is used.
-* ``QutritPolar`` -- polar coordinates (r, phi) on the qutrit orbit
-  space, the parametrization in which all qutrit integrals are done.
+
+Every volume is integrated in the simplex coordinates of the
+``StateSpectrum`` values (``wignerq.integrate.quadrature``).
 
 All types are immutable values and safe to share between threads.
 """
@@ -132,27 +133,6 @@ class KernelSpectrum:
 
 
 @dataclass(frozen=True)
-class QutritPolar:
-    """Polar coordinates (r, phi) on the three-level orbit space.
-
-    ``r`` is the distance from the maximally mixed state in the
-    eigenvalue plane (up to a fixed scale), ``phi`` in [0, pi] selects
-    the direction inside the ordered wedge.
-    """
-
-    r: float
-    phi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "phi", float(self.phi))
-        if self.r < 0.0:
-            raise DomainError(f"radius {self.r!r} must be non-negative")
-        if not -ALGEBRAIC_TOL <= self.phi <= math.pi + ALGEBRAIC_TOL:
-            raise DomainError(f"angle {self.phi!r} outside [0, pi]")
-
-
-@dataclass(frozen=True)
 class ModuliPoint:
     """Label of one Wigner representation of an N-level system.
 
@@ -200,60 +180,3 @@ class ModuliPoint:
     @classmethod
     def from_direction(cls, n: int, direction) -> "ModuliPoint":
         return cls(n, direction=_as_float_tuple(direction))
-
-
-def qutrit_ray(phi: float):
-    """Eigenvalue map of the three-level polar ray ``phi`` in [0, pi].
-
-    Returns ``(k, eigs)``: ``eigs(r, e3)`` is the descending triple at
-    radius ``r``, whose smallest entry ``e3 = 1/3 - k*r`` is ``k`` times
-    the distance from the orbit boundary.  Callers that know that
-    distance without cancellation pass it in and keep full accuracy.
-    """
-    psi = phi / 3.0
-    c = math.cos(psi)
-    s = math.sin(psi)
-
-    def eigs(r, e3):
-        rc = (r / _SQRT3) * c
-        return (1.0 / 3.0 + rc + r * s, 1.0 / 3.0 + rc - r * s, e3)
-
-    return 2.0 * c / _SQRT3, eigs
-
-
-def spectrum_from_polar(p: QutritPolar) -> StateSpectrum:
-    """Three eigenvalues of the state at polar point (r, phi), from
-    ``qutrit_ray``; for phi in [0, pi] they come out descending.
-
-    Raises ``DomainError`` when the point lies outside the orbit space,
-    i.e. when the smallest eigenvalue is negative beyond tolerance.
-    """
-    k, eigs = qutrit_ray(p.phi)
-    vals = eigs(p.r, 1.0 / 3.0 - k * p.r)
-    if min(vals) < -ALGEBRAIC_TOL:
-        raise DomainError(
-            f"polar point (r={p.r!r}, phi={p.phi!r}) lies outside the orbit space"
-        )
-    return StateSpectrum(vals)
-
-
-def polar_from_spectrum(s: StateSpectrum) -> QutritPolar:
-    """Polar coordinates of a three-level spectrum; inverse of
-    ``spectrum_from_polar`` on the orbit space.
-
-    Uses the linear projections ``r*sin(phi/3) = (r1 - r2)/2`` and
-    ``r*cos(phi/3) = sqrt(3)*(1/3 - r3)/2``, so the inversion is well
-    conditioned everywhere except the center, which is canonicalized
-    to (r=0, phi=0).
-    """
-    if s.n != 3:
-        raise DomainError("polar coordinates are defined for three-level spectra")
-    r1, r2, r3 = s.values
-    y = (r1 - r2) / 2.0
-    x = _SQRT3 * (1.0 / 3.0 - r3) / 2.0
-    r = math.hypot(x, y)
-    if r < ALGEBRAIC_TOL:
-        return QutritPolar(0.0, 0.0)
-    phi = 3.0 * math.atan2(y, x)
-    phi = min(max(phi, 0.0), math.pi)
-    return QutritPolar(r, phi)

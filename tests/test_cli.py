@@ -158,6 +158,16 @@ class TestIndicatorCommand:
         assert (loose["value"], loose["error"]) == (default["value"], default["error"])
         assert default["error"] < 1e-3
 
+    @pytest.mark.parametrize("flag, value", [("--rel-tol", "nan"), ("--rel-tol", "inf"), ("--abs-tol", "nan")])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "indicator", "--n", "3", "--metric", "hs", "--zeta", "0.4", "--method", "quad",
+            flag, value
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite and positive" in err
+
     def test_unreachable_tolerance_is_numerical_failure(self, capsys):
         code, _, err = run_cli(
             capsys, "indicator", "--n", "2", "--metric", "bkm", "--method", "quad",
@@ -240,6 +250,18 @@ class TestCurveCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_points_above_cap_rejected_before_running(self, capsys, monkeypatch):
+        from wignerq import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the curve was computed")
+
+        monkeypatch.setattr(cli, "positivity_curve", never)
+        code, out, err = run_cli(capsys, "curve", "--points", str(cli._CURVE_MAX_POINTS + 1))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "1,000,000" in err
 
 
 class TestSampleCommand:
@@ -404,6 +426,28 @@ def test_workers_above_cap_rejected_before_running(capsys, monkeypatch, runner, 
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "--workers is capped at 256" in err
+
+
+@pytest.mark.parametrize(
+    "runner, argv",
+    [
+        ("global_indicator", ["indicator", "--metric", "bkm", "--n", "3", "--zeta", "0.4", "--method", "mc"]),
+        ("global_indicator", ["indicator", "--metric", "hs", "--n", "2", "--method", "mc"]),
+        ("_reproduce_checks", ["reproduce-paper"]),
+    ],
+    ids=["indicator-bkm", "indicator-hs", "reproduce-paper"],
+)
+def test_samples_above_cap_rejected_before_running(capsys, monkeypatch, runner, argv):
+    from wignerq import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the Monte Carlo work ran")
+
+    monkeypatch.setattr(cli, runner, never)
+    code, out, err = run_cli(capsys, *argv, "--samples", str(cli._MC_MAX_SAMPLES + 1))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--samples is capped at 20,000,000" in err
 
 
 _NO_SCIPY_SCRIPT = """

@@ -227,10 +227,22 @@ class TestDensityKernel:
                 _density_batch(metric, np.array([[0.5, 0.3, 0.2, 0.0]]))
 
     def test_agrees_with_batch_log_density(self, rng, metric):
-        # the density kernel and its log form encode the BKM series separately
-        for vals in _density_points(rng):
+        # the log form takes its BKM weight from the density kernel; the
+        # extra rows tie the first two entries exactly and to 1e-12
+        ties = []
+        for n in range(2, 6):
+            vals = rng.dirichlet(np.ones(n))
+            for rel in (0.0, 1e-12):
+                tie = vals.copy()
+                tie[1] = tie[0] * (1.0 - rel)
+                ties.append(tuple(tie.tolist()))
+        for vals in [*_density_points(rng), *ties]:
             batch = log_radial_density(metric, np.array([vals]))[0]
-            scalar = math.log(density_reference(metric, vals))
+            density = density_reference(metric, vals)
+            if density == 0.0:
+                assert batch == -np.inf
+                continue
+            scalar = math.log(density)
             assert abs(scalar - batch) <= 1e-12 * max(1.0, abs(batch))
 
 

@@ -7,25 +7,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from polar_reference import qutrit_orbit_bound, qutrit_positivity_bound, spectrum_from_polar
 
 from wignerq import (
-    BlochVector,
     DomainError,
-    KernelSpectrum,
-    QutritPolar,
     StateSpectrum,
     min_wigner_value,
     qubit_kernel_spectrum,
-    qubit_wigner,
     qutrit_kernel_spectrum,
-    qutrit_orbit_bound,
-    qutrit_positivity_bound,
-    spectrum_from_polar,
 )
 from wignerq.positivity import DEFAULT_CONE_TOL
 from wignerq.sw_kernel import kernel_spectrum_from_direction, traceless_basis
 
 SQRT3 = math.sqrt(3.0)
+
+
+def qubit_wigner(xi, n):
+    """Two-level Wigner function of Bloch vector xi at the unit 3-vector n."""
+    return 0.5 + (SQRT3 / 2) * float(np.dot(xi, n))
 
 
 class TestMinWignerValue:
@@ -87,7 +86,7 @@ class TestPositiveCone:
     def test_qutrit_sign_matches_radial_inequality(self):
         zeta = math.pi / 6
         k = qutrit_kernel_spectrum(zeta)
-        s = spectrum_from_polar(QutritPolar(0.1, math.pi / 2))
+        s = StateSpectrum(spectrum_from_polar(0.1, math.pi / 2))
         expected = 0.1 <= qutrit_positivity_bound(math.pi / 2, zeta)
         assert (min_wigner_value(s, k) >= -DEFAULT_CONE_TOL) == expected
 
@@ -119,14 +118,8 @@ class TestQutritBounds:
 
     def test_orbit_bound_hits_simplex_boundary(self, rng):
         for phi in rng.uniform(0.0, math.pi, 100):
-            s = spectrum_from_polar(QutritPolar(qutrit_orbit_bound(phi), phi))
+            s = StateSpectrum(spectrum_from_polar(qutrit_orbit_bound(phi), phi))
             assert s.values[2] == pytest.approx(0.0, abs=1e-12)
-
-    def test_orbit_bound_domain(self):
-        with pytest.raises(DomainError):
-            qutrit_orbit_bound(-0.1)
-        with pytest.raises(DomainError):
-            qutrit_orbit_bound(math.pi + 0.1)
 
     def test_positivity_bound_value(self):
         assert qutrit_positivity_bound(math.pi, math.pi / 6) == pytest.approx(1 / 6, abs=1e-15)
@@ -136,63 +129,40 @@ class TestQutritBounds:
             b = qutrit_positivity_bound(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 3))
             assert b > 0.0
 
-    def test_positivity_bound_domain(self):
-        with pytest.raises(DomainError):
-            qutrit_positivity_bound(4.0, 0.1)
-        with pytest.raises(DomainError):
-            qutrit_positivity_bound(1.0, 2.0)
-
     def test_boundary_states_have_zero_minimum(self):
         # on the positivity boundary the minimal Wigner value vanishes
         worst = 0.0
         for phi in np.linspace(0.0, math.pi, 50):
             for zeta in np.linspace(0.0, math.pi / 3, 50):
                 r = min(qutrit_positivity_bound(phi, zeta), qutrit_orbit_bound(phi))
-                s = spectrum_from_polar(QutritPolar(r, phi))
+                s = StateSpectrum(spectrum_from_polar(r, phi))
                 worst = max(worst, abs(min_wigner_value(s, qutrit_kernel_spectrum(zeta))))
         assert worst < 1e-10
 
 
 class TestQubitWigner:
     def test_maximally_mixed_is_flat(self, rng):
-        xi = BlochVector((0.0, 0.0, 0.0))
+        xi = (0.0, 0.0, 0.0)
         for _ in range(20):
             n = rng.standard_normal(3)
             n /= np.linalg.norm(n)
             assert qubit_wigner(xi, n) == pytest.approx(0.5, abs=1e-14)
 
     def test_antipodal_point_of_pure_state(self):
-        v = qubit_wigner(BlochVector((0.0, 0.0, 1.0)), (0.0, 0.0, -1.0))
+        v = qubit_wigner((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
         assert v == pytest.approx((1 - SQRT3) / 2, abs=1e-14)
         s = StateSpectrum((1.0, 0.0))
         assert v == pytest.approx(min_wigner_value(s, qubit_kernel_spectrum()), abs=1e-14)
 
     def test_sphere_minimum_matches_pairing(self, rng):
         # Monte Carlo minimum over the sphere approaches the pairing value
-        xi = BlochVector((0.3, -0.5, 0.4))
+        xi = np.array((0.3, -0.5, 0.4))
         ns = rng.standard_normal((10_000, 3))
         ns /= np.linalg.norm(ns, axis=1, keepdims=True)
-        values = 0.5 + (SQRT3 / 2) * ns @ np.array(xi.xi)
-        pairing = min_wigner_value(xi.spectrum(), qubit_kernel_spectrum())
+        values = 0.5 + (SQRT3 / 2) * ns @ xi
+        pairing = min_wigner_value(StateSpectrum.qubit(np.linalg.norm(xi)), qubit_kernel_spectrum())
         assert values.min() >= pairing - 1e-12
         assert values.min() == pytest.approx(pairing, abs=1e-3)
-
-    def test_non_unit_point_rejected(self):
-        with pytest.raises(DomainError):
-            qubit_wigner(BlochVector((0.0, 0.0, 0.5)), (0.0, 0.0, 0.9))
-
-
-class TestBlochVector:
-    def test_outside_ball_rejected(self):
-        with pytest.raises(DomainError):
-            BlochVector((1.0, 0.5, 0.0))
-
-    def test_spectrum(self):
-        s = BlochVector((0.0, 0.6, 0.0)).spectrum()
-        assert s.values == pytest.approx((0.8, 0.2), abs=1e-14)
-
-    def test_roundoff_outside_unit_sphere_is_a_pure_state(self):
-        assert BlochVector((1.0 + 1e-14, 0.0, 0.0)).spectrum().values == (1.0, 0.0)
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))

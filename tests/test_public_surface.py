@@ -1,0 +1,61 @@
+"""The public surface: every exported name has a caller, and the README's
+library example runs."""
+
+import ast
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+import wignerq
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def _package_references():
+    """Map each name the package's modules (not the ``__init__`` files)
+    refer to onto the top-level definitions that refer to it; statements
+    that define no name count as the owner ``None``."""
+    refs = {}
+    for path in (ROOT / "src" / "wignerq").rglob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(node, "name", None)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                owner = next((t.id for t in targets if isinstance(t, ast.Name)), None)
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name is not None and name != owner:
+                    refs.setdefault(name, set()).add(owner)
+    return refs
+
+
+def test_every_public_name_has_a_caller():
+    # a caller is code in the package outside the name's own definition,
+    # a bench/ script, or the README; package code that is itself a
+    # public name without a caller does not count
+    public = set(wignerq.__all__)
+    outside = "\n".join([README, *(p.read_text(encoding="utf-8") for p in (ROOT / "bench").glob("*.py"))])
+    live = {name for name in public if re.search(rf"\b{re.escape(name)}\b", outside)}
+    refs = _package_references()
+    grew = True
+    while grew:
+        grew = False
+        for name in sorted(public - live):
+            if any(owner not in public or owner in live for owner in refs.get(name, ())):
+                live.add(name)
+                grew = True
+    dead = sorted(public - live)
+    assert not dead, f"public names without a caller: {dead}"
+
+
+def test_readme_library_block_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", README, re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["q"].value == pytest.approx(21 / 31104, rel=1e-6)
+    assert namespace["zeta_star"] == pytest.approx(math.pi / 6, abs=1e-4)

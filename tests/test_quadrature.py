@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 from density_reference import density_reference
+from polar_reference import qutrit_ray
 
 from wignerq import (
     ConvergenceError,
@@ -36,7 +37,6 @@ from wignerq.integrate.quadrature import (
     _gm_rule,
     simplex_full_volume,
 )
-from wignerq.spectra import qutrit_ray
 
 SQRT3 = math.sqrt(3.0)
 
@@ -82,6 +82,10 @@ class TestSpecs:
         QuadratureSpec()
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=0.0)
+        for field in ("rel_tol", "abs_tol"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError, match="finite and positive"):
+                    QuadratureSpec(**{field: value})
 
     def test_volume_estimate_validation(self):
         VolumeEstimate(1.0, 0.0, "quadrature")

@@ -1,4 +1,4 @@
-"""Domain types and the polar parametrization of the qutrit orbit space."""
+"""Domain types, and the polar oracle of the qutrit orbit space."""
 
 import math
 import re
@@ -7,20 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from polar_reference import polar_from_spectrum, qutrit_orbit_bound, spectrum_from_polar
 
 from wignerq import (
     DomainError,
     KernelSpectrum,
     MetricKind,
     ModuliPoint,
-    QutritPolar,
     StateSpectrum,
     orbit_volume_qutrit,
-    polar_from_spectrum,
     qutrit_indicator_closed_form,
     qutrit_kernel_spectrum,
-    qutrit_positivity_bound,
-    spectrum_from_polar,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -70,15 +67,6 @@ class TestKernelSpectrum:
             KernelSpectrum((0.0, 1.0))  # sums to 1, squares to 1 != 2
 
 
-class TestQutritPolar:
-    def test_validation(self):
-        QutritPolar(0.1, 2.0)
-        with pytest.raises(DomainError):
-            QutritPolar(-0.1, 1.0)
-        with pytest.raises(DomainError):
-            QutritPolar(0.1, 3.5)
-
-
 class TestModuliPoint:
     def test_qubit_carries_no_parameter(self):
         m = ModuliPoint.qubit()
@@ -109,49 +97,41 @@ class TestMetricKind:
             MetricKind.from_name("trace")
 
 
-def orbit_radius(phi):
-    return 1.0 / (2.0 * SQRT3 * math.cos(phi / 3.0))
-
-
 class TestSpectrumFromPolar:
     def test_center_is_maximally_mixed(self):
         for phi in (0.0, 1.0, math.pi):
-            s = spectrum_from_polar(QutritPolar(0.0, phi))
+            s = StateSpectrum(spectrum_from_polar(0.0, phi))
             assert s.values == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-15)
 
     def test_pure_state_vertex(self):
         # at maximal radius along phi=pi the spectrum contains an exact zero
-        s = spectrum_from_polar(QutritPolar(1 / SQRT3, math.pi))
+        s = StateSpectrum(spectrum_from_polar(1 / SQRT3, math.pi))
         assert sum(s.values) == pytest.approx(1.0, abs=1e-12)
         assert min(s.values) == pytest.approx(0.0, abs=1e-12)
         assert max(s.values) == pytest.approx(1.0, abs=1e-12)
 
     def test_boundary_ray_has_zero_eigenvalue(self):
         phi = math.pi / 2
-        s = spectrum_from_polar(QutritPolar(orbit_radius(phi), phi))
+        s = StateSpectrum(spectrum_from_polar(qutrit_orbit_bound(phi), phi))
         assert s.values[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_outside_orbit_space_rejected(self):
+        # beyond the orbit bound the smallest eigenvalue is negative
         phi = 0.3
         with pytest.raises(DomainError):
-            spectrum_from_polar(QutritPolar(orbit_radius(phi) + 1e-6, phi))
+            StateSpectrum(spectrum_from_polar(qutrit_orbit_bound(phi) + 1e-6, phi))
 
 
 class TestPolarFromSpectrum:
     def test_center_canonicalized(self):
-        p = polar_from_spectrum(StateSpectrum((1 / 3, 1 / 3, 1 / 3)))
-        assert (p.r, p.phi) == (0.0, 0.0)
+        assert polar_from_spectrum(StateSpectrum((1 / 3, 1 / 3, 1 / 3)).values) == (0.0, 0.0)
 
     def test_pure_state_maps_to_vertex(self):
-        p = polar_from_spectrum(StateSpectrum((1.0, 0.0, 0.0)))
-        assert p.r == pytest.approx(1 / SQRT3, abs=1e-14)
-        assert p.phi == pytest.approx(math.pi, abs=1e-12)
-        back = spectrum_from_polar(p)
+        r, phi = polar_from_spectrum(StateSpectrum((1.0, 0.0, 0.0)).values)
+        assert r == pytest.approx(1 / SQRT3, abs=1e-14)
+        assert phi == pytest.approx(math.pi, abs=1e-12)
+        back = StateSpectrum(spectrum_from_polar(r, phi))
         assert back.values == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
-
-    def test_two_level_spectrum_rejected(self):
-        with pytest.raises(DomainError):
-            polar_from_spectrum(StateSpectrum((0.7, 0.3)))
 
     def test_round_trip_random_spectra(self, rng):
         # spectrum -> polar -> spectrum on 1e4 simplex samples
@@ -160,19 +140,18 @@ class TestPolarFromSpectrum:
         worst = 0.0
         for row in raw:
             s = StateSpectrum(tuple(row))
-            back = spectrum_from_polar(polar_from_spectrum(s))
+            back = StateSpectrum(spectrum_from_polar(*polar_from_spectrum(s.values)))
             worst = max(worst, max(abs(a - b) for a, b in zip(s.values, back.values)))
         assert worst < 1e-10
 
     def test_round_trip_polar_side(self, rng):
         for _ in range(2000):
             phi = rng.uniform(0.0, math.pi)
-            r = rng.uniform(0.0, 1.0) * orbit_radius(phi)
-            p = QutritPolar(r, phi)
-            q = polar_from_spectrum(spectrum_from_polar(p))
-            assert q.r == pytest.approx(r, abs=1e-10)
+            r = rng.uniform(0.0, 1.0) * qutrit_orbit_bound(phi)
+            q_r, q_phi = polar_from_spectrum(StateSpectrum(spectrum_from_polar(r, phi)).values)
+            assert q_r == pytest.approx(r, abs=1e-10)
             if r > 1e-6:
-                assert q.phi == pytest.approx(phi, abs=1e-7)
+                assert q_phi == pytest.approx(phi, abs=1e-7)
 
     @given(
         phi=st.floats(0.0, math.pi),
@@ -180,9 +159,8 @@ class TestPolarFromSpectrum:
     )
     @settings(max_examples=300, deadline=None)
     def test_round_trip_property(self, phi, frac):
-        p = QutritPolar(frac * orbit_radius(phi), phi)
-        s = spectrum_from_polar(p)
-        back = spectrum_from_polar(polar_from_spectrum(s))
+        s = StateSpectrum(spectrum_from_polar(frac * qutrit_orbit_bound(phi), phi))
+        back = StateSpectrum(spectrum_from_polar(*polar_from_spectrum(s.values)))
         assert all(abs(a - b) < 1e-10 for a, b in zip(s.values, back.values))
 
 
@@ -203,7 +181,6 @@ _ZETA_TAKERS = {
     "qutrit_kernel_spectrum": qutrit_kernel_spectrum,
     "qutrit_indicator_closed_form": qutrit_indicator_closed_form,
     "orbit_volume_qutrit": lambda z: orbit_volume_qutrit(MetricKind.HS, z),
-    "qutrit_positivity_bound": lambda z: qutrit_positivity_bound(0.5, z),
 }
 
 
