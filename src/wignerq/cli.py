@@ -14,14 +14,13 @@ Exit codes: 0 success, 1 numerical failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import io
 import json
 import math
 import re
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .indicators import (
     IndicatorResult,
     average_indicator,
     closed_indicator,
-    default_quad_spec,
     global_indicator,
     minimize_indicator,
     positivity_curve,
@@ -87,20 +85,19 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _emit(args, payload: dict, header: list[str], rows: list[list]) -> None:
-    if args.format == "json":
-        text = json.dumps(payload, allow_nan=False) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
-        text = buf.getvalue()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(args, payload: dict, header: list[str], rows) -> None:
+    """Write the payload as JSON, or the header and rows as CSV, to
+    ``--out`` or stdout.  JSON is encoded before the file is opened, so
+    an encoding error leaves no file behind; CSV rows go out one by one."""
+    text = json.dumps(payload, allow_nan=False) + "\n" if args.format == "json" else None
+    out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as f:
+        if text is not None:
+            f.write(text)
+        else:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
 
 
 def _moduli_cell(result: IndicatorResult) -> str:
@@ -121,11 +118,11 @@ def _indicator_rows(results: list[IndicatorResult]):
     return header, rows
 
 
-def _quad_spec(args, metric: MetricKind, minimize: bool = False) -> QuadratureSpec:
-    """The library's default spec with the tolerances given as flags."""
-    given = {"rel_tol": args.rel_tol, "abs_tol": args.abs_tol}
-    flags = {k: v for k, v in given.items() if v is not None}
-    return dataclasses.replace(default_quad_spec(metric, args.n, minimize), **flags)
+def _quad_spec(args) -> QuadratureSpec:
+    """``QuadratureSpec()`` with the tolerances given as flags (only
+    ``average`` has ``--abs-tol``)."""
+    given = {"rel_tol": args.rel_tol, "abs_tol": getattr(args, "abs_tol", None)}
+    return QuadratureSpec(**{k: v for k, v in given.items() if v is not None})
 
 
 def _mc_spec(args) -> McSpec:
@@ -136,21 +133,9 @@ def _mc_spec(args) -> McSpec:
     return McSpec(samples=args.samples, seed=args.seed, workers=args.workers)
 
 
-def _moduli_for(n: int, zeta) -> ModuliPoint:
-    if n == 2:
-        if zeta is not None:
-            raise DomainError("--zeta applies to n=3 only")
-        return ModuliPoint.qubit()
-    if n == 3:
-        if zeta is None:
-            raise DomainError("n=3 requires --zeta")
-        return ModuliPoint.qutrit(zeta)
-    raise DomainError("the command line covers n in {2, 3}; use the library for larger n")
-
-
 def cmd_indicator(args) -> int:
     metric = MetricKind.from_name(args.metric)
-    moduli = _moduli_for(args.n, args.zeta)
+    moduli = ModuliPoint(args.n, zeta=args.zeta)
     method = args.method
     if method == "auto":
         closed_exists = args.n == 2 or metric is MetricKind.HS
@@ -158,7 +143,7 @@ def cmd_indicator(args) -> int:
     if method == "closed":
         result = closed_indicator(metric, args.n, moduli)
     elif method == "quad":
-        result = global_indicator(metric, args.n, moduli, _quad_spec(args, metric))
+        result = global_indicator(metric, args.n, moduli, _quad_spec(args))
     else:
         result = global_indicator(metric, args.n, moduli, _mc_spec(args), sampler=args.sampler)
     payload = {"command": "indicator", **result.to_json_dict()}
@@ -168,7 +153,8 @@ def cmd_indicator(args) -> int:
 
 def cmd_average(args) -> int:
     metrics = list(MetricKind) if args.metric == "all" else [MetricKind.from_name(args.metric)]
-    results = [average_indicator(m, args.n, _quad_spec(args, m)) for m in metrics]
+    spec = _quad_spec(args)
+    results = [average_indicator(m, args.n, spec) for m in metrics]
     payload = {"command": "average", "results": [r.to_json_dict() for r in results]}
     _emit(args, payload, *_indicator_rows(results))
     return 0
@@ -176,7 +162,7 @@ def cmd_average(args) -> int:
 
 def cmd_minimize(args) -> int:
     metric = MetricKind.from_name(args.metric)
-    spec = _quad_spec(args, metric, minimize=True)
+    spec = _quad_spec(args)
     zeta_star, q_star = minimize_indicator(metric, args.n, spec, method=args.method)
     payload = {
         "command": "minimize",
@@ -195,13 +181,9 @@ def cmd_curve(args) -> int:
     if not 1 <= args.points <= _CURVE_MAX_POINTS:
         raise DomainError(f"--points must lie in [1, {_CURVE_MAX_POINTS:,}]")
     radii = np.linspace(0.0, 1.0, args.points)
+    columns = ["radius", "q_hs", "q_bures", "q_bkm"]
     rows = positivity_curve(radii)
-    payload = {
-        "command": "curve",
-        "columns": ["radius", "q_hs", "q_bures", "q_bkm"],
-        "rows": [list(r) for r in rows],
-    }
-    _emit(args, payload, ["radius", "q_hs", "q_bures", "q_bkm"], [list(r) for r in rows])
+    _emit(args, {"command": "curve", "columns": columns, "rows": rows}, columns, rows)
     return 0
 
 
@@ -242,7 +224,7 @@ def cmd_sample(args) -> int:
     if weights is not None:
         payload["weights"] = weights
         header.append("weight")
-        rows = [row + [w] for row, w in zip(rows, weights)]
+        rows = (row + [w] for row, w in zip(rows, weights))
     _emit(args, payload, header, rows)
     return 0
 
@@ -313,8 +295,8 @@ def _add_output_flags(p, default_format="json"):
 
 
 def _add_quad_flags(p):
-    p.add_argument("--rel-tol", type=float, default=None, help="relative quadrature tolerance")
-    p.add_argument("--abs-tol", type=float, default=None, help="absolute quadrature tolerance")
+    p.add_argument("--rel-tol", type=float, default=None,
+                   help=f"relative quadrature tolerance (default {QuadratureSpec().rel_tol:g})")
 
 
 def _add_mc_flags(p, samples_default=1_000_000):
@@ -346,6 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default="all", help="hs, bures, bkm or all")
     p.add_argument("--n", type=int, default=3, choices=(3,))
     _add_quad_flags(p)
+    p.add_argument("--abs-tol", type=float, default=None,
+                   help=f"absolute tolerance of the moduli average (default {QuadratureSpec().abs_tol:g})")
     _add_output_flags(p)
     p.set_defaults(func=cmd_average)
 

@@ -21,7 +21,6 @@ from typing import Union
 
 from .errors import DomainError
 from .integrate.quadrature import (
-    DEFAULT_2D,
     QuadratureSpec,
     gauss_legendre_doubling,
     orbit_volume_qubit,  # noqa: F401 -- bench/spans.py wraps this attribute in a traced pass
@@ -224,18 +223,7 @@ def global_indicator(
     moduli = _default_moduli(n, moduli)
     if isinstance(spec, McSpec):
         return _mc_indicator(metric, n, moduli, spec, sampler)
-    return _quadrature_indicator(metric, n, moduli, spec or default_quad_spec(metric, n))
-
-
-def default_quad_spec(metric: MetricKind, n: int, minimize: bool = False) -> QuadratureSpec:
-    """The spec each quadrature entry point uses when given none:
-    ``DEFAULT_2D`` for three levels, ``QuadratureSpec()`` otherwise, and
-    rel_tol 1e-9 for the flat-metric minimization."""
-    if minimize and metric is MetricKind.HS:
-        # quadrature noise flattens the valley floor; the flat metric is
-        # cheap enough to run extra-tight by default
-        return QuadratureSpec(rel_tol=1e-9)
-    return DEFAULT_2D if n == 3 else QuadratureSpec()
+    return _quadrature_indicator(metric, n, moduli, spec or QuadratureSpec())
 
 
 def _qutrit_indicator_fn(metric: MetricKind, spec: QuadratureSpec, path: str):
@@ -272,7 +260,7 @@ def average_indicator(
         raise DomainError("moduli averaging is implemented for n = 3")
     if isinstance(spec, McSpec):
         raise DomainError("averaging is deterministic; pass a QuadratureSpec")
-    spec = spec or default_quad_spec(metric, n)
+    spec = spec or QuadratureSpec()
     f, use_closed = _qutrit_indicator_fn(metric, spec, inner)
     avg_tol = max(100.0 * spec.rel_tol, 1e-6)
     total, gl_err = gauss_legendre_doubling(f, 0.0, _ZETA_MAX, rel_tol=avg_tol, abs_tol=spec.abs_tol)
@@ -322,7 +310,7 @@ def minimize_indicator(
     """
     if n != 3:
         raise DomainError("moduli minimization is implemented for n = 3")
-    spec = spec or default_quad_spec(metric, n, minimize=True)
+    spec = spec or QuadratureSpec()
     f, _ = _qutrit_indicator_fn(metric, spec, method)
     return _golden_section_min(f, 0.0, _ZETA_MAX, _ZETA_TOL)
 

@@ -153,7 +153,7 @@ class ModuliPoint:
             raise DomainError("moduli points exist for n >= 2")
         if self.n == 2:
             if self.zeta is not None or self.direction is not None:
-                raise DomainError("the two-level kernel is unique; no parameter applies")
+                raise DomainError("the two-level kernel is unique; no zeta or direction applies")
         elif self.n == 3:
             if self.zeta is None or self.direction is not None:
                 raise DomainError("a three-level moduli point is the angle zeta alone")

@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, exit codes, schema."""
 
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -62,6 +63,9 @@ class TestParseAngle:
             parse_angle("half a turn")
         with pytest.raises(argparse.ArgumentTypeError, match="zero denominator"):
             parse_angle("pi/0")
+
+
+_QUAD_INDICATOR = ["indicator", "--n", "3", "--metric", "hs", "--zeta", "0.4", "--method", "quad"]
 
 
 class TestIndicatorCommand:
@@ -147,31 +151,32 @@ class TestIndicatorCommand:
         )
         assert code == 2
 
-    def test_abs_tol_moves_neither_value_nor_error(self, capsys):
-        # no volume is bounded by an absolute tolerance, at any n
-        argv = ["indicator", "--n", "3", "--metric", "bures", "--zeta", "0.4", "--method", "quad"]
-        code, default, _ = run_cli(capsys, *argv)
-        assert code == 0
-        code, loose, _ = run_cli(capsys, *argv, "--abs-tol", "1e-3")
-        assert code == 0
-        default, loose = json.loads(default), json.loads(loose)
-        assert (loose["value"], loose["error"]) == (default["value"], default["error"])
-        assert default["error"] < 1e-3
+    @pytest.mark.parametrize("argv", [_QUAD_INDICATOR, ["minimize", "--metric", "bures"]], ids=["indicator", "minimize"])
+    def test_abs_tol_is_rejected(self, capsys, argv):
+        # no volume is bounded by an absolute tolerance; only the moduli
+        # average takes one
+        code, out, err = run_cli(capsys, *argv, "--abs-tol", "1e-3")
+        assert code == 2
+        assert out == ""
+        assert "--abs-tol" in err
 
-    @pytest.mark.parametrize("flag, value", [("--rel-tol", "nan"), ("--rel-tol", "inf"), ("--abs-tol", "nan")])
-    def test_non_finite_tolerance_is_usage_error(self, capsys, flag, value):
-        code, out, err = run_cli(
-            capsys, "indicator", "--n", "3", "--metric", "hs", "--zeta", "0.4", "--method", "quad",
-            flag, value
-        )
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            pytest.param(_QUAD_INDICATOR, "--rel-tol", "nan", id="--rel-tol-nan"),
+            pytest.param(_QUAD_INDICATOR, "--rel-tol", "inf", id="--rel-tol-inf"),
+            pytest.param(["average", "--metric", "hs"], "--abs-tol", "nan", id="average-abs-tol-nan"),
+        ],
+    )
+    def test_non_finite_tolerance_is_usage_error(self, capsys, argv, flag, value):
+        code, out, err = run_cli(capsys, *argv, flag, value)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "finite and positive" in err
 
     def test_unreachable_tolerance_is_numerical_failure(self, capsys):
         code, _, err = run_cli(
-            capsys, "indicator", "--n", "2", "--metric", "bkm", "--method", "quad",
-            "--rel-tol", "1e-15", "--abs-tol", "1e-300"
+            capsys, "indicator", "--n", "2", "--metric", "bkm", "--method", "quad", "--rel-tol", "1e-15"
         )
         assert code == 1
         assert "numerical failure" in err
@@ -210,18 +215,54 @@ class TestMinimizeCommand:
         code, _, _ = run_cli(capsys, "minimize", "--n", "2", "--metric", "hs")
         assert code == 2
 
-    @pytest.mark.parametrize("metric, rel_tol", [("hs", 1e-9), ("bures", 1e-7)])
-    def test_abs_tol_reaches_library(self, capsys, monkeypatch, metric, rel_tol):
-        # --abs-tol alone keeps the library's per-metric rel_tol default
-        from wignerq import cli
 
-        specs = []
-        monkeypatch.setattr(
-            cli, "minimize_indicator", lambda m, n, spec, **kw: specs.append(spec) or (0.5, 1e-3)
-        )
-        code, _, _ = run_cli(capsys, "minimize", "--metric", metric, "--abs-tol", "1e-300")
-        assert code == 0
-        assert specs == [QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-300)]
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "runner, argv, flag",
+    [
+        ("average_indicator", ["average", "--metric", "bures"], "--abs-tol"),
+        ("minimize_indicator", ["minimize", "--metric", "bures"], "--rel-tol"),
+        ("global_indicator", ["indicator", "--n", "2", "--metric", "bkm", "--method", "quad"], "--rel-tol"),
+    ],
+    ids=["average-abs-tol", "minimize-rel-tol", "indicator-rel-tol"],
+)
+def test_tolerance_flag_reaches_library(monkeypatch, runner, argv, flag):
+    # the flag replaces one field of QuadratureSpec() and keeps the other
+    from wignerq import cli
+
+    specs = []
+
+    def record(*args, **kwargs):
+        specs.extend(a for a in args if isinstance(a, QuadratureSpec))
+        raise _Stop
+
+    monkeypatch.setattr(cli, runner, record)
+    with pytest.raises(_Stop):
+        main([*argv, flag, "3e-9"])
+    field = flag[2:].replace("-", "_")
+    assert specs == [dataclasses.replace(QuadratureSpec(), **{field: 3e-9})]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--points", "57"],
+        ["sample", "--metric", "bkm", "--n", "3", "--samples", "40", "--seed", "2"],
+    ],
+    ids=["curve", "sample"],
+)
+def test_csv_out_file_equals_stdout(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    target = tmp_path / "table.csv"
+    code, printed, _ = run_cli(capsys, *argv, "--format", "csv", "--out", str(target))
+    assert code == 0
+    assert printed == ""
+    assert target.read_bytes() == out.encode("utf-8")
+    assert out.count("\n") == {"curve": 58, "sample": 41}[argv[0]]
 
 
 class TestCurveCommand:

@@ -18,11 +18,13 @@ from wignerq import (
     global_indicator,
     kernel_for,
     minimize_indicator,
+    orbit_volume_qubit,
     orbit_volume_simplex,
     positivity_curve,
     qubit_positivity_probability,
     qutrit_indicator_closed_form,
 )
+from wignerq.integrate import DEFAULT_2D
 
 SQRT3 = math.sqrt(3.0)
 
@@ -121,6 +123,39 @@ class TestGlobalIndicator:
         assert closed_indicator(MetricKind.BKM, 2).value == pytest.approx(0.0495506, abs=1e-7)
         with pytest.raises(DomainError):
             closed_indicator(MetricKind.BURES, 3, ModuliPoint.qutrit(0.1))
+
+
+class TestDefaultSpec:
+    """Every entry point given ``spec=None`` runs at ``QuadratureSpec()``."""
+
+    _N4 = ModuliPoint.from_direction(4, (1.0, 0.0, 0.0))
+
+    def test_one_default(self):
+        assert QuadratureSpec() == DEFAULT_2D
+        assert QuadratureSpec().rel_tol == 1e-7
+
+    @pytest.mark.parametrize("metric", list(MetricKind), ids=lambda m: m.value)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_global_indicator(self, metric, n):
+        moduli = {2: None, 3: ModuliPoint.qutrit(0.4), 4: self._N4}[n]
+        default = global_indicator(metric, n, moduli)
+        assert default.meta["rel_tol"] == QuadratureSpec().rel_tol
+        assert default.value.hex() == global_indicator(metric, n, moduli, QuadratureSpec()).value.hex()
+
+    @pytest.mark.parametrize("metric", list(MetricKind), ids=lambda m: m.value)
+    def test_volumes(self, metric):
+        spec = QuadratureSpec()
+        assert orbit_volume_qubit(metric, 0.9).value.hex() == orbit_volume_qubit(metric, 0.9, spec).value.hex()
+        for kernel in (None, kernel_for(self._N4)):
+            default = orbit_volume_simplex(metric, 4, kernel).value
+            assert default.hex() == orbit_volume_simplex(metric, 4, kernel, spec).value.hex()
+
+    def test_average_and_minimize(self):
+        spec = QuadratureSpec()
+        metric = MetricKind.BURES
+        assert average_indicator(metric).value.hex() == average_indicator(metric, 3, spec).value.hex()
+        default = minimize_indicator(metric, method="quadrature")
+        assert default == minimize_indicator(metric, 3, spec, method="quadrature")
 
 
 class TestQutritClosedForm:
