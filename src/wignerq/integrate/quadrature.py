@@ -314,11 +314,13 @@ def simplex_full_volume(metric: MetricKind, n: int, spec: QuadratureSpec) -> flo
 
 # --- fixed-order Gauss-Legendre with doubling -------------------------------
 
-def gauss_legendre_doubling(f, a: float, b: float, rel_tol: float = 1e-6, abs_tol: float = 1e-15):
+def gauss_legendre_doubling(f, a: float, b: float, *, rel_tol: float, abs_tol: float):
     """Integrate ``f`` on [a, b] with Gauss-Legendre rules of order 16,
     32, ..., 256 until two consecutive orders agree.  Returns (value,
     error estimate).  Meant for smooth integrands whose evaluations are
     expensive (each one may itself be a multidimensional quadrature).
+    The tolerances have no defaults here: callers take them from their
+    ``QuadratureSpec``.
     """
     if b <= a:
         raise DomainError("empty integration interval")

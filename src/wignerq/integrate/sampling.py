@@ -2,6 +2,14 @@
 
 * Hilbert-Schmidt: square of a complex Gaussian matrix, trace-normalized.
 * Bures: the (I + U) G construction with a Haar-random unitary U.
+
+  At n <= 3 both run as numpy arithmetic on component-major (n, n, rows)
+  stacks: U from classical Gram-Schmidt applied twice to the columns of a
+  Ginibre draw (the Q of its QR factorization with positive diagonal R,
+  Mezzadri 2007), and the spectra in closed form, with ``eigvalsh`` only
+  for the rare rows with near-double eigenvalues.  At n >= 4 U comes from
+  a phase-fixed ``np.linalg.qr`` and the spectra from ``eigvalsh``.  Both
+  read the same random stream.
 * Any metric, and the default for BKM, which has no matrix model:
   importance sampling.  Sorted Dirichlet(1/2, ..., 1/2) spectra, each
   weighted by the radial density over the proposal density, feed a
@@ -31,9 +39,15 @@ from ..measures import log_radial_density
 from ..positivity import DEFAULT_CONE_TOL, min_pairing_batch
 from ..spectra import KernelSpectrum, MetricKind
 
-#: Rows per batch of vectorized linear algebra at n <= 4; larger n take
-#: fewer rows, so the temporaries stay about 16 * _EIG_BATCH matrix entries.
+#: Rows per batch of matrix-model draws at n <= 4, closed-form kernel
+#: (n <= 3) and LAPACK alike; larger n take fewer rows, so the
+#: temporaries stay about 16 * _EIG_BATCH matrix entries.
 _EIG_BATCH = 1 << 17
+
+#: Rows whose trigonometric-formula argument lies within this of +-1 have
+#: near-double eigenvalues, where the closed form loses about sqrt(eps);
+#: ``eigvalsh`` takes them.
+_TRIG_MARGIN = 1e-6
 
 #: Metropolis acceptance-rate window considered healthy after adaptation.
 _ACCEPT_WINDOW = (0.1, 0.9)
@@ -128,24 +142,116 @@ def _haar_unitary(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return q * (d / np.abs(d))[:, None, :]
 
 
-def _spectra_of(w: np.ndarray) -> np.ndarray:
-    ev = np.linalg.eigvalsh(w)
+def _lapack_spectra(rng: np.random.Generator, bures: bool, m: int, n: int) -> np.ndarray:
+    a = _ginibre(rng, m, n)
+    if bures:
+        a = (np.eye(n) + _haar_unitary(rng, m, n)) @ a
+    ev = np.linalg.eigvalsh(a @ a.conj().swapaxes(1, 2))
     ev = ev / ev.sum(axis=1, keepdims=True)
     return ev[:, ::-1]
 
 
+# Component-major kernels for n <= 3: an (n, n, m) stack holds entry (i, j)
+# of all m matrices in one contiguous row, so each step is one vector op.
+
+def _by_component(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a.transpose(1, 2, 0))
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    return np.array([[sum(a[i, k] * b[k, j] for k in range(n)) for j in range(n)] for i in range(n)])
+
+
+def _gram_schmidt_unitary(z: np.ndarray) -> np.ndarray:
+    """Q of z = QR with R's diagonal real and positive, for a
+    component-major stack z: classical Gram-Schmidt run twice over the
+    columns, which keeps Q orthonormal to rounding for any z that is not
+    numerically singular."""
+    cols = []
+    for j in range(z.shape[0]):
+        v = z[:, j]
+        for _ in range(2 if cols else 0):
+            v = v - sum((q.conj() * v).sum(axis=0) * q for q in cols)
+        cols.append(v / np.sqrt(_abs2(v).sum(axis=0)))
+    return np.stack(cols, axis=1)
+
+
+def _gram(b: np.ndarray) -> np.ndarray:
+    """B B^dagger of a component-major stack, Hermitian to the last bit."""
+    n = b.shape[0]
+    w = np.empty_like(b)
+    for i in range(n):
+        w[i, i] = _abs2(b[i]).sum(axis=0)
+        for j in range(i + 1, n):
+            w[i, j] = (b[i] * b[j].conj()).sum(axis=0)
+            w[j, i] = w[i, j].conj()
+    return w
+
+
+def _closed_form_eigvals(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a component-major (n, n, m) Hermitian stack at
+    n = 2, 3, as (m, n) rows in descending order.
+
+    n = 2: the larger root from the trace and |w01|^2, the smaller as
+    det / larger.  n = 3: the trigonometric formula on w - (tr w / 3) I
+    (Smith, Comm. ACM 4, 1961), the middle root from the trace and
+    clamped between the outer two; rows whose arccos argument lies
+    within ``_TRIG_MARGIN`` of +-1 (a near-double root), or with w a
+    multiple of I, go to ``eigvalsh``.
+    """
+    d = [w[i, i].real for i in range(w.shape[0])]
+    tr = sum(d)
+    if len(d) == 2:
+        off = _abs2(w[0, 1])
+        top = 0.5 * (tr + np.sqrt((d[0] - d[1]) ** 2 + 4.0 * off))
+        det = d[0] * d[1] - off
+        low = np.minimum(det / top, top)
+        return np.stack([top, low], axis=1)
+    q = tr / 3.0
+    s = [di - q for di in d]
+    x, y, z = w[0, 1], w[0, 2], w[1, 2]
+    ax, ay, az = _abs2(x), _abs2(y), _abs2(z)
+    p2 = (s[0] * s[0] + s[1] * s[1] + s[2] * s[2] + 2.0 * (ax + ay + az)) / 6.0
+    p = np.sqrt(p2)
+    det = s[0] * s[1] * s[2] + 2.0 * (x * z * y.conj()).real - s[0] * az - s[1] * ay - s[2] * ax
+    denom = 2.0 * p * p2
+    r = det / np.where(denom > 0.0, denom, 1.0)
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    top = q + 2.0 * p * np.cos(phi)
+    low = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+    ev = np.stack([top, np.clip(tr - top - low, low, top), low], axis=1)
+    near = (np.abs(r) >= 1.0 - _TRIG_MARGIN) | (denom <= 0.0)
+    if near.any():
+        rows = np.flatnonzero(near)
+        ev[rows] = np.linalg.eigvalsh(w[:, :, rows].transpose(2, 0, 1))[:, ::-1]
+    return ev
+
+
+def _closed_form_spectra(rng: np.random.Generator, bures: bool, m: int, n: int) -> np.ndarray:
+    g = _by_component(_ginibre(rng, m, n))
+    if bures:
+        u = _gram_schmidt_unitary(_by_component(_ginibre(rng, m, n)))
+        for i in range(n):
+            u[i, i] += 1.0
+        g = _matmul(u, g)
+    ev = _closed_form_eigvals(_gram(g))
+    return ev / ev.sum(axis=1, keepdims=True)
+
+
 def _matrix_chunk(bures: bool, n: int, count: int, seed: int, index: int) -> np.ndarray:
     rng = _worker_rng(seed, index)
-    eye = np.eye(n)
+    draw = _closed_form_spectra if n <= 3 else _lapack_spectra
     batch = min(_EIG_BATCH, max(1, 16 * _EIG_BATCH // (n * n)))
     out = np.empty((count, n))
     done = 0
     while done < count:
         m = min(batch, count - done)
-        a = _ginibre(rng, m, n)
-        if bures:
-            a = (eye + _haar_unitary(rng, m, n)) @ a
-        out[done:done + m] = _spectra_of(a @ a.conj().swapaxes(1, 2))
+        out[done:done + m] = draw(rng, bures, m, n)
         done += m
     return out
 
