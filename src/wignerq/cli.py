@@ -44,9 +44,9 @@ _SAMPLE_MAX_N = 256
 _SAMPLE_MAX_VALUES = 10**7
 #: Cap on ``--workers``: the per-worker job lists grow with it.
 _MAX_WORKERS = 256
-#: Cap on ``--samples`` of the Monte Carlo commands: every spectrum is
-#: held in memory at once, and the weighted BKM sampler at n = 3 (the
-#: command line's largest n) peaks near 120 bytes per sample.
+#: Cap on ``--samples`` of the Monte Carlo commands.  The default
+#: weighted estimate runs in bounded memory, but ``--sampler matrix``
+#: and ``--sampler mcmc`` hold every spectrum at once.
 _MC_MAX_SAMPLES = 2 * 10**7
 #: Cap on ``curve --points``: the table is built whole before it is written.
 _CURVE_MAX_POINTS = 10**6
@@ -189,7 +189,7 @@ def cmd_curve(args) -> int:
 
 def cmd_sample(args) -> int:
     metric = MetricKind.from_name(args.metric)
-    sampler = resolve_sampler(metric, args.sampler)
+    sampler = resolve_sampler(metric, args.sampler, estimate=False)
     per_row = args.n + (sampler == "weighted")
     if args.n > _SAMPLE_MAX_N or args.samples * per_row > _SAMPLE_MAX_VALUES:
         raise DomainError(

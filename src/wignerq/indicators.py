@@ -142,12 +142,16 @@ def _quadrature_indicator(metric, n, moduli, spec: QuadratureSpec) -> IndicatorR
     )
 
 
-def resolve_sampler(metric: MetricKind, sampler: str | None) -> str:
+def resolve_sampler(metric: MetricKind, sampler: str | None, *, estimate: bool) -> str:
     """The sampler a request names, with ``None``/'auto' resolved to the
-    default: the importance sampler for BKM, which has no matrix model,
-    and the matrix model otherwise."""
+    default of its job.  An indicator estimate (``estimate=True``) takes
+    the importance sampler for every metric: at equal draws it has less
+    variance than the matrix models, and it resolves positive regions
+    too small for them to hit.  Drawn spectra (``estimate=False``, the
+    ``sample`` command) come unweighted from the metric's matrix model,
+    and from the importance sampler for BKM, which has none."""
     if sampler in (None, "auto"):
-        return "weighted" if metric is MetricKind.BKM else "matrix"
+        return "weighted" if estimate or metric is MetricKind.BKM else "matrix"
     if sampler not in ("matrix", "weighted", "mcmc"):
         raise DomainError(f"unknown sampler {sampler!r}; expected 'matrix', 'weighted' or 'mcmc'")
     return sampler
@@ -157,11 +161,12 @@ def sample_spectra(metric: MetricKind, n: int, spec: McSpec, sampler: str | None
     """Draw spectra for the metric's measure; returns ``(sampler, draws)``.
 
     ``sampler`` is 'matrix', 'weighted', 'mcmc', or ``None``/'auto' for
-    the default (``resolve_sampler``).  ``draws`` is an (m, n) array from
-    a matrix model, the ``(spectra, log_weights)`` pair of the importance
+    the default of drawn spectra (``resolve_sampler`` with
+    ``estimate=False``).  ``draws`` is an (m, n) array from a matrix
+    model, the ``(spectra, log_weights)`` pair of the importance
     sampler, or the ``McmcResult`` of the opt-in Markov chain.
     """
-    sampler = resolve_sampler(metric, sampler)
+    sampler = resolve_sampler(metric, sampler, estimate=False)
     if sampler == "weighted":
         return sampler, sample_weighted_spectra(metric, n, spec)
     if sampler == "mcmc":
@@ -175,17 +180,18 @@ def sample_spectra(metric: MetricKind, n: int, spec: McSpec, sampler: str | None
 
 def _mc_indicator(metric, n, moduli, spec: McSpec, sampler) -> IndicatorResult:
     kernel = kernel_for(moduli)
-    sampler, draws = sample_spectra(metric, n, spec, sampler)
-    meta = {"sampler": sampler}
+    sampler = resolve_sampler(metric, sampler, estimate=True)
+    meta = {"sampler": sampler, "samples": spec.samples}
     warnings: tuple[str, ...] = ()
-    if sampler == "matrix":
-        p, se = positive_fraction_iid(draws, kernel)
-        meta["samples"] = draws.shape[0]
-    elif sampler == "weighted":
-        p, se, ess = positive_fraction_weighted(*draws, kernel)
-        meta["samples"] = draws[0].shape[0]
+    if sampler == "weighted":
+        # drawn, weighted and counted in batches: the spectra are never held
+        p, se, ess = positive_fraction_weighted(metric, n, kernel, spec)
         meta["ess"] = ess
+    elif sampler == "matrix":
+        _, draws = sample_spectra(metric, n, spec, sampler)
+        p, se = positive_fraction_iid(draws, kernel)
     else:
+        _, draws = sample_spectra(metric, n, spec, sampler)
         p, se = positive_fraction_mcmc(draws, kernel)
         warnings = draws.warnings
         meta["samples"] = draws.flat.shape[0]
@@ -216,9 +222,11 @@ def global_indicator(
     beyond, ConvergenceError where the cubature does not settle, as for
     BKM at n = 5); an ``McSpec`` estimates the positive-cone fraction
     from random spectra.  ``sampler`` overrides the Monte Carlo sampler
-    choice ('matrix', 'weighted' or 'mcmc'); by default the BKM metric
-    uses the importance sampler and the others their matrix models.  Samples count as positive to
-    ``positivity.DEFAULT_CONE_TOL``.
+    choice ('matrix', 'weighted' or 'mcmc'); by default every metric
+    uses the importance sampler (``resolve_sampler``), which draws,
+    weights and counts its spectra in batches, so its memory stays
+    bounded; 'matrix' runs the HS and Bures matrix models, the paper's
+    ensembles.  Samples count as positive to ``positivity.DEFAULT_CONE_TOL``.
     """
     moduli = _default_moduli(n, moduli)
     if isinstance(spec, McSpec):

@@ -10,10 +10,12 @@
   for the rare rows with near-double eigenvalues.  At n >= 4 U comes from
   a phase-fixed ``np.linalg.qr`` and the spectra from ``eigvalsh``.  Both
   read the same random stream.
-* Any metric, and the default for BKM, which has no matrix model:
+* Any metric, and the default of every Monte Carlo indicator:
   importance sampling.  Sorted Dirichlet(1/2, ..., 1/2) spectra, each
   weighted by the radial density over the proposal density, feed a
-  self-normalized estimator.
+  self-normalized estimator that draws, weights and counts them in
+  batches of ``_EIG_BATCH`` rows, keeping only running weighted sums, so
+  its memory does not grow with the sample count.
 * Any metric, opt-in: random-walk Metropolis on the simplex in logit
   coordinates, targeting the radial density.
 
@@ -41,7 +43,8 @@ from ..spectra import KernelSpectrum, MetricKind
 
 #: Rows per batch of matrix-model draws at n <= 4, closed-form kernel
 #: (n <= 3) and LAPACK alike; larger n take fewer rows, so the
-#: temporaries stay about 16 * _EIG_BATCH matrix entries.
+#: temporaries stay about 16 * _EIG_BATCH matrix entries.  Also the rows
+#: per batch of the importance sampler.
 _EIG_BATCH = 1 << 17
 
 #: Rows whose trigonometric-formula argument lies within this of +-1 have
@@ -278,13 +281,22 @@ def sample_bures_spectra(n: int, spec: McSpec) -> np.ndarray:
 
 # --- importance sampling -----------------------------------------------------
 
-def _weighted_chunk(metric: MetricKind, n: int, count: int, seed: int, index: int):
+def _weighted_batches(metric: MetricKind, n: int, count: int, seed: int, index: int):
+    """One worker's importance sample as ``(spectra, log_weights)``
+    batches of at most ``_EIG_BATCH`` rows, drawn from one stream: the
+    batches concatenate to the rows of a single ``dirichlet`` call."""
     rng = _worker_rng(seed, index)
-    r = np.sort(rng.dirichlet(np.full(n, 0.5), count), axis=1)[:, ::-1]
-    with np.errstate(divide="ignore"):
-        # boundary rows: log_radial_density is -inf there, so the weight is 0
-        log_w = log_radial_density(metric, r) + 0.5 * np.log(r).sum(axis=1)
-    return r, log_w
+    alpha = np.full(n, 0.5)
+    for start in range(0, count, _EIG_BATCH):
+        r = np.sort(rng.dirichlet(alpha, min(_EIG_BATCH, count - start)), axis=1)[:, ::-1]
+        with np.errstate(divide="ignore"):
+            # boundary rows: log_radial_density is -inf there, so the weight is 0
+            log_w = log_radial_density(metric, r) + 0.5 * np.log(r).sum(axis=1)
+        yield r, log_w
+
+
+def _weighted_chunk(metric: MetricKind, n: int, count: int, seed: int, index: int):
+    return list(_weighted_batches(metric, n, count, seed, index))
 
 
 def sample_weighted_spectra(metric: MetricKind, n: int, spec: McSpec):
@@ -296,17 +308,78 @@ def sample_weighted_spectra(metric: MetricKind, n: int, spec: McSpec):
     proposal's ``prod r_i^(-1/2)`` cancels the same factor of the Bures
     and BKM densities, so the weights stay bounded for Bures and HS and
     grow only logarithmically for BKM.  Rows on the simplex boundary
-    have weight 0 (log weight ``-inf``).
+    have weight 0 (log weight ``-inf``).  The rows are those that
+    ``positive_fraction_weighted`` counts for the same arguments.
     """
     if n < 2:
         raise DomainError("sampling needs n >= 2")
     counts = _split_counts(spec.samples, spec.workers)
     jobs = [(metric, n, c, spec.seed, i) for i, c in enumerate(counts) if c > 0]
-    parts = _map_ordered(_weighted_chunk, jobs, spec.workers)
+    parts = [b for chunk in _map_ordered(_weighted_chunk, jobs, spec.workers) for b in chunk]
     return (
         np.concatenate([p[0] for p in parts], axis=0),
         np.concatenate([p[1] for p in parts]),
     )
+
+
+#: Weighted sums of no rows: ``(shift, sum w, sum w*inside,
+#: sum w^2*inside, sum w^2*outside)`` with ``w = exp(log_w - shift)``.
+_NO_SUMS = (-math.inf, 0.0, 0.0, 0.0, 0.0)
+
+
+def _merge_sums(a: tuple, b: tuple) -> tuple:
+    """Weighted sums of two row sets, taken to the larger shift."""
+    shift = max(a[0], b[0])
+    fa, fb = math.exp(a[0] - shift), math.exp(b[0] - shift)
+    return (
+        shift,
+        a[1] * fa + b[1] * fb,
+        a[2] * fa + b[2] * fb,
+        a[3] * fa * fa + b[3] * fb * fb,
+        a[4] * fa * fa + b[4] * fb * fb,
+    )
+
+
+def _weighted_sums(metric: MetricKind, n: int, kernel: KernelSpectrum, count: int, seed: int, index: int):
+    sums = _NO_SUMS
+    for r, log_w in _weighted_batches(metric, n, count, seed, index):
+        inside = min_pairing_batch(r, kernel) >= -DEFAULT_CONE_TOL
+        shift = float(log_w.max())
+        w = np.exp(log_w - shift)
+        w2 = w * w
+        sums = _merge_sums(sums, (shift, float(w.sum()), float(w @ inside), float(w2 @ inside), float(w2 @ ~inside)))
+    return sums
+
+
+def positive_fraction_weighted(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
+    """Self-normalized importance-sampling estimate of the positive-cone
+    fraction of ``sample_weighted_spectra(metric, n, spec)``: returns
+    ``(p, se, ess)``.
+
+    ``p = sum(w * inside) / sum(w)``; ``se`` is the delta-method error
+    ``sqrt(sum(w^2 (inside - p)^2)) / sum(w)`` and ``ess`` the effective
+    sample size ``sum(w)^2 / sum(w^2)`` (Owen, *Monte Carlo theory,
+    methods and examples*, ch. 9).  Where the error is 0, as at zero
+    hits, it is floored in units of the effective sample size.
+
+    The rows are drawn, weighted and counted in batches, so memory stays
+    bounded whatever the sample count.  Each worker keeps four running
+    sums, rescaled to the largest log weight seen so far; the squared
+    error is gathered as ``(1 - p)^2 sum(w^2 inside) + p^2 sum(w^2 outside)``,
+    two non-negative terms, so nothing cancels.
+    """
+    if n < 2:
+        raise DomainError("sampling needs n >= 2")
+    counts = _split_counts(spec.samples, spec.workers)
+    jobs = [(metric, n, kernel, c, spec.seed, i) for i, c in enumerate(counts) if c > 0]
+    sums = _NO_SUMS
+    for part in _map_ordered(_weighted_sums, jobs, spec.workers):
+        sums = _merge_sums(sums, part)
+    _, sw, sw_in, sw2_in, sw2_out = sums
+    p = sw_in / sw
+    se = math.sqrt((1.0 - p) ** 2 * sw2_in + p * p * sw2_out) / sw
+    ess = sw * sw / (sw2_in + sw2_out)
+    return p, _nonzero_error(se, int(ess)), ess
 
 
 # --- Metropolis on the simplex ----------------------------------------------
@@ -407,25 +480,6 @@ def positive_fraction_iid(spectra: np.ndarray, kernel: KernelSpectrum):
     m = inside.shape[0]
     p = float(inside.mean())
     return p, _nonzero_error(math.sqrt(p * (1.0 - p) / m), m)
-
-
-def positive_fraction_weighted(spectra: np.ndarray, log_weights: np.ndarray, kernel: KernelSpectrum):
-    """Self-normalized importance-sampling estimate of the positive-cone
-    fraction: returns ``(p, se, ess)``.
-
-    ``p = sum(w * inside) / sum(w)``; ``se`` is the delta-method error
-    ``sqrt(sum(w^2 (inside - p)^2)) / sum(w)`` and ``ess`` the effective
-    sample size ``sum(w)^2 / sum(w^2)`` (Owen, *Monte Carlo theory,
-    methods and examples*, ch. 9).  Where the error is 0, as at zero
-    hits, it is floored in units of the effective sample size.
-    """
-    inside = min_pairing_batch(spectra, kernel) >= -DEFAULT_CONE_TOL
-    w = np.exp(log_weights - log_weights.max())
-    total = float(w.sum())
-    p = float(w @ inside) / total
-    se = math.sqrt(float(((w * (inside - p)) ** 2).sum())) / total
-    ess = total * total / float(w @ w)
-    return p, _nonzero_error(se, int(ess)), ess
 
 
 def positive_fraction_mcmc(result: McmcResult, kernel: KernelSpectrum):

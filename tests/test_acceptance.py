@@ -189,7 +189,7 @@ def test_criterion_7_cross_estimator_consistency():
             quad = global_indicator(metric, 2).value
             estimates = []
             if metric is not MetricKind.BKM:
-                r = global_indicator(metric, 2, spec=McSpec(samples=600_000, seed=seed))
+                r = global_indicator(metric, 2, spec=McSpec(samples=600_000, seed=seed), sampler="matrix")
                 estimates.append((r.value, r.error))
             r = global_indicator(
                 metric, 2, spec=McSpec(samples=400_000, seed=seed + 10), sampler="weighted"
@@ -210,7 +210,7 @@ def test_criterion_7_cross_estimator_consistency():
             quad = global_indicator(metric, 3, m).value
             estimates = []
             if n_matrix:
-                r = global_indicator(metric, 3, m, McSpec(samples=n_matrix, seed=seed))
+                r = global_indicator(metric, 3, m, McSpec(samples=n_matrix, seed=seed), sampler="matrix")
                 estimates.append((r.value, r.error))
             r = global_indicator(
                 metric, 3, m, McSpec(samples=n_weighted, seed=seed + 10), sampler="weighted"

@@ -525,6 +525,39 @@ def test_commands_without_integration_never_import_scipy():
     assert json.loads(proc.stdout) == {"codes": [0] * 10, "scipy": []}
 
 
+# RUSAGE_SELF's maximum also counts the address space the process was
+# forked from (the test runner's), so the peak of its own address space,
+# VmHWM, is read where the system reports it
+_PEAK_RSS_SCRIPT = """
+import contextlib, io, resource, sys
+from wignerq.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+try:
+    with open("/proc/self/status") as fh:
+        peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except OSError:
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, peak_kb)
+"""
+
+
+def test_weighted_indicator_memory_is_bounded():
+    # 3e6 draws held at once would take about 360 MB; batched, the whole
+    # process stays near its import footprint
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["indicator", "--n", "3", "--metric", "bkm", "--zeta", "pi/6", "--method", "mc", "--samples", "3000000"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, *argv], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kb < 150 * 1024
+
+
 class TestReproduceCommand:
     def test_fast_caps_samples_without_changing_args(self, capsys, monkeypatch):
         from wignerq import cli

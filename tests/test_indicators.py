@@ -93,6 +93,9 @@ class TestGlobalIndicator:
     def test_monte_carlo_spec_selects_mc_path(self):
         r = global_indicator(MetricKind.HS, 2, spec=McSpec(samples=100_000, seed=21))
         assert r.method == "monte-carlo"
+        assert r.meta["sampler"] == "weighted"
+        assert abs(r.value - 1 / (3 * SQRT3)) < 3 * r.error
+        r = global_indicator(MetricKind.HS, 2, spec=McSpec(samples=100_000, seed=21), sampler="matrix")
         assert r.meta["sampler"] == "matrix"
         assert abs(r.value - 1 / (3 * SQRT3)) < 3 * r.error
 
@@ -105,13 +108,24 @@ class TestGlobalIndicator:
         assert r.error > 0.0
 
     def test_mc_zero_hits_reports_wilson_bound(self):
-        # no draw lands in this kernel's positive region (exact HS fraction
-        # 5.0e-8), so the binomial error is 0; the far end of the z = 1
+        # no matrix-model draw lands in this kernel's positive region (exact
+        # HS fraction 5.0e-8), so the binomial error is 0; the far end of the z = 1
         # Wilson interval, 1/(m + 1), is reported instead
         m = ModuliPoint.from_direction(4, (1.0, 0.0, 0.0))
-        r = global_indicator(MetricKind.HS, 4, m, McSpec(20_000, seed=1))
+        r = global_indicator(MetricKind.HS, 4, m, McSpec(20_000, seed=1), sampler="matrix")
         assert r.value == 0.0
         assert r.error == 1.0 / 20_001
+
+    def test_default_sampler_resolves_a_region_the_matrix_model_misses(self):
+        # the same kernel: the default importance sampler hits its region
+        # and agrees with the exact HS volume ratio
+        m = ModuliPoint.from_direction(4, (1.0, 0.0, 0.0))
+        exact = global_indicator(MetricKind.HS, 4, m).value
+        assert exact == pytest.approx(5.0e-8, rel=0.05)
+        r = global_indicator(MetricKind.HS, 4, m, McSpec(100_000))
+        assert r.meta["sampler"] == "weighted"
+        assert r.value > 0.0
+        assert abs(r.value - exact) < 3.0 * r.error
 
     def test_bkm_matrix_sampler_rejected(self):
         with pytest.raises(DomainError):

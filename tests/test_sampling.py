@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 from matrix_reference import ginibre, qr_unitary, reference_spectra
 from scipy import integrate, stats
+from weighted_reference import one_shot_fraction, reference_weighted_spectra
 
 from wignerq import (
     DomainError,
     McSpec,
     MetricKind,
+    ModuliPoint,
     closed_indicator,
+    kernel_for,
     orbit_volume_simplex,
     qubit_ball_volume,
     qubit_kernel_spectrum,
@@ -269,8 +272,7 @@ class TestWeightedSampler:
 
     @pytest.mark.parametrize("metric, seed", [(MetricKind.HS, 31), (MetricKind.BURES, 32), (MetricKind.BKM, 33)])
     def test_two_level_positive_fraction(self, metric, seed):
-        arr, log_w = sample_weighted_spectra(metric, 2, McSpec(samples=200_000, seed=seed))
-        p, se, ess = positive_fraction_weighted(arr, log_w, qubit_kernel_spectrum())
+        p, se, ess = positive_fraction_weighted(metric, 2, qubit_kernel_spectrum(), McSpec(samples=200_000, seed=seed))
         assert 0.0 < ess <= 200_000
         assert abs(p - closed_indicator(metric, 2).value) < 3 * se
 
@@ -278,22 +280,70 @@ class TestWeightedSampler:
     def test_three_level_rare_fraction_against_cubature(self, metric, seed):
         kernel = qutrit_kernel_spectrum(math.pi / 6)
         exact = orbit_volume_simplex(metric, 3, kernel).value / orbit_volume_simplex(metric, 3).value
-        arr, log_w = sample_weighted_spectra(metric, 3, McSpec(samples=200_000, seed=seed))
-        p, se, _ = positive_fraction_weighted(arr, log_w, kernel)
+        p, se, _ = positive_fraction_weighted(metric, 3, kernel, McSpec(samples=200_000, seed=seed))
         assert abs(p - exact) < 3 * se
 
     def test_zero_hits_floor_counts_effective_samples(self):
-        # every row lies outside the positive ball, so the spread is 0
-        arr = np.tile([0.95, 0.05], (40, 1))
-        log_w = np.random.default_rng(15).normal(size=40)
-        p, se, ess = positive_fraction_weighted(arr, log_w, qubit_kernel_spectrum())
+        # about 1% of Dirichlet(1/2) draws land in this kernel's positive
+        # region; these 50 miss it, so the spread is 0
+        kernel = kernel_for(ModuliPoint.from_direction(4, (1.0, 0.0, 0.0)))
+        p, se, ess = positive_fraction_weighted(MetricKind.HS, 4, kernel, McSpec(samples=50, seed=1))
         assert p == 0.0
-        assert 1.0 < ess < 40.0
+        assert 1.0 < ess < 50.0
         assert se == 1.0 / (int(ess) + 1)
 
     def test_one_level_rejected(self):
         with pytest.raises(DomainError):
             sample_weighted_spectra(MetricKind.BKM, 1, McSpec(samples=10))
+        with pytest.raises(DomainError):
+            positive_fraction_weighted(MetricKind.BKM, 1, qubit_kernel_spectrum(), McSpec(samples=10))
+
+
+#: A positive region of each n with a fraction of 1e-4 to 0.2, so that a
+#: few thousand draws hit it.
+_STREAM_KERNELS = {
+    2: lambda: qubit_kernel_spectrum(),
+    3: lambda: qutrit_kernel_spectrum(math.pi / 6),
+    4: lambda: kernel_for(ModuliPoint.from_direction(4, (0.0, 0.0, -1.0))),
+}
+
+
+class TestStreamingEstimator:
+    """The batched sampler and the streaming estimator against the whole
+    draw of ``weighted_reference``: equal spectra bit for bit, equal
+    estimates to rounding."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batched_draw_is_one_dirichlet_call(self, workers):
+        # 2.5 batches, so each worker crosses a batch boundary
+        samples = 5 * sampling_mod._EIG_BATCH // 2
+        spec = McSpec(samples=samples, seed=41, workers=workers)
+        arr, log_w = sample_weighted_spectra(MetricKind.BKM, 3, spec)
+        ref, log_ref = reference_weighted_spectra(MetricKind.BKM, 3, samples, spec.seed, workers)
+        assert np.array_equal(arr, ref)
+        assert np.array_equal(log_w, log_ref)
+
+    @pytest.mark.parametrize("samples", [3_000, 5 * sampling_mod._EIG_BATCH // 2], ids=["below-batch", "2.5-batches"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equals_one_shot_estimate(self, metric, n, workers, samples):
+        kernel = _STREAM_KERNELS[n]()
+        spec = McSpec(samples=samples, seed=7 * n + workers, workers=workers)
+        got = positive_fraction_weighted(metric, n, kernel, spec)
+        want = one_shot_fraction(*reference_weighted_spectra(metric, n, samples, spec.seed, workers), kernel)
+        assert want[0] > 0.0
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_hits_get_the_ess_floor(self, metric, workers):
+        # none of these 50 draws lands in the kernel's positive region
+        kernel = kernel_for(ModuliPoint.from_direction(4, (1.0, 0.0, 0.0)))
+        spec = McSpec(samples=50, seed=1, workers=workers)
+        p, se, ess = positive_fraction_weighted(metric, 4, kernel, spec)
+        want = one_shot_fraction(*reference_weighted_spectra(metric, 4, 50, 1, workers), kernel)
+        assert p == 0.0
+        assert se == 1.0 / (int(ess) + 1)
+        assert (p, se, ess) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestMcmcSampler:
