@@ -119,10 +119,8 @@ def _indicator_rows(results: list[IndicatorResult]):
 
 
 def _quad_spec(args) -> QuadratureSpec:
-    """``QuadratureSpec()`` with the tolerances given as flags (only
-    ``average`` has ``--abs-tol``)."""
-    given = {"rel_tol": args.rel_tol, "abs_tol": getattr(args, "abs_tol", None)}
-    return QuadratureSpec(**{k: v for k, v in given.items() if v is not None})
+    """``QuadratureSpec()``, with ``--rel-tol`` in place of its default when given."""
+    return QuadratureSpec() if args.rel_tol is None else QuadratureSpec(rel_tol=args.rel_tol)
 
 
 def _mc_spec(args) -> McSpec:
@@ -328,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default="all", help="hs, bures, bkm or all")
     p.add_argument("--n", type=int, default=3, choices=(3,))
     _add_quad_flags(p)
-    p.add_argument("--abs-tol", type=float, default=None,
-                   help=f"absolute tolerance of the moduli average (default {QuadratureSpec().abs_tol:g})")
     _add_output_flags(p)
     p.set_defaults(func=cmd_average)
 

@@ -21,7 +21,9 @@ from typing import Union
 
 from .errors import DomainError
 from .integrate.quadrature import (
+    _ZETA_MAX,
     QuadratureSpec,
+    _moduli_average_integral,
     gauss_legendre_doubling,
     orbit_volume_qubit,  # noqa: F401 -- bench/spans.py wraps this attribute in a traced pass
     orbit_volume_qutrit,
@@ -45,8 +47,6 @@ from .sw_kernel import kernel_for
 
 #: Moduli tag carried by averaged results instead of a point.
 AVERAGED = "averaged"
-
-_ZETA_MAX = math.pi / 3.0
 
 #: Width of the final bracket of the moduli minimization.
 _ZETA_TOL = 1e-6
@@ -234,22 +234,27 @@ def global_indicator(
     return _quadrature_indicator(metric, n, moduli, spec or QuadratureSpec())
 
 
-def _qutrit_indicator_fn(metric: MetricKind, spec: QuadratureSpec, path: str):
-    """The zeta -> indicator function for one metric and one evaluation
-    path ('auto', 'closed' or 'quadrature'), and whether it is the
-    closed form; 'auto' takes the closed form where one exists."""
+def _takes_closed_form(metric: MetricKind, path: str) -> bool:
+    """Whether the three-level evaluation path ('auto', 'closed' or
+    'quadrature') of a metric is the flat closed form; 'auto' takes it
+    where one exists."""
     if path not in ("auto", "closed", "quadrature"):
         raise DomainError(f"unknown evaluation path {path!r}")
-    if path == "closed" or (path == "auto" and metric is MetricKind.HS):
-        if metric is not MetricKind.HS:
-            raise DomainError(f"no closed form for metric {metric.value} at n = 3")
-        return qutrit_indicator_closed_form, True
+    if path == "closed" and metric is not MetricKind.HS:
+        raise DomainError(f"no closed form for metric {metric.value} at n = 3")
+    return path == "closed" or (path == "auto" and metric is MetricKind.HS)
+
+
+def _qutrit_indicator_fn(metric: MetricKind, spec: QuadratureSpec, path: str):
+    """The zeta -> indicator function of one metric and evaluation path."""
+    if _takes_closed_form(metric, path):
+        return qutrit_indicator_closed_form
     den = qutrit_full_volume(metric, spec)
 
     def f(z):
         return orbit_volume_qutrit(metric, z, spec).value / den
 
-    return f, False
+    return f
 
 
 def average_indicator(
@@ -260,28 +265,41 @@ def average_indicator(
 ) -> IndicatorResult:
     """Indicator averaged uniformly over the three-level moduli angle.
 
-    The one-dimensional moduli integral is done by Gauss-Legendre
-    doubling; each node evaluates the indicator either in closed form
-    (flat metric, the default) or from the volumes of ``orbit_volume_qutrit``.
+    ``inner`` picks the route.  'closed' (the default 'auto' for the flat
+    metric) integrates the closed form over the angle by Gauss-Legendre
+    doubling, to ``spec.rel_tol`` or ``spec.abs_tol``, whichever is met
+    first.  'quadrature' (the default for Bures and BKM) swaps the two
+    integrals: the density times the fraction of angles at which each
+    spectrum is Wigner-positive, integrated once over the ordered simplex
+    by a sector rule doubled to ``spec.rel_tol``, over the cached full
+    volume.  Its error is the rule's last change over the full volume
+    plus ``2 * rel_tol * value`` for the full volume itself.  ``meta``
+    records the final order and the evaluations of the closed form or of
+    the density.
     """
     if n != 3:
         raise DomainError("moduli averaging is implemented for n = 3")
     if isinstance(spec, McSpec):
         raise DomainError("averaging is deterministic; pass a QuadratureSpec")
     spec = spec or QuadratureSpec()
-    f, use_closed = _qutrit_indicator_fn(metric, spec, inner)
-    avg_tol = max(100.0 * spec.rel_tol, 1e-6)
-    total, gl_err = gauss_legendre_doubling(f, 0.0, _ZETA_MAX, rel_tol=avg_tol, abs_tol=spec.abs_tol)
-    value = total / _ZETA_MAX
-    err = gl_err / _ZETA_MAX + (0.0 if use_closed else 2.0 * spec.rel_tol * value)
+    if _takes_closed_form(metric, inner):
+        total, change, order, evaluations = gauss_legendre_doubling(
+            qutrit_indicator_closed_form, 0.0, _ZETA_MAX, rel_tol=spec.rel_tol, abs_tol=spec.abs_tol
+        )
+        value, err, method = total / _ZETA_MAX, change / _ZETA_MAX, "closed-form"
+    else:
+        total, change, order, evaluations = _moduli_average_integral(metric, spec.rel_tol)
+        den = simplex_full_volume(metric, 3, spec)
+        value, method = total / den, "quadrature"
+        err = change / den + 2.0 * spec.rel_tol * value
     return IndicatorResult(
         value,
         err,
         metric,
         3,
         AVERAGED,
-        "closed-form" if use_closed else "quadrature",
-        meta={"moduli_measure": "uniform"},
+        method,
+        meta={"moduli_measure": "uniform", "order": order, "evaluations": evaluations},
     )
 
 
@@ -319,7 +337,7 @@ def minimize_indicator(
     if n != 3:
         raise DomainError("moduli minimization is implemented for n = 3")
     spec = spec or QuadratureSpec()
-    f, _ = _qutrit_indicator_fn(metric, spec, method)
+    f = _qutrit_indicator_fn(metric, spec, method)
     return _golden_section_min(f, 0.0, _ZETA_MAX, _ZETA_TOL)
 
 

@@ -16,6 +16,13 @@ ball -- and integrates each piece:
 
 The two- and three-level volumes are this route at N = 2 and N = 3.
 
+The three-level moduli average of the quadrature route is one integral
+over the ordered simplex, of the density times the fraction of apex
+angles at which each spectrum is Wigner-positive: a tensor
+Gauss-Legendre rule on sectors about the maximally mixed state, doubled
+to ``rel_tol``.  ``gauss_legendre_doubling`` integrates the flat closed
+form over the angle instead; it is the only user of ``abs_tol``.
+
 All volumes are unnormalized, in the simplex coordinates r_1 ... r_{N-1};
 only ratios are meaningful.
 """
@@ -37,10 +44,11 @@ from ..sw_kernel import qutrit_kernel_spectrum
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature tolerances.  Volumes stop on ``rel_tol`` alone;
-    ``abs_tol`` applies only to the moduli average's Gauss-Legendre
-    doubling.  ``QuadratureSpec()`` is the spec of every entry point
-    given ``spec=None``."""
+    """Quadrature tolerances.  Volumes and the quadrature moduli average
+    stop on ``rel_tol`` alone; ``abs_tol`` bounds only the flat
+    closed-form moduli average, whose Gauss-Legendre doubling stops on
+    either.  ``QuadratureSpec()`` is the spec of every entry point given
+    ``spec=None``."""
 
     rel_tol: float = 1e-7
     abs_tol: float = 1e-15
@@ -317,24 +325,128 @@ def simplex_full_volume(metric: MetricKind, n: int, spec: QuadratureSpec) -> flo
 def gauss_legendre_doubling(f, a: float, b: float, *, rel_tol: float, abs_tol: float):
     """Integrate ``f`` on [a, b] with Gauss-Legendre rules of order 16,
     32, ..., 256 until two consecutive orders agree.  Returns (value,
-    error estimate).  Meant for smooth integrands whose evaluations are
-    expensive (each one may itself be a multidimensional quadrature).
-    The tolerances have no defaults here: callers take them from their
+    last change, order, evaluations of ``f``).  Meant for smooth
+    integrands such as the flat closed form over the moduli angle.  The
+    tolerances have no defaults here: callers take them from their
     ``QuadratureSpec``.
     """
     if b <= a:
         raise DomainError("empty integration interval")
-    prev = None
+    prev, evaluations = None, 0
     for order in (16, 32, 64, 128, 256):
         nodes, weights = np.polynomial.legendre.leggauss(order)
         xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         total = 0.5 * (b - a) * math.fsum(w * f(x) for x, w in zip(xs, weights))
+        evaluations += order
         if prev is not None:
             err = abs(total - prev)
             if err <= max(abs_tol, rel_tol * abs(total)):
-                return total, err
+                return total, err, order, evaluations
         prev = total
     raise ConvergenceError(
         f"Gauss-Legendre doubling did not settle below rel_tol={rel_tol:g} by order {order}: "
         f"value {total:.6e}, change {err:.3e}"
+    )
+
+
+# --- the three-level moduli average as one sector integral ------------------
+
+_ZETA_MAX = math.pi / 3.0
+
+#: Last order of the sector rule, 6 * 256^2 points; BKM needs it below
+#: rel_tol 1.5e-13.
+_SECTOR_MAX_ORDER = 256
+
+
+@lru_cache(maxsize=None)
+def _qutrit_pairing_plane() -> np.ndarray:
+    """The matrix taking a descending three-level spectrum r to (A, B, 1),
+    where the pairing of r with the kernel at apex angle zeta is
+    ``1/3 - A cos(zeta) - B sin(zeta)``.
+
+    On [0, pi/3] the ascending kernel spectrum is ``1/3 - a cos(zeta) -
+    b sin(zeta)`` for fixed vectors a and b, and r sums to 1, so the rows
+    a, b are read off ``qutrit_kernel_spectrum`` at zeta = 0 and pi/3.
+    They give A = (2/3)(3 r_1 - 1) and B = (2/sqrt 3)(r_2 - r_3), and map
+    the ordered triangle onto the sector 0 <= atan2(B, A) <= pi/3.
+    """
+    third = 1.0 / 3.0
+    a = third - np.array(qutrit_kernel_spectrum(0.0).values)
+    b = (third - np.array(qutrit_kernel_spectrum(_ZETA_MAX).values) - a / 2.0) * (2.0 / math.sqrt(3.0))
+    plane = np.array([a, b, np.ones(3)])
+    plane.flags.writeable = False
+    return plane
+
+
+def _zeta_positive_fraction(rho, phi):
+    """Fraction of zeta in [0, pi/3] at which a spectrum with polar
+    coordinates (rho, phi) of (A, B) is Wigner-positive.
+
+    The pairing ``1/3 - rho cos(zeta - phi)`` is negative on the window
+    ``phi -+ arccos(1/(3 rho))`` when rho > 1/3; the fraction is 1 minus
+    the window's length within [0, pi/3] over pi/3.  The half-width is
+    written ``arctan(sqrt(9 rho^2 - 1))``, so rho <= 1/3 takes no branch,
+    and an empty intersection has length 0, so a rounded phi outside
+    [0, pi/3] near the maximally mixed state still gives 1.
+    """
+    half = np.arctan(np.sqrt(np.maximum(9.0 * rho * rho - 1.0, 0.0)))
+    inside = np.minimum(phi + half, _ZETA_MAX) - np.maximum(phi - half, 0.0)
+    return 1.0 - np.maximum(inside, 0.0) / _ZETA_MAX
+
+
+def _sector_rule_sum(metric, order: int) -> float:
+    """The integral of density times ``_zeta_positive_fraction`` over the
+    ordered triangle by a tensor Gauss-Legendre rule of the given order
+    per axis, in polar coordinates (rho, phi) of (A, B).
+
+    phi is split at pi/6.  On each half the radial range stops at the
+    farther of the lines P_0 = 0 and P_{pi/3} = 0 (the pairings at zeta = 0
+    and pi/3), beyond which the fraction is 0, so the edge r_3 = 0 and
+    the pure state never enter.  It is broken at the circle rho = 1/3,
+    inside which the fraction is 1, and at the nearer line, where the
+    window meets one end of [0, pi/3].  Between the circle and the lines
+    the variable is t = sqrt(rho - 1/3), in which the fraction is
+    analytic; the line through the angle delta from its normal lies at
+    ``t = sin(|delta|/2) sqrt(2/(3 cos delta))``."""
+    plane = _qutrit_pairing_plane()
+    to_spectrum = np.linalg.inv(plane).T
+    jacobian = 1.0 / abs(np.linalg.det(plane))
+    s, w = np.polynomial.legendre.leggauss(order)
+    s, w = (s + 1.0) / 2.0, w / 2.0
+    half = _ZETA_MAX / 2.0
+    total = []
+    for start, near, far in ((0.0, 0.0, _ZETA_MAX), (half, _ZETA_MAX, 0.0)):
+        phi = (start + half * s)[:, None]
+        t_near, t_far = (np.sin(np.abs(phi - c) / 2.0) * np.sqrt(2.0 / (3.0 * np.cos(phi - c))) for c in (near, far))
+        # (rho, weight of d rho) on an (order, order) grid, phi down the rows
+        radial = [(np.tile(s / 3.0, (order, 1)), np.tile(w / 3.0, (order, 1)))]
+        for lo, hi in ((0.0, t_near), (t_near, t_far)):
+            t = lo + (hi - lo) * s
+            radial.append((1.0 / 3.0 + t * t, 2.0 * t * (hi - lo) * w))
+        for rho, w_rho in radial:
+            points = np.stack([rho * np.cos(phi), rho * np.sin(phi), np.ones_like(rho)], axis=-1)
+            weight = jacobian * half * w[:, None] * w_rho * rho * _zeta_positive_fraction(rho, phi)
+            total.append(float(weight.ravel() @ _density_batch(metric, points.reshape(-1, 3) @ to_spectrum)))
+    return math.fsum(total)
+
+
+def _moduli_average_integral(metric, rel_tol: float):
+    """The numerator of the three-level moduli average, the integral of
+    density times the Wigner-positive fraction of apex angles over the
+    ordered simplex, in the coordinates of ``simplex_full_volume``: the
+    sector rule at orders 8, 16, ... until two consecutive orders agree
+    to ``rel_tol``.  Returns (value, last change, order, density
+    evaluations); ConvergenceError past order 256."""
+    order, prev, evaluations = 8, None, 0
+    while order <= _SECTOR_MAX_ORDER:
+        value = _sector_rule_sum(metric, order)
+        evaluations += 6 * order * order
+        if prev is not None:
+            change = abs(value - prev)
+            if change <= rel_tol * abs(value):
+                return value, change, order, evaluations
+        prev, order = value, 2 * order
+    raise ConvergenceError(
+        f"{metric.value} n=3 moduli average: sector rule did not settle below rel_tol={rel_tol:g} "
+        f"by order {order // 2} (limit {_SECTOR_MAX_ORDER}): value {prev:.6e}, last change {change:.3e}"
     )

@@ -151,10 +151,13 @@ class TestIndicatorCommand:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("argv", [_QUAD_INDICATOR, ["minimize", "--metric", "bures"]], ids=["indicator", "minimize"])
+    @pytest.mark.parametrize(
+        "argv",
+        [_QUAD_INDICATOR, ["minimize", "--metric", "bures"], ["average", "--metric", "hs"]],
+        ids=["indicator", "minimize", "average"],
+    )
     def test_abs_tol_is_rejected(self, capsys, argv):
-        # no volume is bounded by an absolute tolerance; only the moduli
-        # average takes one
+        # no command is bounded by an absolute tolerance
         code, out, err = run_cli(capsys, *argv, "--abs-tol", "1e-3")
         assert code == 2
         assert out == ""
@@ -165,7 +168,7 @@ class TestIndicatorCommand:
         [
             pytest.param(_QUAD_INDICATOR, "--rel-tol", "nan", id="--rel-tol-nan"),
             pytest.param(_QUAD_INDICATOR, "--rel-tol", "inf", id="--rel-tol-inf"),
-            pytest.param(["average", "--metric", "hs"], "--abs-tol", "nan", id="average-abs-tol-nan"),
+            pytest.param(["average", "--metric", "hs"], "--rel-tol", "nan", id="average-rel-tol-nan"),
         ],
     )
     def test_non_finite_tolerance_is_usage_error(self, capsys, argv, flag, value):
@@ -183,6 +186,21 @@ class TestIndicatorCommand:
 
 
 class TestAverageCommand:
+    def test_unreachable_tolerance_names_the_order_reached(self, capsys):
+        code, out, err = run_cli(capsys, "average", "--metric", "bkm", "--rel-tol", "1e-16")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical failure:")
+        assert "sector rule did not settle below rel_tol=1e-16 by order 256" in err
+
+    def test_provenance_validates(self, capsys):
+        code, out, _ = run_cli(capsys, "average", "--metric", "all")
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload)
+        for result in payload["results"]:
+            assert {"order", "evaluations"} <= result["meta"].keys()
+
     def test_flat_only(self, capsys):
         code, out, _ = run_cli(capsys, "average", "--n", "3", "--metric", "hs")
         assert code == 0
@@ -223,11 +241,11 @@ class _Stop(Exception):
 @pytest.mark.parametrize(
     "runner, argv, flag",
     [
-        ("average_indicator", ["average", "--metric", "bures"], "--abs-tol"),
+        ("average_indicator", ["average", "--metric", "bures"], "--rel-tol"),
         ("minimize_indicator", ["minimize", "--metric", "bures"], "--rel-tol"),
         ("global_indicator", ["indicator", "--n", "2", "--metric", "bkm", "--method", "quad"], "--rel-tol"),
     ],
-    ids=["average-abs-tol", "minimize-rel-tol", "indicator-rel-tol"],
+    ids=["average-rel-tol", "minimize-rel-tol", "indicator-rel-tol"],
 )
 def test_tolerance_flag_reaches_library(monkeypatch, runner, argv, flag):
     # the flag replaces one field of QuadratureSpec() and keeps the other

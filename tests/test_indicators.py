@@ -24,7 +24,10 @@ from wignerq import (
     qubit_positivity_probability,
     qutrit_indicator_closed_form,
 )
-from wignerq.integrate import DEFAULT_2D
+from wignerq.integrate import DEFAULT_2D, gauss_legendre_doubling, sample_weighted_spectra
+from wignerq.integrate import quadrature
+from wignerq.integrate.quadrature import _qutrit_pairing_plane, _zeta_positive_fraction, simplex_full_volume
+from wignerq.measures import _density_batch
 
 SQRT3 = math.sqrt(3.0)
 
@@ -213,6 +216,71 @@ class TestAverageIndicator:
         closed_path = average_indicator(MetricKind.HS).value
         quad_path = average_indicator(MetricKind.HS, inner="quadrature").value
         assert quad_path == pytest.approx(closed_path, rel=1e-4)
+
+    @staticmethod
+    def _zeta_doubling(metric, spec):
+        # the route of the moduli average before the two integrals were
+        # swapped: Gauss-Legendre doubling over zeta of the quadrature
+        # indicator, to max(100 rel_tol, 1e-6), with its stated error
+        def q(zeta):
+            return global_indicator(metric, 3, ModuliPoint.qutrit(zeta), spec).value
+
+        total, change, _, _ = gauss_legendre_doubling(
+            q, 0.0, math.pi / 3.0, rel_tol=max(100.0 * spec.rel_tol, 1e-6), abs_tol=spec.abs_tol
+        )
+        value = total / (math.pi / 3.0)
+        return value, change / (math.pi / 3.0) + 2.0 * spec.rel_tol * value
+
+    @pytest.mark.parametrize("rel_tol", [QuadratureSpec().rel_tol, 1e-9])
+    @pytest.mark.parametrize("metric", list(MetricKind), ids=lambda m: m.value)
+    def test_within_stated_errors_of_the_zeta_doubling_route(self, metric, rel_tol):
+        spec = QuadratureSpec(rel_tol=rel_tol)
+        new = average_indicator(metric, spec=spec, inner="quadrature")
+        old, old_error = self._zeta_doubling(metric, spec)
+        assert new.method == "quadrature"
+        assert abs(new.value - old) <= new.error + old_error
+
+    @pytest.mark.parametrize("metric", list(MetricKind), ids=lambda m: m.value)
+    def test_conditional_monte_carlo(self, metric):
+        # weighted draws scored by the fraction of angles at which each is
+        # positive: an estimate of the same swapped integral (conditional
+        # Monte Carlo, Owen, Monte Carlo theory, methods and examples)
+        spectra, log_w = sample_weighted_spectra(metric, 3, McSpec(200_000, seed=17, workers=1))
+        a, b, _ = _qutrit_pairing_plane() @ spectra.T
+        f = _zeta_positive_fraction(np.hypot(a, b), np.arctan2(b, a))
+        w = np.exp(log_w - log_w.max())
+        p = math.fsum(w * f) / math.fsum(w)
+        se = math.sqrt(math.fsum((w * (f - p)) ** 2)) / math.fsum(w)
+        assert abs(average_indicator(metric, inner="quadrature").value - p) <= 3.0 * se
+
+    @pytest.mark.parametrize("inner", ["auto", "quadrature"])
+    @pytest.mark.parametrize("metric", list(MetricKind), ids=lambda m: m.value)
+    def test_density_evaluations_are_bounded(self, monkeypatch, metric, inner):
+        simplex_full_volume(metric, 3, QuadratureSpec())  # the cached denominator is not counted
+        rows = []
+
+        def counted(m, pts):
+            rows.append(len(pts))
+            return _density_batch(m, pts)
+
+        monkeypatch.setattr(quadrature, "_density_batch", counted)
+        r = average_indicator(metric, inner=inner)
+        assert sum(rows) <= 20_000
+        assert sum(rows) == (r.meta["evaluations"] if r.method == "quadrature" else 0)
+
+    @pytest.mark.parametrize("inner", ["auto", "quadrature"])
+    @pytest.mark.parametrize("metric", list(MetricKind), ids=lambda m: m.value)
+    def test_converges_at_tight_tolerance(self, metric, inner):
+        r = average_indicator(metric, spec=QuadratureSpec(rel_tol=1e-13), inner=inner)
+        default = average_indicator(metric, inner=inner)
+        assert r.meta["order"] >= default.meta["order"]
+        assert abs(r.value - default.value) <= r.error + default.error
+
+    def test_flat_closed_form_route_ignores_rel_tol(self):
+        # its doubling change is below abs_tol at every rel_tol
+        bits = {average_indicator(MetricKind.HS, spec=QuadratureSpec(rel_tol=t)).value.hex()
+                for t in (1e-5, 1e-7, 1e-9, 1e-12, 1e-14)}
+        assert len(bits) == 1
 
     def test_rejects_other_dimensions_and_mc(self):
         with pytest.raises(DomainError):

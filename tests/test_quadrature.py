@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,11 @@ from wignerq.integrate.quadrature import (
     _cut_pieces,
     _exact_hs_volume,
     _gm_rule,
+    _qutrit_pairing_plane,
+    _zeta_positive_fraction,
     simplex_full_volume,
 )
+from wignerq.positivity import min_pairing_batch
 
 SQRT3 = math.sqrt(3.0)
 
@@ -345,9 +349,10 @@ class TestSimplexVolumes:
 
 class TestGaussLegendreDoubling:
     def test_smooth_integrand(self):
-        value, err = gauss_legendre_doubling(math.cos, 0.0, 1.0, rel_tol=1e-10, abs_tol=1e-15)
+        value, err, order, evaluations = gauss_legendre_doubling(math.cos, 0.0, 1.0, rel_tol=1e-10, abs_tol=1e-15)
         assert value == pytest.approx(math.sin(1.0), rel=1e-12)
         assert err < 1e-10
+        assert (order, evaluations) == (32, 48)
 
     def test_stalls_on_rough_integrand(self):
         with pytest.raises(ConvergenceError) as err:
@@ -359,3 +364,91 @@ class TestGaussLegendreDoubling:
     def test_empty_interval(self):
         with pytest.raises(DomainError):
             gauss_legendre_doubling(math.cos, 1.0, 1.0, rel_tol=1e-6, abs_tol=1e-15)
+
+
+def _fraction(spectra):
+    """``_zeta_positive_fraction`` of descending three-level spectra."""
+    a, b, _ = _qutrit_pairing_plane() @ np.asarray(spectra, dtype=float).T
+    return _zeta_positive_fraction(np.hypot(a, b), np.arctan2(b, a))
+
+
+def _grid_fraction(spectra, points=20_001):
+    """Wigner-positive fraction of zeta in [0, pi/3] from the kernel
+    pairing on a uniform grid, by the trapezoid rule: off by at most half
+    a grid step per sign change, of which there are at most two."""
+    zetas = np.linspace(0.0, math.pi / 3.0, points)
+    kernels = np.array([qutrit_kernel_spectrum(z).values for z in zetas]).T
+    out = []
+    for chunk in np.array_split(np.asarray(spectra, dtype=float), max(1, len(spectra) // 200)):
+        positive = (chunk @ kernels >= 0.0).astype(float)
+        out.append((positive[:, 1:] + positive[:, :-1]).sum(axis=1) / (2.0 * (points - 1)))
+    return np.concatenate(out)
+
+
+class TestZetaPositiveFraction:
+    # the fraction f(r) of apex angles at which spectrum r is
+    # Wigner-positive, the integrand factor of the moduli average
+    SPECIAL = np.array([
+        [1 / 3, 1 / 3, 1 / 3],      # maximally mixed
+        [0.5, 0.5, 0.0],
+        [1.0, 0.0, 0.0],            # pure
+        [0.5, 1 / 3, 1 / 6],        # both lines P_0 = 0 and P_{pi/3} = 0
+        [0.5, 0.3, 0.2],            # on P_0 = 0 (r_1 = 1/2)
+        [0.5, 0.45, 0.05],
+        [0.45, 23 / 60, 1 / 6],     # on P_{pi/3} = 0 (r_3 = 1/6)
+        [0.7, 2 / 15, 1 / 6],
+    ])
+
+    @staticmethod
+    def _on_circle(count):
+        # spectra with rho = 1/3, phi spread over [0, pi/3]
+        phi = np.linspace(0.0, math.pi / 3.0, count)
+        plane = _qutrit_pairing_plane()
+        ab1 = np.stack([np.cos(phi) / 3.0, np.sin(phi) / 3.0, np.ones(count)], axis=1)
+        return ab1 @ np.linalg.inv(plane).T
+
+    def test_plane_is_the_kernel_pairing(self):
+        rng = np.random.default_rng(11)
+        r = np.sort(rng.dirichlet([0.5] * 3, 500), axis=1)[:, ::-1]
+        a, b, one = _qutrit_pairing_plane() @ r.T
+        np.testing.assert_allclose(a, (2.0 / 3.0) * (3.0 * r[:, 0] - 1.0), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(b, (2.0 / SQRT3) * (r[:, 1] - r[:, 2]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(one, 1.0, rtol=0, atol=1e-15)
+        for zeta in np.linspace(0.0, math.pi / 3.0, 13):
+            pairing = min_pairing_batch(r, qutrit_kernel_spectrum(zeta))
+            np.testing.assert_allclose(1.0 / 3.0 - a * math.cos(zeta) - b * math.sin(zeta), pairing, rtol=0, atol=1e-14)
+        # dr_1 dr_2 = (sqrt 3 / 8) dA dB
+        assert 1.0 / abs(np.linalg.det(_qutrit_pairing_plane())) == pytest.approx(SQRT3 / 8.0, rel=1e-14)
+
+    def test_matches_the_kernel_pairing_on_a_zeta_grid(self):
+        rng = np.random.default_rng(2024)
+        r = np.sort(rng.dirichlet([0.5] * 3, 2000), axis=1)[:, ::-1]
+        r = np.concatenate([r, self.SPECIAL, self._on_circle(9)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = _fraction(r)
+        assert np.all((f >= 0.0) & (f <= 1.0))
+        assert np.max(np.abs(f - _grid_fraction(r))) <= 1e-4
+
+    def test_special_points(self):
+        f = _fraction(self.SPECIAL)
+        assert f[0] == 1.0
+        # (1/2, 1/2, 0) is positive at zeta = pi/3 only; the pure state never
+        assert f[1] == pytest.approx(0.0, abs=1e-15)
+        assert f[2] == 0.0
+        np.testing.assert_allclose(_fraction(self._on_circle(9)), 1.0, rtol=0, atol=1e-7)
+
+    def test_one_inside_the_circle_and_zero_past_both_lines(self):
+        rng = np.random.default_rng(5)
+        r = np.sort(rng.dirichlet([0.5] * 3, 20_000), axis=1)[:, ::-1]
+        a, b, _ = _qutrit_pairing_plane() @ r.T
+        f = _fraction(r)
+        inside = np.hypot(a, b) < 1.0 / 3.0
+        assert inside.sum() > 100
+        assert np.all(f[inside] == 1.0)
+        ends = np.stack([min_pairing_batch(r, qutrit_kernel_spectrum(z)) for z in (0.0, math.pi / 3.0)])
+        negative = (ends < 0.0).all(axis=0)
+        assert negative.sum() > 100
+        assert np.all(f[negative] == 0.0)
+        # in between it is strictly between
+        assert np.all((f[~inside & ~negative] > 0.0) & (f[~inside & ~negative] <= 1.0))
