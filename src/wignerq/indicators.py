@@ -48,7 +48,8 @@ from .sw_kernel import kernel_for
 #: Moduli tag carried by averaged results instead of a point.
 AVERAGED = "averaged"
 
-#: Width of the final bracket of the moduli minimization.
+#: Width of the bracket on which the moduli minimization stops; the
+#: minimizing angle lies in it, as does the returned point.
 _ZETA_TOL = 1e-6
 
 
@@ -267,15 +268,16 @@ def average_indicator(
 
     ``inner`` picks the route.  'closed' (the default 'auto' for the flat
     metric) integrates the closed form over the angle by Gauss-Legendre
-    doubling, to ``spec.rel_tol`` or ``spec.abs_tol``, whichever is met
-    first.  'quadrature' (the default for Bures and BKM) swaps the two
-    integrals: the density times the fraction of angles at which each
-    spectrum is Wigner-positive, integrated once over the ordered simplex
-    by a sector rule doubled to ``spec.rel_tol``, over the cached full
-    volume.  Its error is the rule's last change over the full volume
-    plus ``2 * rel_tol * value`` for the full volume itself.  ``meta``
-    records the final order and the evaluations of the closed form or of
-    the density.
+    doubling to ``spec.rel_tol``.  'quadrature' (the default for Bures
+    and BKM) swaps the two integrals: the density times the fraction of
+    angles at which each spectrum is Wigner-positive, integrated once
+    over the ordered simplex by a sector rule doubled to
+    ``spec.rel_tol``, over the cached full volume; its error is the
+    rule's last change over the full volume plus ``2 * rel_tol * value``
+    for the full volume itself.  Both routes stop on ``rel_tol`` alone and
+    raise ConvergenceError when their last order does not reach it.
+    ``meta`` records the final order and the evaluations of the closed
+    form or of the density.
     """
     if n != 3:
         raise DomainError("moduli averaging is implemented for n = 3")
@@ -284,7 +286,7 @@ def average_indicator(
     spec = spec or QuadratureSpec()
     if _takes_closed_form(metric, inner):
         total, change, order, evaluations = gauss_legendre_doubling(
-            qutrit_indicator_closed_form, 0.0, _ZETA_MAX, rel_tol=spec.rel_tol, abs_tol=spec.abs_tol
+            qutrit_indicator_closed_form, 0.0, _ZETA_MAX, rel_tol=spec.rel_tol, abs_tol=0.0
         )
         value, err, method = total / _ZETA_MAX, change / _ZETA_MAX, "closed-form"
     else:
@@ -303,23 +305,62 @@ def average_indicator(
     )
 
 
-def _golden_section_min(f, a: float, b: float, tol: float):
-    """Golden-section search for the minimum of a unimodal function."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
+def _brent_min(f, a: float, b: float, tol: float):
+    """Minimum of a unimodal ``f`` on [a, b] by Brent's bounded search
+    (Algorithms for Minimization without Derivatives, 1973, ch. 5):
+    parabolic interpolation through the best three points, with a
+    golden-section step wherever the parabola is not trusted.  Stops when
+    the bracket around the best point ``x`` is at most ``tol`` wide and
+    returns ``(x, f(x))`` from the evaluations already made.  Brent's
+    relative term ``sqrt(eps) * |x|`` is left out: on a bounded interval
+    near the origin the absolute ``tol`` dominates it."""
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    # least distance between evaluated points; the loop ends once x is
+    # within 2 * step of both ends of the bracket, so at most tol wide
+    step = tol / 4.0
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while max(x - a, b - x) > 2.0 * step:
+        m = 0.5 * (a + b)
+        p = q = r = 0.0
+        if abs(e) > step:
+            # parabola through (v, fv), (w, fw), (x, fx); its vertex is x + p / q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        # take the vertex if it lies inside (a, b) and moves less than half
+        # the step before last; otherwise step into the larger golden section
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if min(x + d - a, b - x - d) < 2.0 * step:
+                d = step if x < m else -step
         else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
+            e = (b if x < m else a) - x
+            d = golden * e
+        u = x + (d if abs(d) >= step else math.copysign(step, d))
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def minimize_indicator(
@@ -330,15 +371,20 @@ def minimize_indicator(
 ) -> tuple[float, float]:
     """Minimize the three-level indicator over the moduli angle.
 
-    Returns ``(zeta_star, q_star)`` from a golden-section search on
-    [0, pi/3].  ``method`` picks the evaluation path: 'closed' (flat
-    metric only), 'quadrature', or 'auto' (closed form when available).
+    Returns ``(zeta_star, q_star)`` from Brent's bounded search on
+    [0, pi/3] (parabolic interpolation with golden-section steps, as in
+    scipy's ``fminbound``), which treats the indicator as unimodal in the
+    angle and stops when the bracket around ``zeta_star`` is at most
+    ``_ZETA_TOL`` = 1e-6 wide; ``q_star`` is the indicator at
+    ``zeta_star``.  The curved metrics take about 9 quadratures, the flat
+    one 6.  ``method`` picks the evaluation path: 'closed' (flat metric
+    only), 'quadrature', or 'auto' (closed form when available).
     """
     if n != 3:
         raise DomainError("moduli minimization is implemented for n = 3")
     spec = spec or QuadratureSpec()
     f = _qutrit_indicator_fn(metric, spec, method)
-    return _golden_section_min(f, 0.0, _ZETA_MAX, _ZETA_TOL)
+    return _brent_min(f, 0.0, _ZETA_MAX, _ZETA_TOL)
 
 
 def qubit_positivity_probability(metric: MetricKind, radius: float) -> float:

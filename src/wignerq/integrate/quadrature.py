@@ -21,7 +21,7 @@ over the ordered simplex, of the density times the fraction of apex
 angles at which each spectrum is Wigner-positive: a tensor
 Gauss-Legendre rule on sectors about the maximally mixed state, doubled
 to ``rel_tol``.  ``gauss_legendre_doubling`` integrates the flat closed
-form over the angle instead; it is the only user of ``abs_tol``.
+form over the angle instead, also to ``rel_tol`` alone.
 
 All volumes are unnormalized, in the simplex coordinates r_1 ... r_{N-1};
 only ratios are meaningful.
@@ -44,11 +44,12 @@ from ..sw_kernel import qutrit_kernel_spectrum
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature tolerances.  Volumes and the quadrature moduli average
-    stop on ``rel_tol`` alone; ``abs_tol`` bounds only the flat
-    closed-form moduli average, whose Gauss-Legendre doubling stops on
-    either.  ``QuadratureSpec()`` is the spec of every entry point given
-    ``spec=None``."""
+    """Quadrature tolerances.  Every volume and both routes of the moduli
+    average stop on ``rel_tol`` alone, so no small value is accepted on
+    an absolute tolerance larger than itself; ``abs_tol`` bounds nothing
+    in the package and is kept, validated, for callers that read it (the
+    benchmark's absolute floors).  ``QuadratureSpec()`` is the spec of
+    every entry point given ``spec=None``."""
 
     rel_tol: float = 1e-7
     abs_tol: float = 1e-15
@@ -324,11 +325,12 @@ def simplex_full_volume(metric: MetricKind, n: int, spec: QuadratureSpec) -> flo
 
 def gauss_legendre_doubling(f, a: float, b: float, *, rel_tol: float, abs_tol: float):
     """Integrate ``f`` on [a, b] with Gauss-Legendre rules of order 16,
-    32, ..., 256 until two consecutive orders agree.  Returns (value,
-    last change, order, evaluations of ``f``).  Meant for smooth
-    integrands such as the flat closed form over the moduli angle.  The
-    tolerances have no defaults here: callers take them from their
-    ``QuadratureSpec``.
+    32, ..., 256 until two consecutive orders differ by at most
+    ``max(abs_tol, rel_tol * |value|)``.  Returns (value, last change,
+    order, evaluations of ``f``).  Meant for smooth integrands such as
+    the flat closed form over the moduli angle.  The tolerances have no
+    defaults here: the moduli average passes its ``spec.rel_tol`` and
+    ``abs_tol=0``.
     """
     if b <= a:
         raise DomainError("empty integration interval")

@@ -193,6 +193,13 @@ class TestAverageCommand:
         assert err.startswith("numerical failure:")
         assert "sector rule did not settle below rel_tol=1e-16 by order 256" in err
 
+    def test_unreachable_tolerance_fails_for_the_flat_metric_too(self, capsys):
+        code, out, err = run_cli(capsys, "average", "--metric", "hs", "--rel-tol", "1e-16")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical failure:")
+        assert "Gauss-Legendre doubling did not settle below rel_tol=1e-16 by order 256" in err
+
     def test_provenance_validates(self, capsys):
         code, out, _ = run_cli(capsys, "average", "--metric", "all")
         assert code == 0

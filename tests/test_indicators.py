@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from wignerq import (
     AVERAGED,
+    ConvergenceError,
     DomainError,
     IndicatorResult,
     McSpec,
@@ -24,6 +26,8 @@ from wignerq import (
     qubit_positivity_probability,
     qutrit_indicator_closed_form,
 )
+from wignerq import indicators
+from wignerq.indicators import _ZETA_TOL, _brent_min
 from wignerq.integrate import DEFAULT_2D, gauss_legendre_doubling, sample_weighted_spectra
 from wignerq.integrate import quadrature
 from wignerq.integrate.quadrature import _qutrit_pairing_plane, _zeta_positive_fraction, simplex_full_volume
@@ -276,11 +280,14 @@ class TestAverageIndicator:
         assert r.meta["order"] >= default.meta["order"]
         assert abs(r.value - default.value) <= r.error + default.error
 
-    def test_flat_closed_form_route_ignores_rel_tol(self):
-        # its doubling change is below abs_tol at every rel_tol
+    def test_flat_closed_form_route_stops_on_rel_tol(self):
+        # order 32 meets every rel_tol down to 1e-12; at 1e-16 the doubling
+        # stalls on rounding (change 1.5e-17) instead of passing on abs_tol
         bits = {average_indicator(MetricKind.HS, spec=QuadratureSpec(rel_tol=t)).value.hex()
-                for t in (1e-5, 1e-7, 1e-9, 1e-12, 1e-14)}
+                for t in (1e-5, 1e-7, 1e-9, 1e-12)}
         assert len(bits) == 1
+        with pytest.raises(ConvergenceError, match="did not settle below rel_tol=1e-16 by order 256"):
+            average_indicator(MetricKind.HS, spec=QuadratureSpec(rel_tol=1e-16))
 
     def test_rejects_other_dimensions_and_mc(self):
         with pytest.raises(DomainError):
@@ -323,6 +330,64 @@ class TestMinimizeIndicator:
             minimize_indicator(MetricKind.BKM, method="closed")
         with pytest.raises(DomainError, match="unknown evaluation path"):
             minimize_indicator(MetricKind.HS, method="simpson")
+
+    # (zeta_star, q_star) of the tight references: a search to 1e-8 on the
+    # quadrature indicator at QuadratureSpec(rel_tol=1e-11); the Bures pair
+    # is bench/reference_values.json's bures_min_zeta / bures_min_q
+    _TIGHT = {
+        MetricKind.BURES: (0.5250956894630656, 8.910237799683305e-05),
+        MetricKind.BKM: (0.5277977653151263, 1.216053980185187e-05),
+    }
+
+    @pytest.mark.parametrize("metric", [MetricKind.BURES, MetricKind.BKM], ids=lambda m: m.value)
+    def test_curved_minima_match_tight_references(self, metric):
+        zeta_ref, q_ref = self._TIGHT[metric]
+        zeta_star, q_star = minimize_indicator(metric)
+        assert abs(zeta_star - zeta_ref) <= 1e-5
+        assert q_star == pytest.approx(q_ref, rel=2e-7, abs=0.0)
+
+    def test_bures_takes_few_quadratures(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return quadrature.orbit_volume_qutrit(*args)
+
+        monkeypatch.setattr(indicators, "orbit_volume_qutrit", counted)
+        minimize_indicator(MetricKind.BURES, method="quadrature")
+        assert len(calls) <= 12
+
+
+class TestBrentMin:
+    """The bounded minimizer against scipy's (``fminbound``, the same
+    method) on functions whose minimizer is known."""
+
+    @pytest.mark.parametrize(
+        "f, x_true",
+        [
+            (lambda x: math.cosh(x - 0.6) + 0.1 * (x - 0.6) ** 3, 0.6),  # interior, not a parabola
+            (qutrit_indicator_closed_form, math.pi / 6),
+            (lambda x: abs(x - 0.3), 0.3),  # a kink, where parabolas fail
+            (math.exp, 0.0),  # increasing: the left end
+            (lambda x: -(x**3), math.pi / 3),  # decreasing: the right end
+        ],
+        ids=["interior", "flat-indicator", "kink", "increasing", "decreasing"],
+    )
+    def test_against_scipy_bounded(self, f, x_true):
+        evaluated = []
+
+        def counted(x):
+            evaluated.append((f(x), x))
+            return evaluated[-1][0]
+
+        x, fx = _brent_min(counted, 0.0, math.pi / 3, _ZETA_TOL)
+        ref = minimize_scalar(f, bounds=(0.0, math.pi / 3), method="bounded", options={"xatol": _ZETA_TOL})
+        assert abs(ref.x - x_true) <= _ZETA_TOL
+        assert abs(x - x_true) <= _ZETA_TOL
+        assert 0.0 <= x <= math.pi / 3
+        # the value comes from the search itself, at its best point
+        assert (fx, x) in evaluated and fx == min(evaluated)[0]
+        assert len(evaluated) <= ref.nfev + 2
 
 
 class TestProbabilityCurve:
