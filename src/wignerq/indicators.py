@@ -286,7 +286,7 @@ def average_indicator(
     spec = spec or QuadratureSpec()
     if _takes_closed_form(metric, inner):
         total, change, order, evaluations = gauss_legendre_doubling(
-            qutrit_indicator_closed_form, 0.0, _ZETA_MAX, rel_tol=spec.rel_tol, abs_tol=0.0
+            qutrit_indicator_closed_form, 0.0, _ZETA_MAX, rel_tol=spec.rel_tol
         )
         value, err, method = total / _ZETA_MAX, change / _ZETA_MAX, "closed-form"
     else:

@@ -5,23 +5,20 @@ simplex, cut by one half-space for a positive part or a smaller Bloch
 ball -- and integrates each piece:
 
 * flat metric (HS): the density is a polynomial of degree N(N-1), so a
-  Grundmann-Moller rule of that degree gives the volume to rounding
-  (N <= 6);
+  Grundmann-Moller rule of that degree gives the volume to rounding;
 * Bures and BKM: a collapsed tensor Gauss-Legendre rule (Duffy map, then
   ``u = s^p``) turns the inverse-square-root and log singularities where
-  eigenvalues vanish into powers of ``s``; its order doubles until two
-  orders agree to ``rel_tol`` (``abs_tol`` does not apply), and it stops
-  with ConvergenceError before 2^21 points per piece.  Bures converges to
-  N = 5, BKM to N = 4 at the default tolerance.
+  eigenvalues vanish into powers of ``s``, up to 2^21 points per piece
+  (Bures converges to N = 5, BKM to N = 4 at the default tolerance).
 
-The two- and three-level volumes are this route at N = 2 and N = 3.
-
-The three-level moduli average of the quadrature route is one integral
-over the ordered simplex, of the density times the fraction of apex
-angles at which each spectrum is Wigner-positive: a tensor
-Gauss-Legendre rule on sectors about the maximally mixed state, doubled
-to ``rel_tol``.  ``gauss_legendre_doubling`` integrates the flat closed
-form over the angle instead, also to ``rel_tol`` alone.
+The three-level moduli average is one integral over the ordered simplex
+of the density times the fraction of apex angles at which each spectrum
+is Wigner-positive, by a Gauss-Legendre rule on sectors about the
+maximally mixed state; ``gauss_legendre_doubling`` integrates the flat
+closed form over the angle instead.  These three rules share one
+doubling loop, ``_doubled``: the order doubles until two orders agree to
+``rel_tol``, relative only (``abs_tol`` does not apply), and each 1-D
+rule is built once per process.
 
 All volumes are unnormalized, in the simplex coordinates r_1 ... r_{N-1};
 only ratios are meaningful.
@@ -44,11 +41,10 @@ from ..sw_kernel import qutrit_kernel_spectrum
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature tolerances.  Every volume and both routes of the moduli
-    average stop on ``rel_tol`` alone, so no small value is accepted on
-    an absolute tolerance larger than itself; ``abs_tol`` bounds nothing
-    in the package and is kept, validated, for callers that read it (the
-    benchmark's absolute floors).  ``QuadratureSpec()`` is the spec of
+    """Quadrature tolerances.  Every route stops on ``rel_tol`` alone, so no
+    small value is accepted on an absolute tolerance larger than itself;
+    ``abs_tol`` bounds nothing in the package and is kept, validated, for
+    the benchmark's absolute floors.  ``QuadratureSpec()`` is the spec of
     every entry point given ``spec=None``."""
 
     rel_tol: float = 1e-7
@@ -114,6 +110,52 @@ def orbit_volume_qutrit(
 def qutrit_full_volume(metric: MetricKind, spec: QuadratureSpec) -> float:
     """Full three-level orbit-space volume: ``simplex_full_volume`` at n = 3."""
     return simplex_full_volume(metric, 3, spec)
+
+
+# --- Gauss-Legendre rules with order doubling --------------------------------
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights of the given order on
+    [0, 1], built once per process: each build solves a dense
+    eigenproblem of that size (Golub & Welsch, Math. Comp. 23, 1969)."""
+    s, w = np.polynomial.legendre.leggauss(order)
+    s, w = (s + 1.0) / 2.0, w / 2.0
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
+
+
+def _doubled(rule, what: str, rel_tol: float, first: int, last: int):
+    """``rule(order)`` at orders first, 2 first, ... up to ``last`` until
+    two in a row agree to ``rel_tol``, relative only: (value, last change,
+    order), else ConvergenceError naming ``what``."""
+    prev, change, order = None, math.inf, first
+    while order <= last:
+        value = rule(order)
+        if prev is not None:
+            change = abs(value - prev)
+            if change <= rel_tol * abs(value):
+                return value, change, order
+        prev, order = value, 2 * order
+    raise ConvergenceError(f"{what} did not settle below rel_tol={rel_tol:g} by order {order // 2}: "
+                           f"value {prev:.6e}, last change {change:.3e}")
+
+
+def gauss_legendre_doubling(f, a: float, b: float, *, rel_tol: float):
+    """Integrate ``f`` on [a, b] with Gauss-Legendre rules of order 16,
+    32, ..., 256 until two consecutive orders agree to ``rel_tol``,
+    relative only.  Returns (value, last change, order, evaluations of
+    ``f``).  Meant for smooth integrands such as the flat closed form
+    over the moduli angle."""
+    if b <= a:
+        raise DomainError("empty integration interval")
+
+    def rule(order):
+        s, w = _gauss_legendre(order)
+        return (b - a) * math.fsum(wk * f(a + (b - a) * sk) for sk, wk in zip(s, w))
+
+    value, change, order = _doubled(rule, "Gauss-Legendre doubling", rel_tol, 16, 256)
+    return value, change, order, 2 * order - 16  # one f per node at orders 16, 32, ..., order
 
 
 # --- general-N simplex integration -----------------------------------------
@@ -209,8 +251,7 @@ def _exact_hs_volume(n: int, pi_asc) -> float:
 #: the pure-state corner needs p = 8 to reach 1e-10 by order 128 at n = 3.
 _COLLAPSE_POWER = {MetricKind.BURES: 2, MetricKind.BKM: 8}
 
-#: Limits of the order doubling: tensor points per piece, and the 1-D order
-#: (numpy's leggauss solves a dense eigenproblem of that size).
+#: Limits of the order doubling: tensor points per piece, and the 1-D order.
 _MAX_POINTS = 2 ** 21
 _MAX_ORDER = 1024
 
@@ -225,8 +266,7 @@ def _collapsed_rule_sum(metric, pieces, order: int) -> float:
     b_d = u_1...u_d, whose Jacobian is prod_k u_k^(d-k)."""
     p = _COLLAPSE_POWER[metric]
     d = len(pieces[0][0]) - 1
-    s, w = np.polynomial.legendre.leggauss(order)
-    s, w = (s + 1.0) / 2.0, w / 2.0
+    s, w = _gauss_legendre(order)
     u = s ** p
     # per-axis weights: Gauss weight, ds-to-du factor and Duffy Jacobian
     axis_weights = [w * p * s ** (p - 1) * u ** (d - k) for k in range(1, d + 1)]
@@ -247,8 +287,8 @@ def _collapsed_rule_sum(metric, pieces, order: int) -> float:
 
 
 def _collapsed_volume(metric, n: int, pi_asc, rel_tol: float) -> float:
-    """Bures or BKM volume by the collapsed rule at orders 8, 16, 32, ...
-    until two consecutive orders agree to ``rel_tol``, relative only.
+    """Bures or BKM volume by the collapsed rule, doubled from order 8
+    while the tensor rule has at most ``_MAX_POINTS`` points.
 
     Each piece's corners are sorted by their count of zero eigenvalues,
     most first.  Zero sets in the ordered simplex nest (r_k = 0 implies
@@ -259,19 +299,10 @@ def _collapsed_volume(metric, n: int, pi_asc, rel_tol: float) -> float:
               for corners, volume in _simplex_pieces(n, pi_asc) if volume > 0.0]
     if not pieces:
         return 0.0
-    order, prev, change = 8, None, math.inf
-    while order <= _MAX_ORDER and order ** (n - 1) <= _MAX_POINTS:
-        value = _collapsed_rule_sum(metric, pieces, order)
-        if prev is not None:
-            change = abs(value - prev)
-            if change <= rel_tol * abs(value):
-                return value
-        prev, order = value, 2 * order
-    what = f"{metric.value} n={n} {'full volume' if pi_asc is None else 'positive part'}"
-    raise ConvergenceError(
-        f"{what}: collapsed cubature did not settle below rel_tol={rel_tol:g} before order {order} "
-        f"(limits: order {_MAX_ORDER}, {_MAX_POINTS} points per piece): value {prev:.6e}, last change {change:.3e}"
-    )
+    # the largest power of two whose (n-1)-th power fits _MAX_POINTS
+    last = min(_MAX_ORDER, 2 ** ((_MAX_POINTS.bit_length() - 1) // (n - 1)))
+    what = f"{metric.value} n={n} {'full volume' if pi_asc is None else 'positive part'}: collapsed cubature"
+    return _doubled(lambda order: _collapsed_rule_sum(metric, pieces, order), what, rel_tol, 8, last)[0]
 
 
 def orbit_volume_simplex(
@@ -289,9 +320,7 @@ def orbit_volume_simplex(
     rule exact for its degree gives the volume to rounding (method
     ``"exact"``), and ``spec`` does not apply.  Bures and BKM: a collapsed
     tensor Gauss-Legendre rule on each simplex (method ``"cubature"``), its
-    order doubled until two orders agree to ``spec.rel_tol``.
-    ``spec.abs_tol`` does not apply, so a tiny positive part is not
-    accepted on an absolute tolerance larger than itself.
+    order doubled until two orders agree to ``spec.rel_tol`` alone.
     ConvergenceError when the next order would exceed 2^21 points per
     simplex: BKM n = 5 at the default spec, or n = 6 at useful tolerances.
     """
@@ -321,43 +350,9 @@ def simplex_full_volume(metric: MetricKind, n: int, spec: QuadratureSpec) -> flo
     return orbit_volume_simplex(metric, n, None, spec).value
 
 
-# --- fixed-order Gauss-Legendre with doubling -------------------------------
-
-def gauss_legendre_doubling(f, a: float, b: float, *, rel_tol: float, abs_tol: float):
-    """Integrate ``f`` on [a, b] with Gauss-Legendre rules of order 16,
-    32, ..., 256 until two consecutive orders differ by at most
-    ``max(abs_tol, rel_tol * |value|)``.  Returns (value, last change,
-    order, evaluations of ``f``).  Meant for smooth integrands such as
-    the flat closed form over the moduli angle.  The tolerances have no
-    defaults here: the moduli average passes its ``spec.rel_tol`` and
-    ``abs_tol=0``.
-    """
-    if b <= a:
-        raise DomainError("empty integration interval")
-    prev, evaluations = None, 0
-    for order in (16, 32, 64, 128, 256):
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        total = 0.5 * (b - a) * math.fsum(w * f(x) for x, w in zip(xs, weights))
-        evaluations += order
-        if prev is not None:
-            err = abs(total - prev)
-            if err <= max(abs_tol, rel_tol * abs(total)):
-                return total, err, order, evaluations
-        prev = total
-    raise ConvergenceError(
-        f"Gauss-Legendre doubling did not settle below rel_tol={rel_tol:g} by order {order}: "
-        f"value {total:.6e}, change {err:.3e}"
-    )
-
-
 # --- the three-level moduli average as one sector integral ------------------
 
 _ZETA_MAX = math.pi / 3.0
-
-#: Last order of the sector rule, 6 * 256^2 points; BKM needs it below
-#: rel_tol 1.5e-13.
-_SECTOR_MAX_ORDER = 256
 
 
 @lru_cache(maxsize=None)
@@ -413,8 +408,7 @@ def _sector_rule_sum(metric, order: int) -> float:
     plane = _qutrit_pairing_plane()
     to_spectrum = np.linalg.inv(plane).T
     jacobian = 1.0 / abs(np.linalg.det(plane))
-    s, w = np.polynomial.legendre.leggauss(order)
-    s, w = (s + 1.0) / 2.0, w / 2.0
+    s, w = _gauss_legendre(order)
     half = _ZETA_MAX / 2.0
     total = []
     for start, near, far in ((0.0, 0.0, _ZETA_MAX), (half, _ZETA_MAX, 0.0)):
@@ -436,19 +430,9 @@ def _moduli_average_integral(metric, rel_tol: float):
     """The numerator of the three-level moduli average, the integral of
     density times the Wigner-positive fraction of apex angles over the
     ordered simplex, in the coordinates of ``simplex_full_volume``: the
-    sector rule at orders 8, 16, ... until two consecutive orders agree
-    to ``rel_tol``.  Returns (value, last change, order, density
-    evaluations); ConvergenceError past order 256."""
-    order, prev, evaluations = 8, None, 0
-    while order <= _SECTOR_MAX_ORDER:
-        value = _sector_rule_sum(metric, order)
-        evaluations += 6 * order * order
-        if prev is not None:
-            change = abs(value - prev)
-            if change <= rel_tol * abs(value):
-                return value, change, order, evaluations
-        prev, order = value, 2 * order
-    raise ConvergenceError(
-        f"{metric.value} n=3 moduli average: sector rule did not settle below rel_tol={rel_tol:g} "
-        f"by order {order // 2} (limit {_SECTOR_MAX_ORDER}): value {prev:.6e}, last change {change:.3e}"
-    )
+    sector rule doubled from order 8 to at most 256 (6 * 256^2 points,
+    which BKM needs below rel_tol 1.5e-13).  Returns (value, last change,
+    order, density evaluations)."""
+    what = f"{metric.value} n=3 moduli average: sector rule"
+    value, change, order = _doubled(lambda k: _sector_rule_sum(metric, k), what, rel_tol, 8, 256)
+    return value, change, order, 8 * order * order - 128  # 6 k^2 at each order k = 8, 16, ..., order

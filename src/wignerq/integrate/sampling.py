@@ -111,11 +111,6 @@ def _worker_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(child))
 
 
-def _split_counts(total: int, workers: int) -> list[int]:
-    base, extra = divmod(total, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
-
-
 def _map_ordered(fn, jobs, workers: int):
     """Run jobs, in parallel when asked, returning results in job order."""
     if workers == 1 or len(jobs) <= 1:
@@ -131,6 +126,19 @@ def _map_ordered(fn, jobs, workers: int):
             stacklevel=2,
         )
         return [fn(*job) for job in jobs]
+
+
+def _per_worker(fn, spec: McSpec, kind, n: int, *rest):
+    """``fn(kind, n, *rest, count, seed, index)`` for each worker with a
+    non-empty share of ``spec.samples`` (the first ``samples % workers``
+    take one more), results in worker order; ``kind`` is the Bures flag
+    or the metric."""
+    if n < 2:
+        raise DomainError("sampling needs n >= 2")
+    base, extra = divmod(spec.samples, spec.workers)
+    counts = [base + (i < extra) for i in range(spec.workers)]
+    jobs = [(kind, n, *rest, c, spec.seed, i) for i, c in enumerate(counts) if c > 0]
+    return _map_ordered(fn, jobs, spec.workers)
 
 
 # --- independent samplers ----------------------------------------------------
@@ -259,24 +267,16 @@ def _matrix_chunk(bures: bool, n: int, count: int, seed: int, index: int) -> np.
     return out
 
 
-def _matrix_spectra(bures: bool, n: int, spec: McSpec) -> np.ndarray:
-    if n < 2:
-        raise DomainError("sampling needs n >= 2")
-    counts = _split_counts(spec.samples, spec.workers)
-    jobs = [(bures, n, c, spec.seed, i) for i, c in enumerate(counts) if c > 0]
-    return np.concatenate(_map_ordered(_matrix_chunk, jobs, spec.workers), axis=0)
-
-
 def sample_hs_spectra(n: int, spec: McSpec) -> np.ndarray:
     """Spectra of trace-normalized squared Ginibre matrices: the
     Hilbert-Schmidt ensemble.  Returns (samples, n), rows descending."""
-    return _matrix_spectra(False, n, spec)
+    return np.concatenate(_per_worker(_matrix_chunk, spec, False, n), axis=0)
 
 
 def sample_bures_spectra(n: int, spec: McSpec) -> np.ndarray:
     """Spectra from the (I + U) G matrix model: the Bures ensemble.
     Returns (samples, n), rows descending."""
-    return _matrix_spectra(True, n, spec)
+    return np.concatenate(_per_worker(_matrix_chunk, spec, True, n), axis=0)
 
 
 # --- importance sampling -----------------------------------------------------
@@ -311,11 +311,7 @@ def sample_weighted_spectra(metric: MetricKind, n: int, spec: McSpec):
     have weight 0 (log weight ``-inf``).  The rows are those that
     ``positive_fraction_weighted`` counts for the same arguments.
     """
-    if n < 2:
-        raise DomainError("sampling needs n >= 2")
-    counts = _split_counts(spec.samples, spec.workers)
-    jobs = [(metric, n, c, spec.seed, i) for i, c in enumerate(counts) if c > 0]
-    parts = [b for chunk in _map_ordered(_weighted_chunk, jobs, spec.workers) for b in chunk]
+    parts = [b for chunk in _per_worker(_weighted_chunk, spec, metric, n) for b in chunk]
     return (
         np.concatenate([p[0] for p in parts], axis=0),
         np.concatenate([p[1] for p in parts]),
@@ -368,12 +364,8 @@ def positive_fraction_weighted(metric: MetricKind, n: int, kernel: KernelSpectru
     error is gathered as ``(1 - p)^2 sum(w^2 inside) + p^2 sum(w^2 outside)``,
     two non-negative terms, so nothing cancels.
     """
-    if n < 2:
-        raise DomainError("sampling needs n >= 2")
-    counts = _split_counts(spec.samples, spec.workers)
-    jobs = [(metric, n, kernel, c, spec.seed, i) for i, c in enumerate(counts) if c > 0]
     sums = _NO_SUMS
-    for part in _map_ordered(_weighted_sums, jobs, spec.workers):
+    for part in _per_worker(_weighted_sums, spec, metric, n, kernel):
         sums = _merge_sums(sums, part)
     _, sw, sw_in, sw2_in, sw2_out = sums
     p = sw_in / sw

@@ -229,9 +229,7 @@ class TestAverageIndicator:
         def q(zeta):
             return global_indicator(metric, 3, ModuliPoint.qutrit(zeta), spec).value
 
-        total, change, _, _ = gauss_legendre_doubling(
-            q, 0.0, math.pi / 3.0, rel_tol=max(100.0 * spec.rel_tol, 1e-6), abs_tol=spec.abs_tol
-        )
+        total, change, _, _ = gauss_legendre_doubling(q, 0.0, math.pi / 3.0, rel_tol=max(100.0 * spec.rel_tol, 1e-6))
         value = total / (math.pi / 3.0)
         return value, change / (math.pi / 3.0) + 2.0 * spec.rel_tol * value
 
@@ -279,6 +277,18 @@ class TestAverageIndicator:
         default = average_indicator(metric, inner=inner)
         assert r.meta["order"] >= default.meta["order"]
         assert abs(r.value - default.value) <= r.error + default.error
+
+    def test_flat_average_matches_its_exact_value(self):
+        # sqrt(3) (69 + 32 ln 2) / (36864 pi), the closed form integrated
+        # over zeta in [0, pi/3] exactly (mpmath agrees to 30 digits)
+        exact = 1.3636762154306278e-3
+        assert math.sqrt(3.0) * (69.0 + 32.0 * math.log(2.0)) / (36864.0 * math.pi) == pytest.approx(exact, rel=1e-15)
+        closed = average_indicator(MetricKind.HS)
+        quad = average_indicator(MetricKind.HS, inner="quadrature")
+        assert closed.method == "closed-form" and quad.method == "quadrature"
+        assert abs(closed.value - exact) <= closed.error
+        assert abs(quad.value - exact) <= quad.error
+        assert closed.value == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_flat_closed_form_route_stops_on_rel_tol(self):
         # order 32 meets every rel_tol down to 1e-12; at 1e-16 the doubling

@@ -21,6 +21,7 @@ from wignerq import (
     MetricKind,
     QuadratureSpec,
     VolumeEstimate,
+    minimize_indicator,
     orbit_volume_qubit,
     orbit_volume_qutrit,
     orbit_volume_simplex,
@@ -349,21 +350,37 @@ class TestSimplexVolumes:
 
 class TestGaussLegendreDoubling:
     def test_smooth_integrand(self):
-        value, err, order, evaluations = gauss_legendre_doubling(math.cos, 0.0, 1.0, rel_tol=1e-10, abs_tol=1e-15)
+        value, err, order, evaluations = gauss_legendre_doubling(math.cos, 0.0, 1.0, rel_tol=1e-10)
         assert value == pytest.approx(math.sin(1.0), rel=1e-12)
         assert err < 1e-10
         assert (order, evaluations) == (32, 48)
 
     def test_stalls_on_rough_integrand(self):
         with pytest.raises(ConvergenceError) as err:
-            gauss_legendre_doubling(lambda x: math.sin(1000.0 * x), 0.0, 1.0, rel_tol=1e-12, abs_tol=1e-15)
-        found = re.search(r"value (\S+), change (\S+)$", str(err.value))
+            gauss_legendre_doubling(lambda x: math.sin(1000.0 * x), 0.0, 1.0, rel_tol=1e-12)
+        found = re.search(r"by order 256: value (\S+), last change (\S+)$", str(err.value))
         assert found is not None
         assert math.isfinite(float(found[1])) and float(found[2]) > 0.0
 
     def test_empty_interval(self):
         with pytest.raises(DomainError):
-            gauss_legendre_doubling(math.cos, 1.0, 1.0, rel_tol=1e-6, abs_tol=1e-15)
+            gauss_legendre_doubling(math.cos, 1.0, 1.0, rel_tol=1e-6)
+
+    def test_takes_no_absolute_tolerance(self):
+        with pytest.raises(TypeError):
+            gauss_legendre_doubling(math.cos, 0.0, 1.0, rel_tol=1e-6, abs_tol=1e-15)
+
+    def test_rules_are_read_only_and_built_once(self):
+        s, w = quadrature._gauss_legendre(16)
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(s, (nodes + 1.0) / 2.0) and np.array_equal(w, weights / 2.0)
+        assert not s.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            s[0] = 0.5
+        minimize_indicator(MetricKind.BURES, method="quadrature")
+        misses = quadrature._gauss_legendre.cache_info().misses
+        minimize_indicator(MetricKind.BURES, method="quadrature")
+        assert quadrature._gauss_legendre.cache_info().misses == misses
 
 
 def _fraction(spectra):
