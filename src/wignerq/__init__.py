@@ -5,85 +5,46 @@ space carries an everywhere non-negative Wigner function, for a family
 of Wigner representations and under the Hilbert-Schmidt, Bures, or
 Bogoliubov-Kubo-Mori volume measure, by closed forms, deterministic
 quadrature, and Monte Carlo sampling.
+
+Public names are imported on first use (PEP 562), so ``import wignerq``
+loads no numerical engine and the closed forms run without numpy.
 """
 
-from .errors import ConvergenceError, DomainError
-from .indicators import (
-    AVERAGED,
-    IndicatorResult,
-    average_indicator,
-    closed_indicator,
-    global_indicator,
-    minimize_indicator,
-    positivity_curve,
-    qubit_positivity_probability,
-    qutrit_indicator_closed_form,
-)
-from .integrate import (
-    McSpec,
-    QuadratureSpec,
-    VolumeEstimate,
-    orbit_volume_qubit,
-    orbit_volume_qutrit,
-    orbit_volume_simplex,
-    sample_bures_spectra,
-    sample_hs_spectra,
-    sample_mcmc_spectra,
-    sample_weighted_spectra,
-)
-from .measures import (
-    positive_ball_radius,
-    qubit_ball_volume,
-    radial_density,
-)
-from .positivity import min_wigner_value
-from .spectra import (
-    KernelSpectrum,
-    MetricKind,
-    ModuliPoint,
-    StateSpectrum,
-)
-from .sw_kernel import (
-    kernel_for,
-    kernel_spectrum_from_direction,
-    qubit_kernel_spectrum,
-    qutrit_kernel_spectrum,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AVERAGED",
-    "ConvergenceError",
-    "DomainError",
-    "IndicatorResult",
-    "KernelSpectrum",
-    "McSpec",
-    "MetricKind",
-    "ModuliPoint",
-    "QuadratureSpec",
-    "StateSpectrum",
-    "VolumeEstimate",
-    "average_indicator",
-    "closed_indicator",
-    "global_indicator",
-    "kernel_for",
-    "kernel_spectrum_from_direction",
-    "min_wigner_value",
-    "minimize_indicator",
-    "orbit_volume_qubit",
-    "orbit_volume_qutrit",
-    "orbit_volume_simplex",
-    "positive_ball_radius",
-    "positivity_curve",
-    "qubit_ball_volume",
-    "qubit_kernel_spectrum",
-    "qubit_positivity_probability",
-    "qutrit_indicator_closed_form",
-    "qutrit_kernel_spectrum",
-    "radial_density",
-    "sample_bures_spectra",
-    "sample_hs_spectra",
-    "sample_mcmc_spectra",
-    "sample_weighted_spectra",
-]
+#: The submodule that defines each public name.
+_SOURCES = {
+    "errors": ("ConvergenceError", "DomainError"),
+    "closed_form": (
+        "AVERAGED", "IndicatorResult", "McSpec", "QuadratureSpec", "closed_indicator",
+        "minimize_indicator", "positive_ball_radius", "positivity_curve", "qubit_ball_volume",
+        "qubit_positivity_probability", "qutrit_indicator_closed_form",
+    ),
+    "indicators": ("average_indicator", "global_indicator"),
+    "integrate": (
+        "VolumeEstimate", "orbit_volume_qubit", "orbit_volume_qutrit", "orbit_volume_simplex",
+        "sample_bures_spectra", "sample_hs_spectra", "sample_mcmc_spectra", "sample_weighted_spectra",
+    ),
+    "measures": ("radial_density",),
+    "positivity": ("min_wigner_value",),
+    "spectra": ("KernelSpectrum", "MetricKind", "ModuliPoint", "StateSpectrum"),
+    "sw_kernel": ("kernel_for", "kernel_spectrum_from_direction", "qubit_kernel_spectrum", "qutrit_kernel_spectrum"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,6 +9,12 @@ values with a pass/fail manifest.
 All output is machine readable (JSON or CSV, 12 significant digits) and
 deterministic given identical flags, including seed and worker count.
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
+
+Every command checks its flags before it computes.  numpy and the
+numerical engines are imported only by the paths that use them, so the
+closed-form commands (every ``indicator --n 2``, the flat
+``indicator --n 3``, ``minimize --metric hs`` and ``curve``) start
+without them.
 """
 
 from __future__ import annotations
@@ -22,21 +28,16 @@ import math
 import re
 import sys
 
-import numpy as np
-
-from .errors import ConvergenceError, DomainError
-from .indicators import (
+from .closed_form import (
     IndicatorResult,
-    average_indicator,
+    McSpec,
+    QuadratureSpec,
     closed_indicator,
-    global_indicator,
     minimize_indicator,
     positivity_curve,
     qutrit_indicator_closed_form,
-    resolve_sampler,
-    sample_spectra,
 )
-from .integrate import McSpec, QuadratureSpec
+from .errors import ConvergenceError, DomainError
 from .spectra import MetricKind, ModuliPoint
 
 #: Caps on ``sample``: its output is built whole before it is written.
@@ -109,6 +110,13 @@ def _moduli_cell(result: IndicatorResult) -> str:
     return _fmt(d)
 
 
+def _grid(stop: float, points: int) -> list[float]:
+    """``np.linspace(0.0, stop, points)`` bit for bit: ``i * step``, and
+    ``stop`` itself as the last of two or more points."""
+    step = stop / max(points - 1, 1)
+    return [i * step for i in range(points - 1)] + [stop if points > 1 else 0.0]
+
+
 def _indicator_rows(results: list[IndicatorResult]):
     header = ["value", "error", "metric", "n", "moduli", "method"]
     rows = [
@@ -134,16 +142,20 @@ def _mc_spec(args) -> McSpec:
 def cmd_indicator(args) -> int:
     metric = MetricKind.from_name(args.metric)
     moduli = ModuliPoint(args.n, zeta=args.zeta)
+    quad_spec, mc_spec = _quad_spec(args), _mc_spec(args)
     method = args.method
     if method == "auto":
         closed_exists = args.n == 2 or metric is MetricKind.HS
         method = "closed" if closed_exists else "quad"
     if method == "closed":
         result = closed_indicator(metric, args.n, moduli)
-    elif method == "quad":
-        result = global_indicator(metric, args.n, moduli, _quad_spec(args))
     else:
-        result = global_indicator(metric, args.n, moduli, _mc_spec(args), sampler=args.sampler)
+        from .indicators import global_indicator
+
+        if method == "quad":
+            result = global_indicator(metric, args.n, moduli, quad_spec)
+        else:
+            result = global_indicator(metric, args.n, moduli, mc_spec, sampler=args.sampler)
     payload = {"command": "indicator", **result.to_json_dict()}
     _emit(args, payload, *_indicator_rows([result]))
     return 0
@@ -152,6 +164,8 @@ def cmd_indicator(args) -> int:
 def cmd_average(args) -> int:
     metrics = list(MetricKind) if args.metric == "all" else [MetricKind.from_name(args.metric)]
     spec = _quad_spec(args)
+    from .indicators import average_indicator
+
     results = [average_indicator(m, args.n, spec) for m in metrics]
     payload = {"command": "average", "results": [r.to_json_dict() for r in results]}
     _emit(args, payload, *_indicator_rows(results))
@@ -178,7 +192,7 @@ def cmd_minimize(args) -> int:
 def cmd_curve(args) -> int:
     if not 1 <= args.points <= _CURVE_MAX_POINTS:
         raise DomainError(f"--points must lie in [1, {_CURVE_MAX_POINTS:,}]")
-    radii = np.linspace(0.0, 1.0, args.points)
+    radii = _grid(1.0, args.points)
     columns = ["radius", "q_hs", "q_bures", "q_bkm"]
     rows = positivity_curve(radii)
     _emit(args, {"command": "curve", "columns": columns, "rows": rows}, columns, rows)
@@ -187,6 +201,11 @@ def cmd_curve(args) -> int:
 
 def cmd_sample(args) -> int:
     metric = MetricKind.from_name(args.metric)
+    spec = _mc_spec(args)
+    import numpy as np
+
+    from .indicators import resolve_sampler, sample_spectra
+
     sampler = resolve_sampler(metric, args.sampler, estimate=False)
     per_row = args.n + (sampler == "weighted")
     if args.n > _SAMPLE_MAX_N or args.samples * per_row > _SAMPLE_MAX_VALUES:
@@ -194,7 +213,6 @@ def cmd_sample(args) -> int:
             f"sample is capped at --n {_SAMPLE_MAX_N} and at {_SAMPLE_MAX_VALUES:,} "
             "values (--samples x --n, plus one weight per row for the weighted sampler)"
         )
-    spec = _mc_spec(args)
     sampler, draws = sample_spectra(metric, args.n, spec, sampler)
     warnings: tuple[str, ...] = ()
     weights = None
@@ -229,6 +247,8 @@ def cmd_sample(args) -> int:
 
 def _reproduce_checks(mc_spec: McSpec):
     """Rows of the published-value table: (name, value, target, kind, tol)."""
+    from .indicators import average_indicator, global_indicator
+
     checks = []
     prints = {MetricKind.HS: 0.19245, MetricKind.BURES: 0.09172, MetricKind.BKM: 0.0495506}
     qspec1 = QuadratureSpec(rel_tol=1e-9)
@@ -241,9 +261,8 @@ def _reproduce_checks(mc_spec: McSpec):
         checks.append((f"qubit_{metric.value}_mc_vs_closed", mc.value, closed, "abs", 3.0 * mc.error))
 
     qspec2 = QuadratureSpec(rel_tol=1e-7)
-    zs = np.linspace(0.0, math.pi / 3.0, 50)
     dev = 0.0
-    for z in zs:
+    for z in _grid(math.pi / 3.0, 50):
         cf = qutrit_indicator_closed_form(z)
         q = global_indicator(MetricKind.HS, 3, ModuliPoint.qutrit(z), qspec2).value
         dev = max(dev, abs(q - cf) / cf)

@@ -8,21 +8,29 @@ over the moduli of representations, or minimizing over them, gives
 representation-independent figures.
 
 Three evaluation paths exist and cross-check each other: closed forms
-(two-level systems and the flat three-level case), deterministic
-quadrature (the simplex volumes of ``integrate.orbit_volume_simplex``,
-2 <= N <= 6), and Monte Carlo.
+(two-level systems and the flat three-level case, in ``closed_form``
+with the moduli minimization), deterministic quadrature (the simplex
+volumes of ``integrate.orbit_volume_simplex``, 2 <= N <= 6), and Monte
+Carlo.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import Union
 
+from .closed_form import (  # noqa: F401 -- tests import _ZETA_TOL and _brent_min from here
+    AVERAGED,
+    _ZETA_TOL,
+    IndicatorResult,
+    McSpec,
+    QuadratureSpec,
+    _brent_min,
+    _default_moduli,
+    _takes_closed_form,
+    qutrit_indicator_closed_form,
+)
 from .errors import DomainError
 from .integrate.quadrature import (
-    _ZETA_MAX,
-    QuadratureSpec,
     _moduli_average_integral,
     gauss_legendre_doubling,
     orbit_volume_qubit,  # noqa: F401 -- bench/spans.py wraps this attribute in a traced pass
@@ -32,7 +40,6 @@ from .integrate.quadrature import (
     simplex_full_volume,
 )
 from .integrate.sampling import (
-    McSpec,
     positive_fraction_iid,
     positive_fraction_mcmc,
     positive_fraction_weighted,
@@ -41,93 +48,8 @@ from .integrate.sampling import (
     sample_mcmc_spectra,
     sample_weighted_spectra,
 )
-from .measures import positive_ball_radius, qubit_ball_volume
-from .spectra import MetricKind, ModuliPoint, _check_bloch_radius, _check_zeta
+from .spectra import _ZETA_MAX, MetricKind, ModuliPoint
 from .sw_kernel import kernel_for
-
-#: Moduli tag carried by averaged results instead of a point.
-AVERAGED = "averaged"
-
-#: Width of the bracket on which the moduli minimization stops; the
-#: minimizing angle lies in it, as does the returned point.
-_ZETA_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class IndicatorResult:
-    """One indicator value with its error estimate and provenance.
-
-    ``moduli`` is the moduli point the value belongs to, or the string
-    ``"averaged"`` for moduli averages.  ``error`` is a standard error
-    for Monte Carlo results (never 0) and a tolerance-based bound for
-    deterministic ones.
-    """
-
-    value: float
-    error: float
-    metric: MetricKind
-    n: int
-    moduli: Union[ModuliPoint, str, None]
-    method: str
-    warnings: tuple[str, ...] = ()
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not -1e-9 <= self.value <= 1.0 + 1e-9:
-            raise DomainError(f"indicator value {self.value!r} outside [0, 1]")
-        if self.error < 0.0:
-            raise DomainError("error must be non-negative")
-
-    def to_json_dict(self) -> dict:
-        if isinstance(self.moduli, ModuliPoint):
-            if self.moduli.n == 2:
-                moduli = None
-            elif self.moduli.n == 3:
-                moduli = self.moduli.zeta
-            else:
-                moduli = list(self.moduli.direction)
-        else:
-            moduli = self.moduli
-        return {
-            "value": self.value,
-            "error": self.error,
-            "metric": self.metric.value,
-            "n": self.n,
-            "moduli": moduli,
-            "method": self.method,
-            "warnings": list(self.warnings),
-            "meta": dict(self.meta),
-        }
-
-
-def _default_moduli(n: int, moduli: ModuliPoint | None) -> ModuliPoint:
-    if moduli is None:
-        if n == 2:
-            return ModuliPoint.qubit()
-        raise DomainError(f"a moduli point is required for n = {n}")
-    if moduli.n != n:
-        raise DomainError(f"moduli point is for n = {moduli.n}, expected {n}")
-    return moduli
-
-
-def qutrit_indicator_closed_form(zeta: float) -> float:
-    """Flat-metric three-level indicator as a function of the apex angle:
-    ``(1/128) * (1 + 20 c^2) / (4 c^2 - 1)^5`` with ``c = cos(zeta - pi/6)``."""
-    c2 = math.cos(_check_zeta(zeta) - math.pi / 6.0) ** 2
-    return (1.0 + 20.0 * c2) / (128.0 * (4.0 * c2 - 1.0) ** 5)
-
-
-def closed_indicator(metric: MetricKind, n: int, moduli: ModuliPoint | None = None) -> IndicatorResult:
-    """Closed-form indicator where one exists: any metric at n=2, the
-    flat metric at n=3."""
-    moduli = _default_moduli(n, moduli)
-    if n == 2:
-        value = qubit_ball_volume(metric, positive_ball_radius()) / qubit_ball_volume(metric, 1.0)
-    elif n == 3 and metric is MetricKind.HS:
-        value = qutrit_indicator_closed_form(moduli.zeta)
-    else:
-        raise DomainError(f"no closed form for metric {metric.value} at n = {n}")
-    return IndicatorResult(value, 0.0, metric, n, moduli, "closed-form")
 
 
 def _quadrature_indicator(metric, n, moduli, spec: QuadratureSpec) -> IndicatorResult:
@@ -235,21 +157,9 @@ def global_indicator(
     return _quadrature_indicator(metric, n, moduli, spec or QuadratureSpec())
 
 
-def _takes_closed_form(metric: MetricKind, path: str) -> bool:
-    """Whether the three-level evaluation path ('auto', 'closed' or
-    'quadrature') of a metric is the flat closed form; 'auto' takes it
-    where one exists."""
-    if path not in ("auto", "closed", "quadrature"):
-        raise DomainError(f"unknown evaluation path {path!r}")
-    if path == "closed" and metric is not MetricKind.HS:
-        raise DomainError(f"no closed form for metric {metric.value} at n = 3")
-    return path == "closed" or (path == "auto" and metric is MetricKind.HS)
-
-
-def _qutrit_indicator_fn(metric: MetricKind, spec: QuadratureSpec, path: str):
-    """The zeta -> indicator function of one metric and evaluation path."""
-    if _takes_closed_form(metric, path):
-        return qutrit_indicator_closed_form
+def _qutrit_indicator_fn(metric: MetricKind, spec: QuadratureSpec):
+    """The zeta -> indicator function of one metric by quadrature, over
+    the cached full volume; the quadrature path of ``minimize_indicator``."""
     den = qutrit_full_volume(metric, spec)
 
     def f(z):
@@ -303,110 +213,3 @@ def average_indicator(
         method,
         meta={"moduli_measure": "uniform", "order": order, "evaluations": evaluations},
     )
-
-
-def _brent_min(f, a: float, b: float, tol: float):
-    """Minimum of a unimodal ``f`` on [a, b] by Brent's bounded search
-    (Algorithms for Minimization without Derivatives, 1973, ch. 5):
-    parabolic interpolation through the best three points, with a
-    golden-section step wherever the parabola is not trusted.  Stops when
-    the bracket around the best point ``x`` is at most ``tol`` wide and
-    returns ``(x, f(x))`` from the evaluations already made.  Brent's
-    relative term ``sqrt(eps) * |x|`` is left out: on a bounded interval
-    near the origin the absolute ``tol`` dominates it."""
-    golden = (3.0 - math.sqrt(5.0)) / 2.0
-    # least distance between evaluated points; the loop ends once x is
-    # within 2 * step of both ends of the bracket, so at most tol wide
-    step = tol / 4.0
-    x = w = v = a + golden * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    while max(x - a, b - x) > 2.0 * step:
-        m = 0.5 * (a + b)
-        p = q = r = 0.0
-        if abs(e) > step:
-            # parabola through (v, fv), (w, fw), (x, fx); its vertex is x + p / q
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-        # take the vertex if it lies inside (a, b) and moves less than half
-        # the step before last; otherwise step into the larger golden section
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if min(x + d - a, b - x - d) < 2.0 * step:
-                d = step if x < m else -step
-        else:
-            e = (b if x < m else a) - x
-            d = golden * e
-        u = x + (d if abs(d) >= step else math.copysign(step, d))
-        fu = f(u)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
-
-
-def minimize_indicator(
-    metric: MetricKind,
-    n: int = 3,
-    spec: QuadratureSpec | None = None,
-    method: str = "auto",
-) -> tuple[float, float]:
-    """Minimize the three-level indicator over the moduli angle.
-
-    Returns ``(zeta_star, q_star)`` from Brent's bounded search on
-    [0, pi/3] (parabolic interpolation with golden-section steps, as in
-    scipy's ``fminbound``), which treats the indicator as unimodal in the
-    angle and stops when the bracket around ``zeta_star`` is at most
-    ``_ZETA_TOL`` = 1e-6 wide; ``q_star`` is the indicator at
-    ``zeta_star``.  The curved metrics take about 9 quadratures, the flat
-    one 6.  ``method`` picks the evaluation path: 'closed' (flat metric
-    only), 'quadrature', or 'auto' (closed form when available).
-    """
-    if n != 3:
-        raise DomainError("moduli minimization is implemented for n = 3")
-    spec = spec or QuadratureSpec()
-    f = _qutrit_indicator_fn(metric, spec, method)
-    return _brent_min(f, 0.0, _ZETA_MAX, _ZETA_TOL)
-
-
-def qubit_positivity_probability(metric: MetricKind, radius: float) -> float:
-    """Probability that a two-level state drawn uniformly (under the
-    metric's measure) from the Bloch ball of the given radius has a
-    non-negative Wigner function; 1 for radii inside the positive ball."""
-    R = _check_bloch_radius(radius)
-    rp = positive_ball_radius()
-    if R <= rp:
-        return 1.0
-    return qubit_ball_volume(metric, rp) / qubit_ball_volume(metric, R)
-
-
-def positivity_curve(radii) -> list[tuple[float, float, float, float]]:
-    """Rows (R, HS, Bures, BKM) of the positivity probability on a radius
-    grid; the data behind the qubit probability plot."""
-    return [
-        (
-            float(R),
-            qubit_positivity_probability(MetricKind.HS, R),
-            qubit_positivity_probability(MetricKind.BURES, R),
-            qubit_positivity_probability(MetricKind.BKM, R),
-        )
-        for R in radii
-    ]

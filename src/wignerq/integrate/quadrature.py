@@ -33,26 +33,11 @@ from itertools import combinations
 
 import numpy as np
 
+from ..closed_form import QuadratureSpec
 from ..errors import ConvergenceError, DomainError
 from ..measures import _density_batch
-from ..spectra import MetricKind, _check_bloch_radius
+from ..spectra import _ZETA_MAX, MetricKind, _check_bloch_radius
 from ..sw_kernel import qutrit_kernel_spectrum
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Quadrature tolerances.  Every route stops on ``rel_tol`` alone, so no
-    small value is accepted on an absolute tolerance larger than itself;
-    ``abs_tol`` bounds nothing in the package and is kept, validated, for
-    the benchmark's absolute floors.  ``QuadratureSpec()`` is the spec of
-    every entry point given ``spec=None``."""
-
-    rel_tol: float = 1e-7
-    abs_tol: float = 1e-15
-
-    def __post_init__(self):
-        if not all(math.isfinite(t) and t > 0.0 for t in (self.rel_tol, self.abs_tol)):
-            raise DomainError("quadrature tolerances must be finite and positive")
 
 
 #: ``QuadratureSpec()`` under the name the benchmark imports.
@@ -351,9 +336,6 @@ def simplex_full_volume(metric: MetricKind, n: int, spec: QuadratureSpec) -> flo
 
 
 # --- the three-level moduli average as one sector integral ------------------
-
-_ZETA_MAX = math.pi / 3.0
-
 
 @lru_cache(maxsize=None)
 def _qutrit_pairing_plane() -> np.ndarray:

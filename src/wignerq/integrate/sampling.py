@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..closed_form import McSpec
 from ..errors import DomainError
 from ..measures import log_radial_density
 from ..positivity import DEFAULT_CONE_TOL, min_pairing_batch
@@ -57,33 +58,6 @@ _ACCEPT_WINDOW = (0.1, 0.9)
 
 _ADAPT_TARGET = 0.4
 _ADAPT_INTERVAL = 100
-
-
-@dataclass(frozen=True)
-class McSpec:
-    """Sample budget, seeding and parallel layout of a Monte Carlo run.
-
-    ``burn_in``, ``thin`` and ``chains_per_worker`` only affect the
-    Markov-chain sampler.  The worker count is part of the
-    reproducibility contract: changing it changes the random streams.
-    """
-
-    samples: int
-    seed: int = 0
-    workers: int = 1
-    burn_in: int = 10_000
-    thin: int = 10
-    chains_per_worker: int = 32
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise DomainError("samples must be at least 1")
-        if self.seed < 0:
-            raise DomainError("seed must be a non-negative integer")
-        if self.workers < 1:
-            raise DomainError("workers must be at least 1")
-        if self.burn_in < 0 or self.thin < 1 or self.chains_per_worker < 1:
-            raise DomainError("invalid Markov-chain layout")
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,8 @@ deliberately never computed -- all consumers take ratios.
 
 One vectorized kernel, ``_density_batch``, evaluates the density for
 every quadrature and cubature; ``log_radial_density`` is its log form for
-the samplers.
-
-For two-level systems everything reduces to one radial coordinate (the
-Bloch radius), and the ball volumes have the closed forms that the
-qubit indicator's closed-form path uses.
+the samplers.  The closed-form two-level ball volumes are in
+``closed_form``.
 """
 
 from __future__ import annotations
@@ -28,12 +25,10 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError
-from .spectra import MetricKind, StateSpectrum, _check_bloch_radius
+from .spectra import MetricKind, StateSpectrum
 
 #: Relative separation below which the BKM weight switches to its series.
 _BKM_SERIES_CUTOFF = 1e-9
-
-_POSITIVE_BALL_RADIUS = 1.0 / math.sqrt(3.0)
 
 
 def _bures_weight(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -126,28 +121,3 @@ def log_radial_density(metric: MetricKind, points: np.ndarray) -> np.ndarray:
                     out += np.log(_bkm_weight_batch(np.maximum(a, b), np.minimum(a, b)))
     out = np.where(interior, out, -np.inf)
     return np.where(np.isnan(out), -np.inf, out)
-
-
-def qubit_ball_volume(metric: MetricKind, radius: float) -> float:
-    """Closed-form (unnormalized) volume of the Bloch ball of the given
-    radius: the integral over the Bloch radius of the two-level density,
-    ``rho^2`` (HS), ``rho^2 / sqrt(1 - rho^2)`` (Bures) or
-    ``rho * artanh(rho) / sqrt(1 - rho^2)`` (BKM).  For Bures and BKM
-    that is a quarter of ``radial_density`` at ``StateSpectrum.qubit(rho)``.
-
-    HS: ``R^3/3``;  Bures: ``(arcsin R - R*sqrt(1-R^2))/2``;
-    BKM: ``arcsin R - sqrt(1-R^2)*artanh R`` (value pi/2 at R=1 by limit).
-    """
-    R = _check_bloch_radius(radius)
-    if metric is MetricKind.HS:
-        return R ** 3 / 3.0
-    if metric is MetricKind.BURES:
-        return (math.asin(R) - R * math.sqrt(1.0 - R * R)) / 2.0
-    if R == 1.0:
-        return math.pi / 2.0
-    return math.asin(R) - math.sqrt(1.0 - R * R) * math.atanh(R)
-
-
-def positive_ball_radius() -> float:
-    """Bloch radius 1/sqrt(3) bounding the Wigner-positive two-level states."""
-    return _POSITIVE_BALL_RADIUS

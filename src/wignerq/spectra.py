@@ -33,11 +33,14 @@ ALGEBRAIC_TOL = 1e-12
 
 _SQRT3 = math.sqrt(3.0)
 
+#: Upper end of the three-level apex angle's range [0, pi/3].
+_ZETA_MAX = math.pi / 3.0
+
 
 def _check_zeta(zeta) -> float:
     """The three-level apex angle as a float, checked to lie in [0, pi/3]."""
     z = float(zeta)
-    if not 0.0 <= z <= math.pi / 3.0 + ALGEBRAIC_TOL:
+    if not 0.0 <= z <= _ZETA_MAX + ALGEBRAIC_TOL:
         raise DomainError(f"zeta {z!r} outside [0, pi/3]")
     return z
 

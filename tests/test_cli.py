@@ -246,25 +246,25 @@ class _Stop(Exception):
 
 
 @pytest.mark.parametrize(
-    "runner, argv, flag",
+    "owner, runner, argv, flag",
     [
-        ("average_indicator", ["average", "--metric", "bures"], "--rel-tol"),
-        ("minimize_indicator", ["minimize", "--metric", "bures"], "--rel-tol"),
-        ("global_indicator", ["indicator", "--n", "2", "--metric", "bkm", "--method", "quad"], "--rel-tol"),
+        ("indicators", "average_indicator", ["average", "--metric", "bures"], "--rel-tol"),
+        ("cli", "minimize_indicator", ["minimize", "--metric", "bures"], "--rel-tol"),
+        ("indicators", "global_indicator", ["indicator", "--n", "2", "--metric", "bkm", "--method", "quad"],
+         "--rel-tol"),
     ],
     ids=["average-rel-tol", "minimize-rel-tol", "indicator-rel-tol"],
 )
-def test_tolerance_flag_reaches_library(monkeypatch, runner, argv, flag):
-    # the flag replaces one field of QuadratureSpec() and keeps the other
-    from wignerq import cli
-
+def test_tolerance_flag_reaches_library(monkeypatch, owner, runner, argv, flag):
+    # the flag replaces one field of QuadratureSpec() and keeps the other;
+    # the runner is patched where the command looks it up
     specs = []
 
     def record(*args, **kwargs):
         specs.extend(a for a in args if isinstance(a, QuadratureSpec))
         raise _Stop
 
-    monkeypatch.setattr(cli, runner, record)
+    monkeypatch.setattr(importlib.import_module(f"wignerq.{owner}"), runner, record)
     with pytest.raises(_Stop):
         main([*argv, flag, "3e-9"])
     field = flag[2:].replace("-", "_")
@@ -316,6 +316,12 @@ class TestCurveCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 57, 200, 10_000])
+    def test_radii_equal_linspace(self, capsys, points):
+        code, out, _ = run_cli(capsys, "curve", "--points", str(points), "--format", "json")
+        assert code == 0
+        assert [row[0] for row in json.loads(out)["rows"]] == np.linspace(0.0, 1.0, points).tolist()
 
     def test_points_above_cap_rejected_before_running(self, capsys, monkeypatch):
         from wignerq import cli
@@ -404,12 +410,12 @@ class TestSampleCommand:
 
     @pytest.mark.parametrize("n, samples", [(257, 1), (2, 5_000_001), (256, 39_063)])
     def test_caps_rejected_before_drawing(self, capsys, monkeypatch, n, samples):
-        from wignerq import cli
+        from wignerq import indicators
 
         def never(*args, **kwargs):
             raise AssertionError("the sampler ran")
 
-        monkeypatch.setattr(cli, "sample_spectra", never)
+        monkeypatch.setattr(indicators, "sample_spectra", never)
         code, out, err = run_cli(
             capsys, "sample", "--metric", "hs", "--n", str(n), "--samples", str(samples)
         )
@@ -419,7 +425,7 @@ class TestSampleCommand:
 
     @pytest.mark.parametrize("n, samples", [(256, 39_062), (2, 5_000_000)])
     def test_caps_admit_the_limit(self, capsys, monkeypatch, n, samples):
-        from wignerq import cli
+        from wignerq import indicators
 
         calls = []
 
@@ -427,7 +433,7 @@ class TestSampleCommand:
             calls.append((n, spec.samples))
             return "matrix", np.full((1, n), 1.0 / n)
 
-        monkeypatch.setattr(cli, "sample_spectra", tiny)
+        monkeypatch.setattr(indicators, "sample_spectra", tiny)
         code, _, _ = run_cli(capsys, "sample", "--metric", "hs", "--n", str(n), "--samples", str(samples))
         assert code == 0
         assert calls == [(n, samples)]
@@ -435,12 +441,12 @@ class TestSampleCommand:
     @pytest.mark.parametrize("samples, code", [(3_333_334, 2), (3_333_333, 0)])
     def test_weighted_cap_counts_the_weight(self, capsys, monkeypatch, samples, code):
         # each weighted row is n spectrum values plus one weight
-        from wignerq import cli
+        from wignerq import indicators
 
         def tiny(metric, n, spec, sampler):
             return sampler, (np.full((1, n), 1.0 / n), np.zeros(1))
 
-        monkeypatch.setattr(cli, "sample_spectra", tiny)
+        monkeypatch.setattr(indicators, "sample_spectra", tiny)
         result, _, err = run_cli(
             capsys, "sample", "--metric", "bkm", "--n", "2", "--samples", str(samples)
         )
@@ -448,7 +454,7 @@ class TestSampleCommand:
         assert ("capped" in err) == (code == 2)
 
     def test_workers_cap_admits_the_limit(self, capsys, monkeypatch):
-        from wignerq import cli
+        from wignerq import indicators
 
         workers = []
 
@@ -456,7 +462,7 @@ class TestSampleCommand:
             workers.append(spec.workers)
             return "matrix", np.full((1, n), 1.0 / n)
 
-        monkeypatch.setattr(cli, "sample_spectra", tiny)
+        monkeypatch.setattr(indicators, "sample_spectra", tiny)
         code, _, _ = run_cli(capsys, "sample", "--metric", "hs", "--samples", "1", "--workers", "256")
         assert code == 0
         assert workers == [256]
@@ -473,21 +479,19 @@ class TestSampleCommand:
 
 
 @pytest.mark.parametrize(
-    "runner, argv",
+    "owner, runner, argv",
     [
-        ("sample_spectra", ["sample", "--metric", "hs"]),
-        ("global_indicator", ["indicator", "--metric", "hs", "--n", "2", "--method", "mc"]),
-        ("_reproduce_checks", ["reproduce-paper", "--fast"]),
+        ("indicators", "sample_spectra", ["sample", "--metric", "hs"]),
+        ("indicators", "global_indicator", ["indicator", "--metric", "hs", "--n", "2", "--method", "mc"]),
+        ("cli", "_reproduce_checks", ["reproduce-paper", "--fast"]),
     ],
     ids=["sample", "indicator", "reproduce-paper"],
 )
-def test_workers_above_cap_rejected_before_running(capsys, monkeypatch, runner, argv):
-    from wignerq import cli
-
+def test_workers_above_cap_rejected_before_running(capsys, monkeypatch, owner, runner, argv):
     def never(*args, **kwargs):
         raise AssertionError("the Monte Carlo work ran")
 
-    monkeypatch.setattr(cli, runner, never)
+    monkeypatch.setattr(importlib.import_module(f"wignerq.{owner}"), runner, never)
     code, out, err = run_cli(capsys, *argv, "--workers", "257")
     assert code == 2
     assert out == ""
@@ -495,25 +499,106 @@ def test_workers_above_cap_rejected_before_running(capsys, monkeypatch, runner, 
 
 
 @pytest.mark.parametrize(
-    "runner, argv",
+    "owner, runner, argv",
     [
-        ("global_indicator", ["indicator", "--metric", "bkm", "--n", "3", "--zeta", "0.4", "--method", "mc"]),
-        ("global_indicator", ["indicator", "--metric", "hs", "--n", "2", "--method", "mc"]),
-        ("_reproduce_checks", ["reproduce-paper"]),
+        ("indicators", "global_indicator",
+         ["indicator", "--metric", "bkm", "--n", "3", "--zeta", "0.4", "--method", "mc"]),
+        ("indicators", "global_indicator", ["indicator", "--metric", "hs", "--n", "2", "--method", "mc"]),
+        ("cli", "_reproduce_checks", ["reproduce-paper"]),
     ],
     ids=["indicator-bkm", "indicator-hs", "reproduce-paper"],
 )
-def test_samples_above_cap_rejected_before_running(capsys, monkeypatch, runner, argv):
+def test_samples_above_cap_rejected_before_running(capsys, monkeypatch, owner, runner, argv):
     from wignerq import cli
 
     def never(*args, **kwargs):
         raise AssertionError("the Monte Carlo work ran")
 
-    monkeypatch.setattr(cli, runner, never)
+    monkeypatch.setattr(importlib.import_module(f"wignerq.{owner}"), runner, never)
     code, out, err = run_cli(capsys, *argv, "--samples", str(cli._MC_MAX_SAMPLES + 1))
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "--samples is capped at 20,000,000" in err
+
+
+def run_python(script, *args, timeout=120):
+    """Stdout of ``python -c script *args`` on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+        timeout=timeout, check=True,
+    )
+    return proc.stdout
+
+
+#: Runs ``main`` on each argv of the JSON list in argv[2], with numpy
+#: importable or not as argv[1] says, and prints [code, stdout, stderr]
+#: of each.
+_MAIN_SCRIPT = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from wignerq.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+_CLOSED_FORM_INDICATORS = [
+    *(["indicator", "--n", "2", "--metric", m] for m in ("hs", "bures", "bkm")),
+    ["indicator", "--n", "3", "--metric", "hs", "--zeta", "pi/6"],
+]
+_CLOSED_FORM_COMMANDS = [*_CLOSED_FORM_INDICATORS, ["minimize", "--metric", "hs"], ["curve"]]
+
+
+def run_main(commands, numpy="importable"):
+    return json.loads(run_python(_MAIN_SCRIPT, numpy, json.dumps(commands)))
+
+
+def test_closed_form_commands_run_without_numpy():
+    commands = [argv + ["--format", f] for argv in _CLOSED_FORM_COMMANDS for f in ("json", "csv")]
+    normal = run_main(commands)
+    assert all(code == 0 and out and not err for code, out, err in normal)
+    assert run_main(commands, numpy="blocked") == normal
+
+
+_QUAD_INDICATOR = ["indicator", "--n", "3", "--metric", "bures", "--zeta", "0.4", "--method", "quad"]
+_QUAD_FLAG_COMMANDS = [
+    *_CLOSED_FORM_INDICATORS,
+    _QUAD_INDICATOR,
+    ["average"],
+    ["minimize", "--metric", "hs"],
+    ["minimize", "--metric", "bures"],
+]
+_MC_FLAG_COMMANDS = [
+    *_CLOSED_FORM_INDICATORS,
+    _QUAD_INDICATOR,
+    ["indicator", "--n", "2", "--metric", "hs", "--method", "mc"],
+    ["sample", "--metric", "hs"],
+    ["reproduce-paper", "--fast"],
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message, commands",
+    [
+        ("--rel-tol", "-1", "quadrature tolerances must be finite and positive", _QUAD_FLAG_COMMANDS),
+        ("--samples", "0", "samples must be at least 1", _MC_FLAG_COMMANDS),
+        ("--seed", "-1", "seed must be a non-negative integer", _MC_FLAG_COMMANDS),
+        ("--workers", "999", "--workers is capped at 256", _MC_FLAG_COMMANDS),
+    ],
+    ids=["rel-tol", "samples", "seed", "workers"],
+)
+def test_flag_is_checked_by_every_command_that_takes_it(flag, value, message, commands):
+    # the closed-form paths too, before any numerical engine is imported
+    results = run_main([argv + [flag, value] for argv in commands], numpy="blocked")
+    assert results == [[2, "", f"error: {message}\n"]] * len(commands)
 
 
 _NO_SCIPY_SCRIPT = """
@@ -540,14 +625,7 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
 
 
 def test_commands_without_integration_never_import_scipy():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env, capture_output=True, text=True,
-        timeout=120, check=True,
-    )
-    assert json.loads(proc.stdout) == {"codes": [0] * 10, "scipy": []}
+    assert json.loads(run_python(_NO_SCIPY_SCRIPT)) == {"codes": [0] * 10, "scipy": []}
 
 
 # RUSAGE_SELF's maximum also counts the address space the process was
@@ -570,15 +648,8 @@ print(code, peak_kb)
 def test_weighted_indicator_memory_is_bounded():
     # 3e6 draws held at once would take about 360 MB; batched, the whole
     # process stays near its import footprint
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     argv = ["indicator", "--n", "3", "--metric", "bkm", "--zeta", "pi/6", "--method", "mc", "--samples", "3000000"]
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_SCRIPT, *argv], env=env, capture_output=True, text=True,
-        timeout=300, check=True,
-    )
-    code, peak_kb = map(int, proc.stdout.split())
+    code, peak_kb = map(int, run_python(_PEAK_RSS_SCRIPT, *argv, timeout=300).split())
     assert code == 0
     assert peak_kb < 150 * 1024
 

@@ -3,7 +3,10 @@ library example runs."""
 
 import ast
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +62,24 @@ def test_readme_library_block_runs():
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["q"].value == pytest.approx(21 / 31104, rel=1e-6)
     assert namespace["zeta_star"] == pytest.approx(math.pi / 6, abs=1e-4)
+
+
+def test_import_loads_no_numpy():
+    # public names resolve on first use; the spectra types need no numpy
+    script = "import sys, wignerq; wignerq.MetricKind; print('numpy' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = dir(wignerq)
+    for name in wignerq.__all__:
+        assert getattr(wignerq, name) is not None
+        assert name in listed
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wignerq.no_such_name
