@@ -142,14 +142,16 @@ def global_indicator(
     The type of ``spec`` selects the path: a ``QuadratureSpec`` (or
     ``None``) runs deterministic quadrature, the simplex volumes of
     ``integrate.orbit_volume_simplex`` for 2 <= n <= 6 (DomainError
-    beyond, ConvergenceError where the cubature does not settle, as for
-    BKM at n = 5); an ``McSpec`` estimates the positive-cone fraction
-    from random spectra.  ``sampler`` overrides the Monte Carlo sampler
-    choice ('matrix', 'weighted' or 'mcmc'); by default every metric
-    uses the importance sampler (``resolve_sampler``), which draws,
-    weights and counts its spectra in batches, so its memory stays
-    bounded; 'matrix' runs the HS and Bures matrix models, the paper's
-    ensembles.  Samples count as positive to ``positivity.DEFAULT_CONE_TOL``.
+    beyond; at the default spec Bures converges up to n = 6 and BKM up
+    to n = 5, and ConvergenceError marks a cubature that does not
+    settle, as for BKM at n = 6); an ``McSpec`` estimates the
+    positive-cone fraction from random spectra.  ``sampler`` overrides
+    the Monte Carlo sampler choice ('matrix', 'weighted' or 'mcmc'); by
+    default every metric uses the importance sampler
+    (``resolve_sampler``), which draws, weights and counts its spectra in
+    batches, so its memory stays bounded; 'matrix' runs the HS and Bures
+    matrix models, the paper's ensembles.  Samples count as positive to
+    ``positivity.DEFAULT_CONE_TOL``.
     """
     moduli = _default_moduli(n, moduli)
     if isinstance(spec, McSpec):

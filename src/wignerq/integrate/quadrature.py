@@ -8,17 +8,20 @@ ball -- and integrates each piece:
   Grundmann-Moller rule of that degree gives the volume to rounding;
 * Bures and BKM: a collapsed tensor Gauss-Legendre rule (Duffy map, then
   ``u = s^p``) turns the inverse-square-root and log singularities where
-  eigenvalues vanish into powers of ``s``, up to 2^21 points per piece
-  (Bures converges to N = 5, BKM to N = 4 at the default tolerance).
+  eigenvalues vanish into powers of ``s``.  Its orders are set per axis,
+  dimension-adaptively, up to 2^21 points per piece, and the error it
+  reports is the sum of its last per-axis changes (Bures converges to
+  N = 6, BKM to N = 5 at the default tolerance).
 
 The three-level moduli average is one integral over the ordered simplex
 of the density times the fraction of apex angles at which each spectrum
 is Wigner-positive, by a Gauss-Legendre rule on sectors about the
 maximally mixed state; ``gauss_legendre_doubling`` integrates the flat
-closed form over the angle instead.  These three rules share one
-doubling loop, ``_doubled``: the order doubles until two orders agree to
-``rel_tol``, relative only (``abs_tol`` does not apply), and each 1-D
-rule is built once per process.
+closed form over the angle instead.  These two rules share one doubling
+loop, ``_doubled``: the order doubles until two orders agree to
+``rel_tol``, relative only (``abs_tol`` does not apply).  Each 1-D rule,
+and each small reference grid of the collapsed rule, is built once per
+process.
 
 All volumes are unnormalized, in the simplex coordinates r_1 ... r_{N-1};
 only ratios are meaningful.
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -46,18 +49,19 @@ DEFAULT_2D = QuadratureSpec()
 
 @dataclass(frozen=True)
 class VolumeEstimate:
-    """Value of one volume integral with its statistical error (zero for
-    deterministic quadrature) and the method that produced it."""
+    """Value of one volume integral, the error its rule reports (0 for the
+    exact flat-metric rule, the sum of the last per-axis changes for the
+    collapsed cubature) and the method that produced it."""
 
     value: float
-    std_error: float
+    error: float
     method: str
 
     def __post_init__(self):
         if self.value < 0.0:
             raise DomainError(f"volumes are non-negative, got {self.value!r}")
-        if self.std_error < 0.0:
-            raise DomainError("std_error must be non-negative")
+        if self.error < 0.0:
+            raise DomainError("error must be non-negative")
 
 
 def orbit_volume_qubit(metric: MetricKind, radius: float, spec: QuadratureSpec | None = None) -> VolumeEstimate:
@@ -147,8 +151,9 @@ def gauss_legendre_doubling(f, a: float, b: float, *, rel_tol: float):
 
 #: Largest N of the simplex routes.  Flat metric: at N = 7 the float rule
 #: has 1.18M points and has lost accuracy to about 1e-8, at N = 9 its
-#: points would not fit in memory.  Bures and BKM: the collapsed rule at
-#: orders 8 and 16 has 16^(N-1) points, past its limit from N = 7 on.
+#: points would not fit in memory.  Bures and BKM: the collapsed rule
+#: converges at the default spec up to N = 6 (Bures) and N = 5 (BKM); at
+#: N = 7 its first probes already have 2^19 points, a quarter of its limit.
 _SIMPLEX_MAX_N = 6
 
 
@@ -236,44 +241,120 @@ def _exact_hs_volume(n: int, pi_asc) -> float:
 #: the pure-state corner needs p = 8 to reach 1e-10 by order 128 at n = 3.
 _COLLAPSE_POWER = {MetricKind.BURES: 2, MetricKind.BKM: 8}
 
-#: Limits of the order doubling: tensor points per piece, and the 1-D order.
+#: Limits of the dimension-adaptive rule: tensor points per piece, and the
+#: 1-D order of any one axis.
 _MAX_POINTS = 2 ** 21
 _MAX_ORDER = 1024
 
-#: Points evaluated at once, which bounds the memory of one step.
+#: Rows per density call, which bounds the memory of one call, and the
+#: most points of a reference grid kept for the process (the first grid at
+#: N = 6 has 8^5 points, so its grids are kept only in part).
 _CHUNK = 2 ** 12
 
 
-def _collapsed_rule_sum(metric, pieces, order: int) -> float:
-    """Sum over the pieces of the tensor Gauss-Legendre rule of the given
-    order in s, through u = s^p and the Duffy map from the unit cube to
-    barycentric coordinates, b_0 = 1 - u_1, b_k = u_1...u_k (1 - u_{k+1}),
-    b_d = u_1...u_d, whose Jacobian is prod_k u_k^(d-k)."""
-    p = _COLLAPSE_POWER[metric]
-    d = len(pieces[0][0]) - 1
+def _axis_rule(p: int, order: int, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u = s^p of one axis of the collapsed rule and their weights:
+    the Gauss-Legendre weight in s, the ds-to-du factor and the axis's
+    Duffy Jacobian factor u^power."""
     s, w = _gauss_legendre(order)
     u = s ** p
-    # per-axis weights: Gauss weight, ds-to-du factor and Duffy Jacobian
-    axis_weights = [w * p * s ** (p - 1) * u ** (d - k) for k in range(1, d + 1)]
-    total = []
-    for corners, volume in pieces:
-        for start in range(0, order ** d, _CHUNK):
-            idx = np.unravel_index(np.arange(start, min(start + _CHUNK, order ** d)), (order,) * d)
-            bary = np.empty((len(idx[0]), d + 1))
-            weight = np.full(len(idx[0]), math.factorial(d) * volume)
-            prefix = 1.0
-            for k, i in enumerate(idx):
-                bary[:, k] = prefix * (1.0 - u[i])
-                prefix = prefix * u[i]
-                weight *= axis_weights[k][i]
-            bary[:, d] = prefix
-            total.append(float(weight @ _density_batch(metric, bary @ corners)))
-    return math.fsum(total)
+    return u, w * p * s ** (p - 1) * u ** power
 
 
-def _collapsed_volume(metric, n: int, pi_asc, rel_tol: float) -> float:
-    """Bures or BKM volume by the collapsed rule, doubled from order 8
-    while the tensor rule has at most ``_MAX_POINTS`` points.
+@lru_cache(maxsize=32)
+def _reference_grid(p: int, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The collapsed tensor rule on the unit d-simplex with ``orders[k]``
+    nodes on axis k, read-only and kept for the process (the 32 last used,
+    under 8 MB): barycentric points (m, d+1) of the Duffy map from the
+    unit cube, b_0 = 1 - u_1, b_k = u_1...u_k (1 - u_{k+1}),
+    b_d = u_1...u_d, and weights d! times the axis weights, whose Jacobian
+    factors give prod_k u_k^(d-k)."""
+    d = len(orders)
+    bary = np.empty(orders + (d + 1,))
+    weight = np.full(orders, float(math.factorial(d)))
+    prefix = 1.0
+    for k, order in enumerate(orders):
+        u, w = (a.reshape((1,) * k + (order,) + (1,) * (d - 1 - k)) for a in _axis_rule(p, order, d - 1 - k))
+        bary[..., k] = prefix * (1.0 - u)
+        prefix = prefix * u
+        weight *= w
+    bary[..., d] = prefix
+    bary, weight = bary.reshape(-1, d + 1), weight.reshape(-1)
+    bary.flags.writeable = weight.flags.writeable = False
+    return bary, weight
+
+
+def _grid_blocks(p: int, orders: tuple):
+    """The collapsed rule with the given orders, one block per node of the
+    leading axes 1 ... t: (b_0 ... b_{t-1}, u_1...u_t, weight factor,
+    reference grid of the trailing axes t+1 ... d), the trailing axes being
+    the longest run with at most ``_CHUNK`` points.  The Duffy map nests,
+    so a point of the block is b_0 ... b_{t-1} followed by u_1...u_t times
+    a point of that grid, and its weight is the factor times the grid's."""
+    d, t = len(orders), len(orders)
+    while t > 0 and math.prod(orders[t - 1:]) <= _CHUNK:
+        t -= 1
+    trailing = _reference_grid(p, orders[t:])
+    axes = [[a.tolist() for a in _axis_rule(p, order, d - 1 - k)] for k, order in enumerate(orders[:t])]
+    scale = math.factorial(d) / math.factorial(d - t)
+    for idx in product(*(range(order) for order in orders[:t])):
+        lead, prefix, factor = [], 1.0, scale
+        for (u, w), i in zip(axes, idx):
+            lead.append(prefix * (1.0 - u[i]))
+            prefix *= u[i]
+            factor *= w[i]
+        yield np.array(lead), prefix, factor, trailing
+
+
+def _collapsed_sums(metric, pieces, grids) -> list[float]:
+    """The collapsed rule at each orders tuple of ``grids``, summed over the
+    pieces.  The points of all grids and pieces share density calls of at
+    most ``_CHUNK`` rows."""
+    p = _COLLAPSE_POWER[metric]
+    terms = [[] for _ in grids]
+    rows = np.empty((_CHUNK, pieces[0][0].shape[1]))
+    pending, used = [], 0
+
+    def flush():
+        density = _density_batch(metric, rows[:used])
+        at = 0
+        for j, factor, weight in pending:
+            terms[j].append(factor * float(weight @ density[at:at + len(weight)]))
+            at += len(weight)
+        pending.clear()
+
+    for j, orders in enumerate(grids):
+        for lead, prefix, factor, (bary, weight) in _grid_blocks(p, orders):
+            t = len(lead)
+            for corners, volume in pieces:
+                if used + len(weight) > _CHUNK:
+                    flush()
+                    used = 0
+                block = rows[used:used + len(weight)]
+                np.matmul(bary, corners[t:], out=block)
+                if t:
+                    block *= prefix
+                    block += lead @ corners[:t]
+                pending.append((j, factor * volume, weight))
+                used += len(weight)
+    flush()
+    return [math.fsum(parts) for parts in terms]
+
+
+def _collapsed_volume(metric, n: int, pi_asc, rel_tol: float) -> tuple[float, float]:
+    """Bures or BKM volume by the collapsed rule with one order per axis,
+    refined dimension-adaptively (Gerstner & Griebel, Computing 71, 2003):
+    (value, error).
+
+    Every axis starts at order 8.  Each step probes each axis by doubling
+    it alone, and doubles every axis whose probe moved the value by at
+    least half the largest move.  The value is the rule at the current
+    orders plus every probe's move (the sum over Gerstner and Griebel's
+    index set); the error is the sum of the moves' sizes.  The loop stops
+    when the error is at most ``rel_tol`` times the value, and raises
+    ConvergenceError, naming the last orders, when the next step would
+    need a rule of more than ``_MAX_POINTS`` points per piece or an axis
+    of order above ``_MAX_ORDER``.  No rule is evaluated twice.
 
     Each piece's corners are sorted by their count of zero eigenvalues,
     most first.  Zero sets in the ordered simplex nest (r_k = 0 implies
@@ -283,11 +364,23 @@ def _collapsed_volume(metric, n: int, pi_asc, rel_tol: float) -> float:
     pieces = [(corners[np.argsort(-(corners == 0.0).sum(axis=1), kind="stable")], volume)
               for corners, volume in _simplex_pieces(n, pi_asc) if volume > 0.0]
     if not pieces:
-        return 0.0
-    # the largest power of two whose (n-1)-th power fits _MAX_POINTS
-    last = min(_MAX_ORDER, 2 ** ((_MAX_POINTS.bit_length() - 1) // (n - 1)))
-    what = f"{metric.value} n={n} {'full volume' if pi_asc is None else 'positive part'}: collapsed cubature"
-    return _doubled(lambda order: _collapsed_rule_sum(metric, pieces, order), what, rel_tol, 8, last)[0]
+        return 0.0, 0.0
+    orders, known = (8,) * (n - 1), {}
+    while True:
+        grids = [orders] + [orders[:k] + (2 * o,) + orders[k + 1:] for k, o in enumerate(orders)]
+        missing = [g for g in grids if g not in known]
+        known.update(zip(missing, _collapsed_sums(metric, pieces, missing)))
+        moves = [known[g] - known[orders] for g in grids[1:]]
+        value, error = math.fsum(moves + [known[orders]]), math.fsum(map(abs, moves))
+        if error <= rel_tol * abs(value):
+            return value, error
+        largest = max(map(abs, moves))
+        refined = tuple(2 * o if abs(m) >= largest / 2.0 else o for o, m in zip(orders, moves))
+        if 2 * math.prod(refined) > _MAX_POINTS or 2 * max(refined) > _MAX_ORDER:
+            what = f"{metric.value} n={n} {'full volume' if pi_asc is None else 'positive part'}"
+            raise ConvergenceError(f"{what}: collapsed cubature did not settle below rel_tol={rel_tol:g} "
+                                   f"at orders {orders}: value {value:.6e}, last change {error:.3e}")
+        orders = refined
 
 
 def orbit_volume_simplex(
@@ -303,11 +396,14 @@ def orbit_volume_simplex(
     The region is a polytope, triangulated into simplices; supported for
     2 <= n <= 6.  HS: the density is a polynomial, so a Grundmann-Moller
     rule exact for its degree gives the volume to rounding (method
-    ``"exact"``), and ``spec`` does not apply.  Bures and BKM: a collapsed
-    tensor Gauss-Legendre rule on each simplex (method ``"cubature"``), its
-    order doubled until two orders agree to ``spec.rel_tol`` alone.
-    ConvergenceError when the next order would exceed 2^21 points per
-    simplex: BKM n = 5 at the default spec, or n = 6 at useful tolerances.
+    ``"exact"``, error 0), and ``spec`` does not apply.  Bures and BKM: a
+    collapsed tensor Gauss-Legendre rule on each simplex (method
+    ``"cubature"``), its orders refined axis by axis until the sum of the
+    last per-axis changes, reported as ``error``, is at most
+    ``spec.rel_tol`` times the value.  At the default spec Bures converges
+    up to n = 6 and BKM up to n = 5 (about 1.5 s each for the full
+    volume); ConvergenceError when the next step would exceed 2^21 points
+    per simplex, as for BKM n = 6.
     """
     if not 2 <= n <= _SIMPLEX_MAX_N:
         raise DomainError(f"simplex volumes are supported from n = 2 up to n = {_SIMPLEX_MAX_N}, got {n}")
@@ -324,7 +420,8 @@ def _region_volume(metric, n: int, pi_asc, spec: QuadratureSpec) -> VolumeEstima
     is non-negative: exact for HS, the collapsed cubature otherwise."""
     if metric is MetricKind.HS:
         return VolumeEstimate(max(_exact_hs_volume(n, pi_asc), 0.0), 0.0, "exact")
-    return VolumeEstimate(max(_collapsed_volume(metric, n, pi_asc, spec.rel_tol), 0.0), 0.0, "cubature")
+    value, error = _collapsed_volume(metric, n, pi_asc, spec.rel_tol)
+    return VolumeEstimate(max(value, 0.0), error, "cubature")
 
 
 @lru_cache(maxsize=32)

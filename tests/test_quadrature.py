@@ -103,7 +103,7 @@ class TestSpecs:
 class TestQubitVolumes:
     def test_hs_unit_ball(self):
         v = orbit_volume_qubit(MetricKind.HS, 1.0)
-        assert v.std_error == 0.0
+        assert v.error == 0.0
         assert v.method == "exact"
         assert v.value == pytest.approx(1 / 3 * QUBIT_UNIT[MetricKind.HS], rel=1e-8)
 
@@ -236,7 +236,7 @@ class TestSimplexVolumes:
     @pytest.mark.parametrize(
         "metric, n",
         [(m, n) for m in (MetricKind.HS, MetricKind.BURES) for n in (2, 3, 4)]
-        + [(MetricKind.HS, 5), (MetricKind.HS, 6), (MetricKind.BURES, 5)],
+        + [(MetricKind.HS, 5), (MetricKind.HS, 6), (MetricKind.BURES, 5), (MetricKind.BURES, 6)],
         ids=lambda v: v.value if isinstance(v, MetricKind) else str(v),
     )
     def test_full_volume_matches_closed_form(self, metric, n):
@@ -252,7 +252,13 @@ class TestSimplexVolumes:
                 math.pi ** (n / 2) * math.prod(math.factorial(j) for j in range(1, n + 1))
                 / (math.factorial(n) * 2 ** (n * (n - 1) // 2) * math.gamma(n * n / 2))
             )
-        assert orbit_volume_simplex(metric, n).value == pytest.approx(expected, rel=1e-6, abs=0.0)
+        volume = orbit_volume_simplex(metric, n)
+        assert volume.value == pytest.approx(expected, rel=1e-6, abs=0.0)
+        if metric is MetricKind.BURES:
+            # the cubature's own error covers the closed form, up to the
+            # closed form's rounding
+            assert 0.0 < volume.error <= DEFAULT_2D.rel_tol * volume.value
+            assert abs(volume.value - expected) <= volume.error + 16 * math.ulp(expected)
 
     def test_kernel_dimension_checked(self):
         with pytest.raises(DomainError):
@@ -296,31 +302,78 @@ class TestSimplexVolumes:
             # n = 3 has 3 vertices, so one side holds a single vertex
             if min(sum(e >= 0.0 for e in ells), sum(e < 0.0 for e in ells)) < n // 2:
                 continue
-            both = _collapsed_volume(metric, n, form, rel_tol) + _collapsed_volume(metric, n, -form, rel_tol)
+            both = _collapsed_volume(metric, n, form, rel_tol)[0] + _collapsed_volume(metric, n, -form, rel_tol)[0]
             # at the tolerance the calls ran with (observed: Bures within
             # 2e-14, BKM within 1e-9 over 20 forms each)
             assert both == pytest.approx(full, rel=rel_tol, abs=0.0)
             tested += 1
 
-    def test_collapsed_rule_stops_at_its_point_limit(self, monkeypatch):
-        evaluated = []
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_adaptive_rule_on_the_flat_density_matches_the_exact_rule(self, n, monkeypatch):
+        # a control: the collapsed rule, run on the polynomial flat density
+        # (plain Duffy map, p = 1), against the Grundmann-Moller rule exact
+        # for it, on the full simplex and on a cut of several pieces
+        monkeypatch.setitem(quadrature._COLLAPSE_POWER, MetricKind.HS, 1)
+        cut = np.linspace(1.0, -2.0, n)
+        assert len(quadrature._simplex_pieces(n, cut)) > 1
+        for pi_asc in (None, cut):
+            exact = _exact_hs_volume(n, pi_asc)
+            value, error = _collapsed_volume(MetricKind.HS, n, pi_asc, 1e-10)
+            assert error <= 1e-10 * value
+            assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
+            assert abs(value - exact) <= error + 1e-12 * exact
+
+    def test_four_level_bures_density_rows(self, monkeypatch):
+        # density rows of the four-level Bures volumes: per-axis orders need
+        # far fewer than one order for all axes, 8^3 + 16^3 + 32^3 = 37,376
+        rows = []
         batch = quadrature._density_batch
 
         def counting(metric, pts):
-            evaluated.append(len(pts))
+            rows.append(len(pts))
             return batch(metric, pts)
 
         monkeypatch.setattr(quadrature, "_density_batch", counting)
-        with pytest.raises(ConvergenceError, match=r"bkm n=5 full volume: .* last change \S+$"):
+        orbit_volume_simplex(MetricKind.BURES, 4)
+        assert sum(rows) <= 10_000
+        rows.clear()
+        step = math.sqrt(4 - 1 / 4) / math.sqrt(2)
+        orbit_volume_simplex(MetricKind.BURES, 4, KernelSpectrum((0.25 + step, 0.25 - step, 0.25, 0.25)))
+        assert sum(rows) <= 25_000
+
+    def test_collapsed_rule_stops_at_its_point_limit(self, monkeypatch):
+        rules, rows = [], []
+        sums, batch = quadrature._collapsed_sums, quadrature._density_batch
+
+        def recording(metric, pieces, grids):
+            rules.extend(grids)
+            return sums(metric, pieces, grids)
+
+        def counting(metric, pts):
+            rows.append(len(pts))
+            return batch(metric, pts)
+
+        monkeypatch.setattr(quadrature, "_collapsed_sums", recording)
+        monkeypatch.setattr(quadrature, "_density_batch", counting)
+        with pytest.raises(ConvergenceError, match=r"bkm n=5 full volume: .* last change \S+$") as err:
             orbit_volume_simplex(MetricKind.BKM, 5, spec=QuadratureSpec(rel_tol=1e-15))
-        # one piece; orders double, so the points sum to less than twice the last order's
-        assert max(evaluated) <= quadrature._CHUNK
-        assert sum(evaluated) < 2 * quadrature._MAX_POINTS
-        # at n = 7 two orders cannot fit, so the route refuses before any work
-        calls = len(evaluated)
+        # one piece: no tensor rule above the point limit, no axis above the
+        # order limit, no density call above the batch bound, and each rule
+        # evaluated once
+        assert max(math.prod(orders) for orders in rules) <= quadrature._MAX_POINTS
+        assert max(max(orders) for orders in rules) <= quadrature._MAX_ORDER
+        assert max(rows) <= quadrature._CHUNK
+        assert len(set(rules)) == len(rules)
+        assert sum(rows) == sum(math.prod(orders) for orders in rules)
+        # the error names the last orders: a rule evaluated with its probes
+        last = tuple(int(o) for o in re.search(r"at orders \(([\d, ]+)\)", str(err.value))[1].split(","))
+        assert last in rules
+        assert all(last[:k] + (2 * o,) + last[k + 1:] in rules for k, o in enumerate(last))
+        # n = 7 is past the simplex routes, which refuse it before any work
+        calls = len(rows)
         with pytest.raises(DomainError, match="up to n = 6"):
             orbit_volume_simplex(MetricKind.BURES, 7)
-        assert len(evaluated) == calls
+        assert len(rows) == calls
 
     def test_simplex_route_never_imports_scipy(self):
         script = (
