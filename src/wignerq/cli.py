@@ -8,7 +8,8 @@ values with a pass/fail manifest.
 
 All output is machine readable (JSON or CSV, 12 significant digits) and
 deterministic given identical flags, including seed and worker count.
-Exit codes: 0 success, 1 numerical failure, 2 usage error.
+Exit codes: 0 success (also when the reader closes stdout before the
+output ends), 1 numerical failure, 2 usage error.
 
 Every command checks its flags before it computes.  numpy and the
 numerical engines are imported only by the paths that use them, so the
@@ -34,6 +35,7 @@ from .closed_form import (
     IndicatorResult,
     McSpec,
     QuadratureSpec,
+    _has_closed_form,
     closed_indicator,
     minimize_indicator,
     positivity_curve,
@@ -95,7 +97,8 @@ def _check_out(path: str | None) -> None:
 def _emit(args, payload: dict, header: list[str], rows) -> None:
     """Write the payload as JSON, or the header and rows as CSV, to
     ``--out`` or stdout.  JSON is encoded before the file is opened, so
-    an encoding error leaves no file behind; CSV rows go out one by one.
+    an encoding error leaves no file behind; CSV rows go out one by one,
+    and stdout is flushed here, so a closed pipe raises inside the command.
     A file that cannot be opened or written is a usage error, and a file
     that the failed write created is removed (never one that existed)."""
     text = json.dumps(payload, allow_nan=False) + "\n" if args.format == "json" else None
@@ -108,6 +111,7 @@ def _emit(args, payload: dict, header: list[str], rows) -> None:
                 writer = csv.writer(f, lineterminator="\n")
                 writer.writerow(header)
                 writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
+            f.flush()
     except OSError as exc:
         if not args.out:
             raise
@@ -159,19 +163,13 @@ def cmd_indicator(args) -> int:
     metric = MetricKind.from_name(args.metric)
     moduli = ModuliPoint(args.n, zeta=args.zeta)
     quad_spec, mc_spec = _quad_spec(args), _mc_spec(args)
-    method = args.method
-    if method == "auto":
-        closed_exists = args.n == 2 or metric is MetricKind.HS
-        method = "closed" if closed_exists else "quad"
-    if method == "closed":
+    if args.method == "auto" and _has_closed_form(metric, args.n):
         result = closed_indicator(metric, args.n, moduli)
     else:
         from .indicators import global_indicator
 
-        if method == "quad":
-            result = global_indicator(metric, args.n, moduli, quad_spec)
-        else:
-            result = global_indicator(metric, args.n, moduli, mc_spec, sampler=args.sampler)
+        spec = mc_spec if args.method == "mc" else quad_spec
+        result = global_indicator(metric, args.n, moduli, spec, sampler=args.sampler)
     payload = {"command": "indicator", **result.to_json_dict()}
     _emit(args, payload, *_indicator_rows([result]))
     return 0
@@ -191,17 +189,11 @@ def cmd_average(args) -> int:
 def cmd_minimize(args) -> int:
     metric = MetricKind.from_name(args.metric)
     spec = _quad_spec(args)
-    zeta_star, q_star = minimize_indicator(metric, args.n, spec, method=args.method)
-    payload = {
-        "command": "minimize",
-        "metric": metric.value,
-        "n": 3,
-        "zeta_star": zeta_star,
-        "q_star": q_star,
-        "method": args.method,
-    }
+    zeta_star, q_star = minimize_indicator(metric, args.n, spec)
+    method = "closed-form" if _has_closed_form(metric, 3) else "quadrature"
     header = ["metric", "n", "zeta_star", "q_star", "method"]
-    _emit(args, payload, header, [[metric.value, "3", zeta_star, q_star, args.method]])
+    row = [metric.value, 3, zeta_star, q_star, method]
+    _emit(args, {"command": "minimize", **dict(zip(header, row))}, header, [row])
     return 0
 
 
@@ -350,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, choices=(2, 3))
     p.add_argument("--zeta", type=parse_angle, default=None,
                    help="moduli angle for n=3; accepts pi-fractions like pi/6")
-    p.add_argument("--method", choices=("auto", "closed", "quad", "mc"), default="auto")
+    p.add_argument("--method", choices=("auto", "quad", "mc"), default="auto")
     p.add_argument("--sampler", choices=SAMPLERS, default=None)
     _add_quad_flags(p)
     _add_mc_flags(p)
@@ -367,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimize", help="minimize the n=3 indicator over the moduli angle")
     p.add_argument("--metric", required=True)
     p.add_argument("--n", type=int, default=3, choices=(3,))
-    p.add_argument("--method", choices=("auto", "closed", "quadrature"), default="auto")
     _add_quad_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_minimize)
@@ -405,6 +396,10 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout; devnull takes the interpreter's last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 def console_entry() -> None:

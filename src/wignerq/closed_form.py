@@ -167,28 +167,29 @@ def qutrit_indicator_closed_form(zeta: float) -> float:
     return (1.0 + 20.0 * c2) / (128.0 * (4.0 * c2 - 1.0) ** 5)
 
 
+def _has_closed_form(metric: MetricKind, n: int) -> bool:
+    """Whether a closed form exists: every metric at n = 2, HS at n = 3."""
+    return n == 2 or (n == 3 and metric is MetricKind.HS)
+
+
 def closed_indicator(metric: MetricKind, n: int, moduli: ModuliPoint | None = None) -> IndicatorResult:
-    """Closed-form indicator where one exists: any metric at n=2, the
-    flat metric at n=3."""
+    """Closed-form indicator where one exists (``_has_closed_form``)."""
     moduli = _default_moduli(n, moduli)
+    if not _has_closed_form(metric, n):
+        raise DomainError(f"no closed form for metric {metric.value} at n = {n}")
     if n == 2:
         value = qubit_ball_volume(metric, positive_ball_radius()) / qubit_ball_volume(metric, 1.0)
-    elif n == 3 and metric is MetricKind.HS:
-        value = qutrit_indicator_closed_form(moduli.zeta)
     else:
-        raise DomainError(f"no closed form for metric {metric.value} at n = {n}")
+        value = qutrit_indicator_closed_form(moduli.zeta)
     return IndicatorResult(value, 0.0, metric, n, moduli, "closed-form")
 
 
 def _takes_closed_form(metric: MetricKind, path: str) -> bool:
-    """Whether the three-level evaluation path ('auto', 'closed' or
-    'quadrature') of a metric is the flat closed form; 'auto' takes it
-    where one exists."""
-    if path not in ("auto", "closed", "quadrature"):
+    """Whether the three-level evaluation path ('auto' or 'quadrature') of
+    a metric is the flat closed form: 'auto' takes it where one exists."""
+    if path not in ("auto", "quadrature"):
         raise DomainError(f"unknown evaluation path {path!r}")
-    if path == "closed" and metric is not MetricKind.HS:
-        raise DomainError(f"no closed form for metric {metric.value} at n = 3")
-    return path == "closed" or (path == "auto" and metric is MetricKind.HS)
+    return path == "auto" and _has_closed_form(metric, 3)
 
 
 def _brent_min(f, a: float, b: float, tol: float):
@@ -263,8 +264,8 @@ def minimize_indicator(
     angle and stops when the bracket around ``zeta_star`` is at most
     ``_ZETA_TOL`` = 1e-6 wide; ``q_star`` is the indicator at
     ``zeta_star``.  The curved metrics take about 9 quadratures, the flat
-    one 6.  ``method`` picks the evaluation path: 'closed' (flat metric
-    only), 'quadrature', or 'auto' (closed form when available).
+    one 6.  ``method`` picks the evaluation path: 'auto' (the closed form
+    where one exists, quadrature elsewhere) or 'quadrature'.
     """
     if n != 3:
         raise DomainError("moduli minimization is implemented for n = 3")

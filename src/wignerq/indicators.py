@@ -136,9 +136,10 @@ def global_indicator(
     The type of ``spec`` selects the path: a ``QuadratureSpec`` (or
     ``None``) runs deterministic quadrature, the simplex volumes of
     ``integrate.quadrature.orbit_volume_simplex`` for 2 <= n <= 6
-    (DomainError beyond; at the default spec Bures converges up to n = 6
-    and BKM up to n = 5, and ConvergenceError marks a cubature that does
-    not settle, as for BKM at n = 6); an ``McSpec`` estimates the
+    (DomainError beyond; ConvergenceError marks a cubature that does not
+    settle: at the default spec the full volume does for Bures up to
+    n = 6 and BKM up to n = 5, but not every positive part does, as for
+    Bures at n = 6 and direction e_1); an ``McSpec`` estimates the
     positive-cone fraction from random spectra.  ``sampler`` overrides
     the Monte Carlo sampler choice ('matrix', 'weighted' or 'mcmc'); by
     default every metric uses the importance sampler
@@ -172,18 +173,18 @@ def average_indicator(
 ) -> IndicatorResult:
     """Indicator averaged uniformly over the three-level moduli angle.
 
-    ``inner`` picks the route.  'closed' (the default 'auto' for the flat
-    metric) integrates the closed form over the angle by Gauss-Legendre
-    doubling to ``spec.rel_tol``.  'quadrature' (the default for Bures
-    and BKM) swaps the two integrals: the density times the fraction of
-    angles at which each spectrum is Wigner-positive, integrated once
-    over the ordered simplex by a sector rule doubled to
-    ``spec.rel_tol``, over the cached full volume; its error is the
-    rule's last change over the full volume plus ``2 * rel_tol * value``
-    for the full volume itself.  Both routes stop on ``rel_tol`` alone and
-    raise ConvergenceError when their last order does not reach it.
-    ``meta`` records the final order and the evaluations of the closed
-    form or of the density.
+    ``inner`` picks the route.  'auto' integrates the closed form over
+    the angle for the flat metric, by Gauss-Legendre doubling to
+    ``spec.rel_tol``, and runs 'quadrature' for Bures and BKM.
+    'quadrature' swaps the two integrals: the density times the fraction
+    of angles at which each spectrum is Wigner-positive, integrated once
+    over the ordered simplex by a sector rule doubled to ``spec.rel_tol``,
+    over the cached full volume; its error is the rule's last change over
+    the full volume plus ``2 * rel_tol * value`` for the full volume
+    itself.  Both routes stop on ``rel_tol`` alone and raise
+    ConvergenceError when their last order does not reach it.  ``meta``
+    records the final order and the evaluations of the closed form or of
+    the density.
     """
     if n != 3:
         raise DomainError("moduli averaging is implemented for n = 3")

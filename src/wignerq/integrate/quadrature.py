@@ -10,8 +10,8 @@ ball -- and integrates each piece:
   ``u = s^p``) turns the inverse-square-root and log singularities where
   eigenvalues vanish into powers of ``s``.  Its orders are set per axis,
   dimension-adaptively, up to 2^21 points per piece, and the error it
-  reports is the sum of its last per-axis changes (Bures converges to
-  N = 6, BKM to N = 5 at the default tolerance).
+  reports is the sum of its last per-axis changes (full volumes converge
+  to N = 6 for Bures, N = 5 for BKM, at the default tolerance).
 
 The three-level moduli average is one integral over the ordered simplex
 of the density times the fraction of apex angles at which each spectrum
@@ -147,9 +147,9 @@ def gauss_legendre_doubling(f, a: float, b: float, *, rel_tol: float):
 
 #: Largest N of the simplex routes.  Flat metric: at N = 7 the float rule
 #: has 1.18M points and has lost accuracy to about 1e-8, at N = 9 its
-#: points would not fit in memory.  Bures and BKM: the collapsed rule
-#: converges at the default spec up to N = 6 (Bures) and N = 5 (BKM); at
-#: N = 7 its first probes already have 2^19 points, a quarter of its limit.
+#: points would not fit in memory.  Bures and BKM: at the default spec the
+#: collapsed rule converges for full volumes (not every positive part) up to
+#: N = 6 (Bures) and N = 5 (BKM); at N = 7 its first probes have 2^19 points.
 _SIMPLEX_MAX_N = 6
 
 
@@ -396,10 +396,11 @@ def orbit_volume_simplex(
     collapsed tensor Gauss-Legendre rule on each simplex (method
     ``"cubature"``), its orders refined axis by axis until the sum of the
     last per-axis changes, reported as ``error``, is at most
-    ``spec.rel_tol`` times the value.  At the default spec Bures converges
-    up to n = 6 and BKM up to n = 5 (about 1.5 s each for the full
-    volume); ConvergenceError when the next step would exceed 2^21 points
-    per simplex, as for BKM n = 6.
+    ``spec.rel_tol`` times the value.  At the default spec, on a 2-vCPU
+    Xeon, full volumes converge up to n = 6 for Bures (0.46 s) and n = 5
+    for BKM (1.2 s); ConvergenceError when the next step would exceed
+    2^21 points per simplex, as for BKM n = 6 and for the Bures n = 6
+    positive part at direction e_1 (after 1.9 s, orders (32, 16, 16, 16, 8)).
     """
     if not 2 <= n <= _SIMPLEX_MAX_N:
         raise DomainError(f"simplex volumes are supported from n = 2 up to n = {_SIMPLEX_MAX_N}, got {n}")

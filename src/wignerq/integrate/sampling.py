@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,20 +85,22 @@ def _worker_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _map_ordered(fn, jobs, workers: int):
-    """Run jobs, in parallel when asked, returning results in job order."""
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(*job) for job in jobs]
-    try:
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            futures = [pool.submit(fn, *job) for job in jobs]
-            return [f.result() for f in futures]
-    except OSError as exc:
-        warnings.warn(
-            f"process pool for {workers} workers unavailable ({exc!r}); running sequentially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return [fn(*job) for job in jobs]
+    """Run jobs, in parallel when asked, returning results in job order;
+    the process pool is imported only where one starts."""
+    if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+                futures = [pool.submit(fn, *job) for job in jobs]
+                return [f.result() for f in futures]
+        except OSError as exc:
+            warnings.warn(
+                f"process pool for {workers} workers unavailable ({exc!r}); running sequentially",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return [fn(*job) for job in jobs]
 
 
 def _per_worker(fn, spec: McSpec, kind, n: int, *rest):

@@ -237,9 +237,36 @@ class TestMinimizeCommand:
         assert payload["zeta_star"] == pytest.approx(0.523599, abs=1e-4)
         assert payload["q_star"] == pytest.approx(21 / 31104, rel=1e-5)
 
+    @pytest.mark.parametrize(
+        "metric, fmt, route", [("hs", "json", "closed-form"), ("bures", "csv", "quadrature")]
+    )
+    def test_method_names_the_route_that_ran(self, capsys, metric, fmt, route):
+        code, out, _ = run_cli(capsys, "minimize", "--metric", metric, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            payload = json.loads(out)
+        else:
+            (row,) = csv.DictReader(io.StringIO(out))
+            payload = {"command": "minimize", "metric": row["metric"], "n": int(row["n"]),
+                       "zeta_star": float(row["zeta_star"]), "q_star": float(row["q_star"]),
+                       "method": row["method"]}
+        validate(payload)
+        assert payload["method"] == route
+
     def test_other_dimension_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "minimize", "--n", "2", "--metric", "hs")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["indicator", "--n", "2", "--metric", "hs", "--method", "closed"],
+         ["minimize", "--metric", "hs", "--method", "quadrature"]],
+        ids=["indicator-closed", "minimize-method"],
+    )
+    def test_removed_route_flags_are_usage_errors(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
 
 
 class _Stop(Exception):
@@ -578,16 +605,45 @@ def test_samples_above_cap_rejected_before_running(capsys, monkeypatch, owner, r
     assert err.startswith("error:") and "--samples is capped at 20,000,000" in err
 
 
-def run_python(script, *args, timeout=120):
-    """Stdout of ``python -c script *args`` on this checkout's sources."""
+def _source_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_python(script, *args, timeout=120):
+    """Stdout of ``python -c script *args`` on this checkout's sources."""
     proc = subprocess.run(
-        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", script, *args], env=_source_env(), capture_output=True, text=True,
         timeout=timeout, check=True,
     )
     return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [(["curve", "--points", "200000"], 1),
+     (["sample", "--metric", "hs", "--n", "3", "--samples", "200000", "--format", "json"], 0)],
+    ids=["curve-csv-streamed", "sample-json-whole"],
+)
+def test_reader_closing_stdout_ends_the_output(argv, lines):
+    # as in `wignerq curve | head -1`: the streamed table is megabytes, so
+    # the command is still writing when its reader goes away after one
+    # line; the JSON document is one line, written whole after sampling,
+    # so its reader goes away before the first byte
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wignerq.cli", *argv], env=_source_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = [proc.stdout.readline() for _ in range(lines)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+    assert all(line.endswith(b"\n") for line in first)
 
 
 #: Runs ``main`` on each argv of the JSON list in argv[2], with numpy
@@ -677,12 +733,14 @@ commands = [
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in commands]
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy}))
+print(json.dumps({"codes": codes, "scipy": scipy, "multiprocessing": "multiprocessing" in sys.modules}))
 """
 
 
 def test_commands_without_integration_never_import_scipy():
-    assert json.loads(run_python(_NO_SCIPY_SCRIPT)) == {"codes": [0] * 10, "scipy": []}
+    # nor, with one worker, the process pool
+    expected = {"codes": [0] * 10, "scipy": [], "multiprocessing": False}
+    assert json.loads(run_python(_NO_SCIPY_SCRIPT)) == expected
 
 
 # RUSAGE_SELF's maximum also counts the address space the process was

@@ -311,6 +311,8 @@ class TestAverageIndicator:
         with pytest.raises(DomainError):
             average_indicator(MetricKind.BURES, inner="closed")
         with pytest.raises(DomainError, match="unknown evaluation path"):
+            average_indicator(MetricKind.HS, inner="closed")
+        with pytest.raises(DomainError, match="unknown evaluation path"):
             average_indicator(MetricKind.HS, inner="simpson")
 
 
@@ -321,7 +323,8 @@ class TestMinimizeIndicator:
         assert q_star == pytest.approx(21 / 31104, rel=1e-6)
 
     def test_two_paths_agree(self):
-        z_closed, _ = minimize_indicator(MetricKind.HS, method="closed")
+        # 'auto' takes the flat closed form
+        z_closed, _ = minimize_indicator(MetricKind.HS, method="auto")
         z_quad, _ = minimize_indicator(MetricKind.HS, method="quadrature")
         assert abs(z_closed - z_quad) < 1e-4
 
@@ -342,6 +345,8 @@ class TestMinimizeIndicator:
     def test_closed_method_unavailable_for_monotone_metrics(self):
         with pytest.raises(DomainError):
             minimize_indicator(MetricKind.BKM, method="closed")
+        with pytest.raises(DomainError, match="unknown evaluation path"):
+            minimize_indicator(MetricKind.HS, method="closed")
         with pytest.raises(DomainError, match="unknown evaluation path"):
             minimize_indicator(MetricKind.HS, method="simpson")
 

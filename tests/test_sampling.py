@@ -66,7 +66,8 @@ class TestDeterminism:
 
         jobs = [(False, 2, 500, 99, i) for i in range(2)]
         sequential = sampling_mod._map_ordered(sampling_mod._matrix_chunk, jobs, 1)
-        monkeypatch.setattr(sampling_mod, "ProcessPoolExecutor", no_pool)
+        # the pool is imported where it starts, so it is patched at its source
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         with pytest.warns(RuntimeWarning, match=r"2 workers.*process pool refused"):
             fallback = sampling_mod._map_ordered(sampling_mod._matrix_chunk, jobs, 2)
         assert len(fallback) == len(sequential) == 2
