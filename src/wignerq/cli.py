@@ -49,10 +49,16 @@ _SAMPLE_MAX_N = 256
 _SAMPLE_MAX_VALUES = 10**7
 #: Cap on ``--workers``: the per-worker job lists grow with it.
 _MAX_WORKERS = 256
-#: Cap on ``--samples`` of the Monte Carlo commands.  The default
-#: weighted estimate runs in bounded memory, but ``--sampler matrix``
-#: and ``--sampler mcmc`` hold every spectrum at once.
+#: Cap on ``--samples`` of the Monte Carlo commands.  The weighted and
+#: matrix-model estimates run in bounded memory, but ``--sampler mcmc``
+#: holds every spectrum at once.
 _MC_MAX_SAMPLES = 2 * 10**7
+#: The typed flags that each route of ``indicator`` and ``minimize`` reads.
+_ROUTE_FLAGS = {
+    "closed-form": (),
+    "quadrature": ("--rel-tol",),
+    "monte-carlo": ("--sampler", "--samples", "--seed", "--workers"),
+}
 #: Cap on ``curve --points``: the table is built whole before it is written.
 _CURVE_MAX_POINTS = 10**6
 
@@ -159,16 +165,27 @@ def _mc_spec(args) -> McSpec:
     return McSpec(samples=args.samples, seed=args.seed, workers=args.workers)
 
 
+def _check_route(args, route: str) -> str:
+    """The route, once every flag the user typed is one it reads; a flag
+    it would ignore is a usage error."""
+    for flag in args.typed:
+        if flag not in _ROUTE_FLAGS[route]:
+            raise DomainError(f"{flag} does not apply to the {route} route")
+    return route
+
+
 def cmd_indicator(args) -> int:
     metric = MetricKind.from_name(args.metric)
     moduli = ModuliPoint(args.n, zeta=args.zeta)
-    quad_spec, mc_spec = _quad_spec(args), _mc_spec(args)
     if args.method == "auto" and _has_closed_form(metric, args.n):
+        _check_route(args, "closed-form")
         result = closed_indicator(metric, args.n, moduli)
     else:
+        mc = args.method == "mc"
+        _check_route(args, "monte-carlo" if mc else "quadrature")
+        spec = _mc_spec(args) if mc else _quad_spec(args)
         from .indicators import global_indicator
 
-        spec = mc_spec if args.method == "mc" else quad_spec
         result = global_indicator(metric, args.n, moduli, spec, sampler=args.sampler)
     payload = {"command": "indicator", **result.to_json_dict()}
     _emit(args, payload, *_indicator_rows([result]))
@@ -188,9 +205,8 @@ def cmd_average(args) -> int:
 
 def cmd_minimize(args) -> int:
     metric = MetricKind.from_name(args.metric)
-    spec = _quad_spec(args)
-    zeta_star, q_star = minimize_indicator(metric, args.n, spec)
-    method = "closed-form" if _has_closed_form(metric, 3) else "quadrature"
+    method = _check_route(args, "closed-form" if _has_closed_form(metric, 3) else "quadrature")
+    zeta_star, q_star = minimize_indicator(metric, args.n, _quad_spec(args))
     header = ["metric", "n", "zeta_star", "q_star", "method"]
     row = [metric.value, 3, zeta_star, q_star, method]
     _emit(args, {"command": "minimize", **dict(zip(header, row))}, header, [row])
@@ -319,15 +335,23 @@ def _add_output_flags(p, default_format="json"):
     p.add_argument("--out", metavar="PATH", default=None, help="write to file instead of stdout")
 
 
+class _Typed(argparse.Action):
+    """Stores a flag's value and records in ``typed`` that it was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.typed = (*getattr(namespace, "typed", ()), self.option_strings[0])
+
+
 def _add_quad_flags(p):
-    p.add_argument("--rel-tol", type=float, default=None,
+    p.add_argument("--rel-tol", type=float, default=None, action=_Typed,
                    help=f"relative quadrature tolerance (default {QuadratureSpec().rel_tol:g})")
 
 
 def _add_mc_flags(p, samples_default=1_000_000):
-    p.add_argument("--samples", type=int, default=samples_default)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p.add_argument("--samples", type=int, default=samples_default, action=_Typed)
+    p.add_argument("--seed", type=int, default=0, action=_Typed)
+    p.add_argument("--workers", type=int, default=1, action=_Typed, help="parallel workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wignerq",
         description="Wigner-positivity volume indicators of qubit and qutrit states",
     )
+    parser.set_defaults(typed=())
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("indicator", help="one indicator value")
@@ -343,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=parse_angle, default=None,
                    help="moduli angle for n=3; accepts pi-fractions like pi/6")
     p.add_argument("--method", choices=("auto", "quad", "mc"), default="auto")
-    p.add_argument("--sampler", choices=SAMPLERS, default=None)
+    p.add_argument("--sampler", choices=SAMPLERS, default=None, action=_Typed)
     _add_quad_flags(p)
     _add_mc_flags(p)
     _add_output_flags(p)

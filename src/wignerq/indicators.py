@@ -39,6 +39,7 @@ from .integrate.quadrature import (
     simplex_full_volume,
 )
 from .integrate.sampling import (
+    _matrix_model,
     positive_fraction_iid,
     positive_fraction_mcmc,
     positive_fraction_weighted,
@@ -88,11 +89,7 @@ def sample_spectra(metric: MetricKind, n: int, spec: McSpec, sampler: str):
         return sample_weighted_spectra(metric, n, spec)
     if sampler == "mcmc":
         return sample_mcmc_spectra(metric, n, spec)
-    if metric is MetricKind.HS:
-        return sample_hs_spectra(n, spec)
-    if metric is MetricKind.BURES:
-        return sample_bures_spectra(n, spec)
-    raise DomainError("no matrix model is available for the BKM measure; use the 'weighted' sampler")
+    return sample_bures_spectra(n, spec) if _matrix_model(metric) else sample_hs_spectra(n, spec)
 
 
 def _mc_indicator(metric, n, moduli, spec: McSpec, sampler) -> IndicatorResult:
@@ -100,28 +97,17 @@ def _mc_indicator(metric, n, moduli, spec: McSpec, sampler) -> IndicatorResult:
     sampler = resolve_sampler(metric, sampler, estimate=True)
     meta = {"sampler": sampler, "samples": spec.samples}
     warnings: tuple[str, ...] = ()
-    if sampler == "weighted":
-        # drawn, weighted and counted in batches: the spectra are never held
-        p, se, ess = positive_fraction_weighted(metric, n, kernel, spec)
-        meta["ess"] = ess
-    elif sampler == "matrix":
-        draws = sample_spectra(metric, n, spec, sampler)
-        p, se = positive_fraction_iid(draws, kernel)
-    else:
+    if sampler == "mcmc":
         draws = sample_spectra(metric, n, spec, sampler)
         p, se = positive_fraction_mcmc(draws, kernel)
         warnings = draws.warnings
         meta["samples"] = draws.flat.shape[0]
-    return IndicatorResult(
-        p,
-        se,
-        metric,
-        n,
-        moduli,
-        "monte-carlo",
-        warnings=warnings,
-        meta={**meta, "seed": spec.seed, "workers": spec.workers},
-    )
+    else:
+        # drawn and counted in batches: the spectra are never held
+        estimate = positive_fraction_weighted if sampler == "weighted" else positive_fraction_iid
+        p, se, meta["ess"] = estimate(metric, n, kernel, spec)
+    meta.update(seed=spec.seed, workers=spec.workers)
+    return IndicatorResult(p, se, metric, n, moduli, "monte-carlo", warnings=warnings, meta=meta)
 
 
 def global_indicator(
@@ -141,16 +127,19 @@ def global_indicator(
     n = 6 and BKM up to n = 5, but not every positive part does, as for
     Bures at n = 6 and direction e_1); an ``McSpec`` estimates the
     positive-cone fraction from random spectra.  ``sampler`` overrides
-    the Monte Carlo sampler choice ('matrix', 'weighted' or 'mcmc'); by
-    default every metric uses the importance sampler
-    (``resolve_sampler``), which draws, weights and counts its spectra in
-    batches, so its memory stays bounded; 'matrix' runs the HS and Bures
-    matrix models, the paper's ensembles.  Samples count as positive to
+    the Monte Carlo sampler choice ('matrix', 'weighted' or 'mcmc'; with
+    any other spec it is a DomainError).  By default every metric uses
+    the importance sampler (``resolve_sampler``); 'matrix' runs the HS
+    and Bures matrix models, the paper's ensembles.  Both draw and count
+    their spectra in batches, so their memory stays bounded; only 'mcmc'
+    holds its draws.  Samples count as positive to
     ``positivity.DEFAULT_CONE_TOL``.
     """
     moduli = _default_moduli(n, moduli)
     if isinstance(spec, McSpec):
         return _mc_indicator(metric, n, moduli, spec, sampler)
+    if sampler is not None:
+        raise DomainError(f"sampler {sampler!r} needs an McSpec; quadrature draws no samples")
     return _quadrature_indicator(metric, n, moduli, spec or QuadratureSpec())
 
 

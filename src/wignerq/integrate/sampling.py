@@ -11,13 +11,15 @@
   a phase-fixed ``np.linalg.qr`` and the spectra from ``eigvalsh``.  Both
   read the same random stream.
 * Any metric, and the default of every Monte Carlo indicator:
-  importance sampling.  Sorted Dirichlet(1/2, ..., 1/2) spectra, each
-  weighted by the radial density over the proposal density, feed a
-  self-normalized estimator that draws, weights and counts them in
-  batches of ``_EIG_BATCH`` rows, keeping only running weighted sums, so
-  its memory does not grow with the sample count.
+  importance sampling: sorted Dirichlet(1/2, ..., 1/2) spectra, each
+  weighted by the radial density over the proposal density.
 * Any metric, opt-in: random-walk Metropolis on the simplex in logit
   coordinates, targeting the radial density.
+
+Each independent sampler is one stream per worker of ``(spectra,
+log_weights)`` batches, at log weight 0 for the matrix models.  Drawing
+writes the streams into preallocated arrays; estimating folds them into
+running weighted sums, so only the Markov chain holds its draws.
 
 Parallelism and reproducibility: the master seed is split into one
 independent child stream per worker; chunks are combined in worker
@@ -41,10 +43,9 @@ from ..measures import log_radial_density
 from ..positivity import DEFAULT_CONE_TOL, min_pairing_batch
 from ..spectra import KernelSpectrum, MetricKind
 
-#: Rows per batch of matrix-model draws at n <= 4, closed-form kernel
-#: (n <= 3) and LAPACK alike; larger n take fewer rows, so the
-#: temporaries stay about 16 * _EIG_BATCH matrix entries.  Also the rows
-#: per batch of the importance sampler.
+#: Rows per batch of both independent samplers; the matrix models take
+#: fewer at n > 4, so their temporaries stay about 16 * _EIG_BATCH
+#: matrix entries.
 _EIG_BATCH = 1 << 17
 
 #: Rows whose trigonometric-formula argument lies within this of +-1 have
@@ -103,16 +104,16 @@ def _map_ordered(fn, jobs, workers: int):
     return [fn(*job) for job in jobs]
 
 
-def _per_worker(fn, spec: McSpec, kind, n: int, *rest):
-    """``fn(kind, n, *rest, count, seed, index)`` for each worker with a
-    non-empty share of ``spec.samples`` (the first ``samples % workers``
-    take one more), results in worker order; ``kind`` is the Bures flag
-    or the metric."""
+def _per_worker(fn, spec: McSpec, batches, kind, n: int, *rest):
+    """``fn(batches, kind, n, *rest, count, seed, index)`` for each worker
+    with a non-empty share of ``spec.samples`` (the first ``samples %
+    workers`` take one more), in worker order; ``batches(kind, n, count,
+    seed, index)`` is its stream, ``kind`` the Bures flag or the metric."""
     if n < 2:
         raise DomainError("sampling needs n >= 2")
     base, extra = divmod(spec.samples, spec.workers)
     counts = [base + (i < extra) for i in range(spec.workers)]
-    jobs = [(kind, n, *rest, c, spec.seed, i) for i, c in enumerate(counts) if c > 0]
+    jobs = [(batches, kind, n, *rest, c, spec.seed, i) for i, c in enumerate(counts) if c > 0]
     return _map_ordered(fn, jobs, spec.workers)
 
 
@@ -229,32 +230,16 @@ def _closed_form_spectra(rng: np.random.Generator, bures: bool, m: int, n: int) 
     return ev / ev.sum(axis=1, keepdims=True)
 
 
-def _matrix_chunk(bures: bool, n: int, count: int, seed: int, index: int) -> np.ndarray:
+def _matrix_batches(bures: bool, n: int, count: int, seed: int, index: int):
+    """One worker's matrix-model draws as ``(spectra, log_weights)``
+    batches; every log weight is 0, as the rows are unweighted."""
     rng = _worker_rng(seed, index)
     draw = _closed_form_spectra if n <= 3 else _lapack_spectra
     batch = min(_EIG_BATCH, max(1, 16 * _EIG_BATCH // (n * n)))
-    out = np.empty((count, n))
-    done = 0
-    while done < count:
-        m = min(batch, count - done)
-        out[done:done + m] = draw(rng, bures, m, n)
-        done += m
-    return out
+    for start in range(0, count, batch):
+        m = min(batch, count - start)
+        yield draw(rng, bures, m, n), np.zeros(m)
 
-
-def sample_hs_spectra(n: int, spec: McSpec) -> np.ndarray:
-    """Spectra of trace-normalized squared Ginibre matrices: the
-    Hilbert-Schmidt ensemble.  Returns (samples, n), rows descending."""
-    return np.concatenate(_per_worker(_matrix_chunk, spec, False, n), axis=0)
-
-
-def sample_bures_spectra(n: int, spec: McSpec) -> np.ndarray:
-    """Spectra from the (I + U) G matrix model: the Bures ensemble.
-    Returns (samples, n), rows descending."""
-    return np.concatenate(_per_worker(_matrix_chunk, spec, True, n), axis=0)
-
-
-# --- importance sampling -----------------------------------------------------
 
 def _weighted_batches(metric: MetricKind, n: int, count: int, seed: int, index: int):
     """One worker's importance sample as ``(spectra, log_weights)``
@@ -270,8 +255,38 @@ def _weighted_batches(metric: MetricKind, n: int, count: int, seed: int, index: 
         yield r, log_w
 
 
-def _weighted_chunk(metric: MetricKind, n: int, count: int, seed: int, index: int):
-    return list(_weighted_batches(metric, n, count, seed, index))
+def _matrix_model(metric: MetricKind) -> bool:
+    """The ``bures`` flag of the metric's matrix model; BKM has none."""
+    if metric is MetricKind.BKM:
+        raise DomainError("no matrix model is available for the BKM measure; use the 'weighted' sampler")
+    return metric is MetricKind.BURES
+
+
+def _drawn(batches, kind, n: int, count: int, seed: int, index: int):
+    """One worker's stream, written into preallocated spectra and log weights."""
+    spectra, log_w = np.empty((count, n)), np.empty(count)
+    done = 0
+    for r, lw in batches(kind, n, count, seed, index):
+        spectra[done:done + len(r)], log_w[done:done + len(r)] = r, lw
+        done += len(r)
+    return spectra, log_w
+
+
+def _draw(batches, kind, n: int, spec: McSpec):
+    parts = _per_worker(_drawn, spec, batches, kind, n)
+    return np.concatenate([p[0] for p in parts], axis=0), np.concatenate([p[1] for p in parts])
+
+
+def sample_hs_spectra(n: int, spec: McSpec) -> np.ndarray:
+    """Spectra of trace-normalized squared Ginibre matrices: the
+    Hilbert-Schmidt ensemble.  Returns (samples, n), rows descending."""
+    return _draw(_matrix_batches, False, n, spec)[0]
+
+
+def sample_bures_spectra(n: int, spec: McSpec) -> np.ndarray:
+    """Spectra from the (I + U) G matrix model: the Bures ensemble.
+    Returns (samples, n), rows descending."""
+    return _draw(_matrix_batches, True, n, spec)[0]
 
 
 def sample_weighted_spectra(metric: MetricKind, n: int, spec: McSpec):
@@ -286,12 +301,10 @@ def sample_weighted_spectra(metric: MetricKind, n: int, spec: McSpec):
     have weight 0 (log weight ``-inf``).  The rows are those that
     ``positive_fraction_weighted`` counts for the same arguments.
     """
-    parts = [b for chunk in _per_worker(_weighted_chunk, spec, metric, n) for b in chunk]
-    return (
-        np.concatenate([p[0] for p in parts], axis=0),
-        np.concatenate([p[1] for p in parts]),
-    )
+    return _draw(_weighted_batches, metric, n, spec)
 
+
+# --- the streaming estimator -------------------------------------------------
 
 #: Weighted sums of no rows: ``(shift, sum w, sum w*inside,
 #: sum w^2*inside, sum w^2*outside)`` with ``w = exp(log_w - shift)``.
@@ -311,9 +324,9 @@ def _merge_sums(a: tuple, b: tuple) -> tuple:
     )
 
 
-def _weighted_sums(metric: MetricKind, n: int, kernel: KernelSpectrum, count: int, seed: int, index: int):
+def _weighted_sums(batches, kind, n: int, kernel: KernelSpectrum, count: int, seed: int, index: int):
     sums = _NO_SUMS
-    for r, log_w in _weighted_batches(metric, n, count, seed, index):
+    for r, log_w in batches(kind, n, count, seed, index):
         inside = min_pairing_batch(r, kernel) >= -DEFAULT_CONE_TOL
         shift = float(log_w.max())
         w = np.exp(log_w - shift)
@@ -322,31 +335,46 @@ def _weighted_sums(metric: MetricKind, n: int, kernel: KernelSpectrum, count: in
     return sums
 
 
-def positive_fraction_weighted(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
-    """Self-normalized importance-sampling estimate of the positive-cone
-    fraction of ``sample_weighted_spectra(metric, n, spec)``: returns
-    ``(p, se, ess)``.
+def _nonzero_error(se: float, units: int) -> float:
+    """The standard error, or ``1/(units + 1)`` where it is 0 (no spread
+    among the independent units, as at zero hits).  That is the far end of
+    the z = 1 Wilson score interval at an observed fraction of 0 or 1
+    (Brown, Cai & DasGupta, Stat. Sci. 16, 2001)."""
+    return se if se > 0.0 else 1.0 / (units + 1)
 
-    ``p = sum(w * inside) / sum(w)``; ``se`` is the delta-method error
-    ``sqrt(sum(w^2 (inside - p)^2)) / sum(w)`` and ``ess`` the effective
-    sample size ``sum(w)^2 / sum(w^2)`` (Owen, *Monte Carlo theory,
-    methods and examples*, ch. 9).  Where the error is 0, as at zero
-    hits, it is floored in units of the effective sample size.
 
-    The rows are drawn, weighted and counted in batches, so memory stays
-    bounded whatever the sample count.  Each worker keeps four running
-    sums, rescaled to the largest log weight seen so far; the squared
-    error is gathered as ``(1 - p)^2 sum(w^2 inside) + p^2 sum(w^2 outside)``,
-    two non-negative terms, so nothing cancels.
-    """
+def _fraction(batches, kind, n: int, kernel: KernelSpectrum, spec: McSpec):
+    """Self-normalized estimate ``(p, se, ess)`` of the positive-cone
+    fraction of every worker's stream (Owen, *Monte Carlo theory, methods
+    and examples*, ch. 9): ``p = sum(w inside) / sum(w)``, the delta-method
+    ``se = sqrt(sum(w^2 (inside - p)^2)) / sum(w)``, floored in units of
+    ``ess = sum(w)^2 / sum(w^2)`` where it is 0, as at zero hits.  Each
+    worker keeps four running sums, rescaled to the largest log weight
+    seen so far, so memory stays bounded whatever the sample count; the
+    squared error is gathered as ``(1 - p)^2 sum(w^2 inside) + p^2
+    sum(w^2 outside)``, two non-negative terms, so nothing cancels."""
     sums = _NO_SUMS
-    for part in _per_worker(_weighted_sums, spec, metric, n, kernel):
+    for part in _per_worker(_weighted_sums, spec, batches, kind, n, kernel):
         sums = _merge_sums(sums, part)
     _, sw, sw_in, sw2_in, sw2_out = sums
     p = sw_in / sw
     se = math.sqrt((1.0 - p) ** 2 * sw2_in + p * p * sw2_out) / sw
     ess = sw * sw / (sw2_in + sw2_out)
     return p, _nonzero_error(se, int(ess)), ess
+
+
+def positive_fraction_weighted(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
+    """The self-normalized importance-sampling estimate ``(p, se, ess)``
+    (``_fraction``) of ``sample_weighted_spectra(metric, n, spec)``."""
+    return _fraction(_weighted_batches, metric, n, kernel, spec)
+
+
+def positive_fraction_iid(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
+    """The estimate of ``_fraction`` at unit weight on the metric's matrix
+    model, the draws of ``sample_hs_spectra`` or ``sample_bures_spectra``
+    for the same arguments: ``p`` is the hit fraction, ``se`` the binomial
+    ``sqrt(p (1 - p) / m)`` up to rounding and ``ess`` the draw count m."""
+    return _fraction(_matrix_batches, _matrix_model(metric), n, kernel, spec)
 
 
 # --- Metropolis on the simplex ----------------------------------------------
@@ -428,25 +456,6 @@ def sample_mcmc_spectra(metric: MetricKind, n: int, spec: McSpec) -> McmcResult:
             f"[{_ACCEPT_WINDOW[0]}, {_ACCEPT_WINDOW[1]}] after adaptation",
         )
     return McmcResult(samples=samples, acceptance_rate=rate, step_scale=scale, warnings=warnings)
-
-
-# --- fraction estimators -----------------------------------------------------
-
-def _nonzero_error(se: float, units: int) -> float:
-    """The standard error, or ``1/(units + 1)`` where it is 0 (no spread
-    among the independent units, as at zero hits).  That is the far end of
-    the z = 1 Wilson score interval at an observed fraction of 0 or 1
-    (Brown, Cai & DasGupta, Stat. Sci. 16, 2001)."""
-    return se if se > 0.0 else 1.0 / (units + 1)
-
-
-def positive_fraction_iid(spectra: np.ndarray, kernel: KernelSpectrum):
-    """Fraction of independent spectra inside the positive cone (to
-    ``DEFAULT_CONE_TOL``), with its binomial standard error."""
-    inside = min_pairing_batch(spectra, kernel) >= -DEFAULT_CONE_TOL
-    m = inside.shape[0]
-    p = float(inside.mean())
-    return p, _nonzero_error(math.sqrt(p * (1.0 - p) / m), m)
 
 
 def positive_fraction_mcmc(result: McmcResult, kernel: KernelSpectrum):

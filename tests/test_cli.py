@@ -45,6 +45,26 @@ def validate(payload):
     jsonschema.validate(payload, SCHEMA)
 
 
+def test_schema_describes_every_meta_key(capsys):
+    # one output per route: closed form, quadrature, each Monte Carlo
+    # sampler, and a moduli average
+    mc = ["indicator", "--n", "2", "--metric", "hs", "--method", "mc", "--samples", "500", "--sampler"]
+    commands = [
+        ["indicator", "--n", "2", "--metric", "hs"],
+        ["indicator", "--n", "2", "--metric", "bkm", "--method", "quad"],
+        *(mc + [sampler] for sampler in ("matrix", "weighted", "mcmc")),
+        ["average", "--metric", "hs"],
+    ]
+    described = SCHEMA["$defs"]["result_fields"]["properties"]["meta"]["properties"]
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload)
+        for result in payload.get("results", [payload]):
+            assert set(result["meta"]) <= set(described), argv
+
+
 class TestParseAngle:
     def test_fraction_literals(self):
         assert parse_angle("pi/6") == pytest.approx(math.pi / 6, rel=1e-15)
@@ -682,19 +702,23 @@ def test_closed_form_commands_run_without_numpy():
 
 
 _QUAD_INDICATOR = ["indicator", "--n", "3", "--metric", "bures", "--zeta", "0.4", "--method", "quad"]
+_MC_INDICATOR = ["indicator", "--n", "2", "--metric", "hs", "--method", "mc"]
+#: (argv, route): the route that runs and does not read the flag, or None
+#: where the command reads it.
 _QUAD_FLAG_COMMANDS = [
-    *_CLOSED_FORM_INDICATORS,
-    _QUAD_INDICATOR,
-    ["average"],
-    ["minimize", "--metric", "hs"],
-    ["minimize", "--metric", "bures"],
+    *((argv, "closed-form") for argv in _CLOSED_FORM_INDICATORS),
+    (_QUAD_INDICATOR, None),
+    (_MC_INDICATOR, "monte-carlo"),
+    (["average"], None),
+    (["minimize", "--metric", "hs"], "closed-form"),
+    (["minimize", "--metric", "bures"], None),
 ]
 _MC_FLAG_COMMANDS = [
-    *_CLOSED_FORM_INDICATORS,
-    _QUAD_INDICATOR,
-    ["indicator", "--n", "2", "--metric", "hs", "--method", "mc"],
-    ["sample", "--metric", "hs"],
-    ["reproduce-paper", "--fast"],
+    *((argv, "closed-form") for argv in _CLOSED_FORM_INDICATORS),
+    (_QUAD_INDICATOR, "quadrature"),
+    (_MC_INDICATOR, None),
+    (["sample", "--metric", "hs"], None),
+    (["reproduce-paper", "--fast"], None),
 ]
 
 
@@ -709,9 +733,29 @@ _MC_FLAG_COMMANDS = [
     ids=["rel-tol", "samples", "seed", "workers"],
 )
 def test_flag_is_checked_by_every_command_that_takes_it(flag, value, message, commands):
-    # the closed-form paths too, before any numerical engine is imported
-    results = run_main([argv + [flag, value] for argv in commands], numpy="blocked")
-    assert results == [[2, "", f"error: {message}\n"]] * len(commands)
+    # the closed-form paths too, before any numerical engine is imported; a
+    # route that would not read the flag refuses it by name
+    results = run_main([argv + [flag, value] for argv, _ in commands], numpy="blocked")
+    want = [message if route is None else f"{flag} does not apply to the {route} route" for _, route in commands]
+    assert results == [[2, "", f"error: {m}\n"] for m in want]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, route",
+    [
+        (["indicator", "--n", "2", "--metric", "hs", "--sampler", "mcmc", "--samples", "5"], "--sampler", "closed-form"),
+        (["indicator", "--n", "2", "--metric", "bkm", "--seed", "0"], "--seed", "closed-form"),
+        (_QUAD_INDICATOR + ["--sampler", "matrix"], "--sampler", "quadrature"),
+        (_QUAD_INDICATOR + ["--work", "1"], "--workers", "quadrature"),
+        (_MC_INDICATOR + ["--rel-tol", "1e-3"], "--rel-tol", "monte-carlo"),
+        (["minimize", "--metric", "hs", "--rel-tol=1e-3"], "--rel-tol", "closed-form"),
+    ],
+    ids=["closed-form-sampler", "closed-form-default-seed", "quad-sampler", "quad-abbreviated-workers",
+         "mc-rel-tol", "minimize-hs-rel-tol"],
+)
+def test_typed_flag_the_route_ignores_is_usage_error(argv, flag, route):
+    # valid values, a default typed out and an abbreviated flag count too
+    assert run_main([argv], numpy="blocked") == [[2, "", f"error: {flag} does not apply to the {route} route\n"]]
 
 
 _NO_SCIPY_SCRIPT = """
@@ -762,11 +806,18 @@ print(code, peak_kb)
 
 def test_weighted_indicator_memory_is_bounded():
     # 3e6 draws held at once would take about 360 MB; batched, the whole
-    # process stays near its import footprint
-    argv = ["indicator", "--n", "3", "--metric", "bkm", "--zeta", "pi/6", "--method", "mc", "--samples", "3000000"]
-    code, peak_kb = map(int, run_python(_PEAK_RSS_SCRIPT, *argv, timeout=300).split())
-    assert code == 0
-    assert peak_kb < 150 * 1024
+    # process stays near its import footprint.  The matrix models count
+    # in batches too: 5e6 HS n = 3 draws held at once peaked at 273 MB.
+    runs = [
+        ["--n", "3", "--metric", "bkm", "--zeta", "pi/6", "--samples", "3000000"],
+        ["--n", "3", "--metric", "hs", "--zeta", "pi/6", "--sampler", "matrix", "--samples", "5000000"],
+        ["--n", "2", "--metric", "bures", "--sampler", "matrix", "--samples", "5000000"],
+    ]
+    for argv in runs:
+        out = run_python(_PEAK_RSS_SCRIPT, "indicator", "--method", "mc", *argv, timeout=300)
+        code, peak_kb = map(int, out.split())
+        assert code == 0
+        assert peak_kb < 150 * 1024, argv
 
 
 class TestReproduceCommand:

@@ -108,6 +108,7 @@ class TestGlobalIndicator:
         assert abs(r.value - 1 / (3 * SQRT3)) < 3 * r.error
         r = global_indicator(MetricKind.HS, 2, spec=McSpec(samples=100_000, seed=21), sampler="matrix")
         assert r.meta["sampler"] == "matrix"
+        assert r.meta["ess"] == r.meta["samples"] == 100_000
         assert abs(r.value - 1 / (3 * SQRT3)) < 3 * r.error
 
     def test_mc_four_level_direction(self):
@@ -143,6 +144,12 @@ class TestGlobalIndicator:
             global_indicator(MetricKind.BKM, 2, spec=McSpec(samples=100, seed=1), sampler="matrix")
         with pytest.raises(DomainError, match="unknown sampler"):
             global_indicator(MetricKind.HS, 2, spec=McSpec(samples=100, seed=1), sampler="gibbs")
+
+    @pytest.mark.parametrize("spec", [None, QuadratureSpec()], ids=["default", "quadrature"])
+    def test_sampler_needs_mc_spec(self, spec):
+        # quadrature draws nothing, so a sampler there is refused, not dropped
+        with pytest.raises(DomainError, match="sampler 'mcmc' needs an McSpec"):
+            global_indicator(MetricKind.HS, 3, ModuliPoint.qutrit(0.3), spec, sampler="mcmc")
 
     def test_closed_form_dispatch(self):
         assert closed_indicator(MetricKind.BKM, 2).value == pytest.approx(0.0495506, abs=1e-7)

@@ -27,6 +27,7 @@ from wignerq import (
 )
 from wignerq.integrate import sampling as sampling_mod
 from wignerq.integrate.sampling import positive_fraction_iid, positive_fraction_mcmc, positive_fraction_weighted
+from wignerq.positivity import DEFAULT_CONE_TOL, min_pairing_batch
 
 SQRT3 = math.sqrt(3.0)
 
@@ -64,14 +65,14 @@ class TestDeterminism:
         def no_pool(*args, **kwargs):
             raise OSError("process pool refused")
 
-        jobs = [(False, 2, 500, 99, i) for i in range(2)]
-        sequential = sampling_mod._map_ordered(sampling_mod._matrix_chunk, jobs, 1)
+        jobs = [(sampling_mod._matrix_batches, False, 2, 500, 99, i) for i in range(2)]
+        sequential = sampling_mod._map_ordered(sampling_mod._drawn, jobs, 1)
         # the pool is imported where it starts, so it is patched at its source
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         with pytest.warns(RuntimeWarning, match=r"2 workers.*process pool refused"):
-            fallback = sampling_mod._map_ordered(sampling_mod._matrix_chunk, jobs, 2)
+            fallback = sampling_mod._map_ordered(sampling_mod._drawn, jobs, 2)
         assert len(fallback) == len(sequential) == 2
-        assert all(np.array_equal(a, b) for a, b in zip(fallback, sequential))
+        assert all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) for a, b in zip(fallback, sequential))
 
     @pytest.mark.parametrize("seed", [0, 7, 123456])
     def test_worker_stream_is_spawned_child(self, seed):
@@ -114,8 +115,7 @@ class TestHsSampler:
         assert (np.diff(arr, axis=1) <= 1e-15).all()
 
     def test_two_level_positive_fraction(self):
-        arr = sample_hs_spectra(2, McSpec(samples=400_000, seed=2))
-        p, se = positive_fraction_iid(arr, qubit_kernel_spectrum())
+        p, se, _ = positive_fraction_iid(MetricKind.HS, 2, qubit_kernel_spectrum(), McSpec(samples=400_000, seed=2))
         assert abs(p - 1 / (3 * SQRT3)) < 3 * se
 
     def test_two_level_mean_against_quadrature_oracle(self):
@@ -146,8 +146,7 @@ class TestHsSampler:
 
 class TestBuresSampler:
     def test_two_level_positive_fraction(self):
-        arr = sample_bures_spectra(2, McSpec(samples=400_000, seed=5))
-        p, se = positive_fraction_iid(arr, qubit_kernel_spectrum())
+        p, se, _ = positive_fraction_iid(MetricKind.BURES, 2, qubit_kernel_spectrum(), McSpec(samples=400_000, seed=5))
         assert abs(p - 0.09172) < 3 * se
 
     def test_radius_distribution_kolmogorov_smirnov(self):
@@ -347,6 +346,27 @@ class TestStreamingEstimator:
         assert (p, se, ess) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+class TestUnitWeightEstimator:
+    """``positive_fraction_iid`` is the streaming estimator at unit
+    weight: the hit fraction of the same draws, the binomial error and
+    an effective sample size of m."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("metric", [MetricKind.HS, MetricKind.BURES], ids=["hs", "bures"])
+    def test_binomial_identity(self, metric, n, workers):
+        # 2.5 batches, so each worker crosses a batch boundary
+        m = 5 * sampling_mod._EIG_BATCH // 2
+        spec = McSpec(samples=m, seed=31 + n, workers=workers)
+        kernel = _STREAM_KERNELS[n]()
+        arr = (sample_bures_spectra if metric is MetricKind.BURES else sample_hs_spectra)(n, spec)
+        hits = min_pairing_batch(arr, kernel) >= -DEFAULT_CONE_TOL
+        p, se, ess = positive_fraction_iid(metric, n, kernel, spec)
+        assert 0.0 < p == hits.mean()
+        assert se == pytest.approx(math.sqrt(p * (1.0 - p) / m), rel=1e-15, abs=0.0)
+        assert ess == m
+
+
 class TestMcmcSampler:
     def test_bkm_two_level_positive_fraction(self):
         res = sample_mcmc_spectra(MetricKind.BKM, 2, McSpec(samples=200_000, seed=8))
@@ -361,8 +381,7 @@ class TestMcmcSampler:
     def test_hs_two_level_cross_validates_matrix_model(self):
         res = sample_mcmc_spectra(MetricKind.HS, 2, McSpec(samples=200_000, seed=10))
         p1, se1 = positive_fraction_mcmc(res, qubit_kernel_spectrum())
-        arr = sample_hs_spectra(2, McSpec(samples=200_000, seed=11))
-        p2, se2 = positive_fraction_iid(arr, qubit_kernel_spectrum())
+        p2, se2, _ = positive_fraction_iid(MetricKind.HS, 2, qubit_kernel_spectrum(), McSpec(samples=200_000, seed=11))
         assert abs(p1 - p2) < 3 * math.hypot(se1, se2)
 
     def test_chain_layout_and_diagnostics(self):
@@ -384,19 +403,25 @@ class TestMcmcSampler:
 
 
 def test_fraction_estimators_shapes():
-    arr = sample_hs_spectra(2, McSpec(samples=1_000, seed=17))
-    p, se = positive_fraction_iid(arr, qubit_kernel_spectrum())
-    assert 0.0 <= p <= 1.0 and se > 0.0
+    spec = McSpec(samples=1_000, seed=17)
+    p, se, ess = positive_fraction_iid(MetricKind.HS, 2, qubit_kernel_spectrum(), spec)
+    assert 0.0 <= p <= 1.0 and se > 0.0 and ess == 1_000
     with pytest.raises(DomainError):
-        positive_fraction_iid(arr, qutrit_kernel_spectrum(0.1))
+        positive_fraction_iid(MetricKind.HS, 2, qutrit_kernel_spectrum(0.1), spec)
+    with pytest.raises(DomainError, match="no matrix model is available for the BKM measure"):
+        positive_fraction_iid(MetricKind.BKM, 2, qubit_kernel_spectrum(), spec)
 
 
 class TestFractionErrorNeverZero:
     MIXED = 0.5  # the maximally mixed qubit is inside the positive cone
 
     def test_iid_all_inside(self):
-        p, se = positive_fraction_iid(np.full((40, 2), self.MIXED), qubit_kernel_spectrum())
-        assert (p, se) == (1.0, 1.0 / 41)
+        # one batch of unit-weight rows through the shared running sums
+        def one_batch(kind, n, count, seed, index):
+            yield np.full((count, n), self.MIXED), np.zeros(count)
+
+        p, se, ess = sampling_mod._fraction(one_batch, None, 2, qubit_kernel_spectrum(), McSpec(samples=40))
+        assert (p, se, ess) == (1.0, 1.0 / 41, 40.0)
 
     @pytest.mark.parametrize("chains", [1, 4])
     def test_chain_all_inside(self, chains):
