@@ -18,19 +18,15 @@ __version__ = "0.1.0"
 _SOURCES = {
     "errors": ("ConvergenceError", "DomainError"),
     "closed_form": (
-        "AVERAGED", "IndicatorResult", "McSpec", "QuadratureSpec", "closed_indicator",
-        "minimize_indicator", "positive_ball_radius", "positivity_curve", "qubit_ball_volume",
-        "qubit_positivity_probability", "qutrit_indicator_closed_form",
+        "AVERAGED", "IndicatorResult", "McSpec", "QuadratureSpec", "closed_indicator", "minimize_indicator",
+        "positivity_curve", "qubit_ball_volume", "qubit_positivity_probability", "qutrit_indicator_closed_form",
     ),
     "indicators": ("average_indicator", "global_indicator"),
-    "integrate.quadrature": ("VolumeEstimate", "orbit_volume_qubit", "orbit_volume_qutrit", "orbit_volume_simplex"),
-    "integrate.sampling": (
-        "sample_bures_spectra", "sample_hs_spectra", "sample_mcmc_spectra", "sample_weighted_spectra",
-    ),
+    "integrate.quadrature": ("VolumeEstimate", "orbit_volume_qutrit", "orbit_volume_simplex"),
     "measures": ("radial_density",),
     "positivity": ("min_wigner_value",),
     "spectra": ("KernelSpectrum", "MetricKind", "ModuliPoint", "StateSpectrum"),
-    "sw_kernel": ("kernel_for", "kernel_spectrum_from_direction", "qubit_kernel_spectrum", "qutrit_kernel_spectrum"),
+    "sw_kernel": ("kernel_for", "qutrit_kernel_spectrum"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

@@ -27,6 +27,7 @@ AVERAGED = "averaged"
 #: minimizing angle lies in it, as does the returned point.
 _ZETA_TOL = 1e-6
 
+#: Bloch radius 1/sqrt(3) bounding the Wigner-positive two-level states.
 _POSITIVE_BALL_RADIUS = 1.0 / math.sqrt(3.0)
 
 
@@ -145,11 +146,6 @@ def qubit_ball_volume(metric: MetricKind, radius: float) -> float:
     return math.asin(R) - math.sqrt(1.0 - R * R) * math.atanh(R)
 
 
-def positive_ball_radius() -> float:
-    """Bloch radius 1/sqrt(3) bounding the Wigner-positive two-level states."""
-    return _POSITIVE_BALL_RADIUS
-
-
 def _default_moduli(n: int, moduli: ModuliPoint | None) -> ModuliPoint:
     if moduli is None:
         if n == 2:
@@ -178,7 +174,7 @@ def closed_indicator(metric: MetricKind, n: int, moduli: ModuliPoint | None = No
     if not _has_closed_form(metric, n):
         raise DomainError(f"no closed form for metric {metric.value} at n = {n}")
     if n == 2:
-        value = qubit_ball_volume(metric, positive_ball_radius()) / qubit_ball_volume(metric, 1.0)
+        value = qubit_ball_volume(metric, _POSITIVE_BALL_RADIUS) / qubit_ball_volume(metric, 1.0)
     else:
         value = qutrit_indicator_closed_form(moduli.zeta)
     return IndicatorResult(value, 0.0, metric, n, moduli, "closed-form")
@@ -284,10 +280,9 @@ def qubit_positivity_probability(metric: MetricKind, radius: float) -> float:
     metric's measure) from the Bloch ball of the given radius has a
     non-negative Wigner function; 1 for radii inside the positive ball."""
     R = _check_bloch_radius(radius)
-    rp = positive_ball_radius()
-    if R <= rp:
+    if R <= _POSITIVE_BALL_RADIUS:
         return 1.0
-    return qubit_ball_volume(metric, rp) / qubit_ball_volume(metric, R)
+    return qubit_ball_volume(metric, _POSITIVE_BALL_RADIUS) / qubit_ball_volume(metric, R)
 
 
 def positivity_curve(radii) -> list[tuple[float, float, float, float]]:

@@ -331,7 +331,9 @@ def _weighted_sums(batches, kind, n: int, kernel: KernelSpectrum, count: int, se
         shift = float(log_w.max())
         w = np.exp(log_w - shift)
         w2 = w * w
-        sums = _merge_sums(sums, (shift, float(w.sum()), float(w @ inside), float(w2 @ inside), float(w2 @ ~inside)))
+        # summed products rather than BLAS dot products: the BLAS thread count moves no bit
+        part = (w.sum(), (w * inside).sum(), (w2 * inside).sum(), (w2 * ~inside).sum())
+        sums = _merge_sums(sums, (shift, *map(float, part)))
     return sums
 
 

@@ -19,7 +19,6 @@ the samplers.  The closed-form two-level ball volumes are in
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 
 import numpy as np
@@ -54,6 +53,18 @@ def _bkm_weight_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_factors(metric: MetricKind, cols):
+    """The per-pair factors of the density at columns of eigenvalues,
+    pairs in index order: ``d*d``, then for Bures and BKM the
+    Morozova-Chentsov weight."""
+    weight = None if metric is MetricKind.HS else _bkm_weight_batch if metric is MetricKind.BKM else _bures_weight
+    for x, y in combinations(cols, 2):
+        d = x - y
+        yield d * d
+        if weight is not None:
+            yield weight(x, y)
+
+
 def _density_batch(metric: MetricKind, pts: np.ndarray) -> np.ndarray:
     """Unnormalized density at each row of an (m, n) array of eigenvalues,
     any order; Bures and BKM raise DomainError unless every value is
@@ -65,22 +76,17 @@ def _density_batch(metric: MetricKind, pts: np.ndarray) -> np.ndarray:
     bits.  tests/test_measures.py pins the bits.
     """
     cols = np.asarray(pts, dtype=float).T
-    weight = None
     if metric is MetricKind.HS:
         out = np.ones(cols.shape[1])
     else:
         if (cols <= 0.0).any():
             raise DomainError("Bures/BKM density requires strictly positive eigenvalues")
-        weight = _bkm_weight_batch if metric is MetricKind.BKM else _bures_weight
         out = cols[0].copy()
         for x in cols[1:]:
             out *= x
         out **= -0.5
-    for x, y in combinations(cols, 2):
-        d = x - y
-        out *= d * d
-        if weight is not None:
-            out *= weight(x, y)
+    for f in _pair_factors(metric, cols):
+        out *= f
     return out
 
 
@@ -98,26 +104,19 @@ def log_radial_density(metric: MetricKind, points: np.ndarray) -> np.ndarray:
     """Log of the unnormalized density for an (m, n) batch of simplex
     points (any eigenvalue order; the density is permutation symmetric).
 
-    Rows touching the boundary (a non-positive entry) get ``-inf``.
-    The numerator of the importance sampler's weights and the target of
+    Rows touching the boundary (a non-positive entry) get ``-inf``.  It
+    sums the logs of the factors that ``_density_batch`` multiplies.  The
+    numerator of the importance sampler's weights and the target of
     the opt-in Markov chain; kept vectorized for speed.
     """
     pts = np.asarray(points, dtype=float)
-    m, n = pts.shape
-    out = np.zeros(m)
     interior = pts.min(axis=1) > 0.0
     safe = np.where(pts > 0.0, pts, 1.0)
+    out = np.zeros(len(pts))
     with np.errstate(divide="ignore", invalid="ignore"):
         if metric is not MetricKind.HS:
             out -= 0.5 * np.log(safe).sum(axis=1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = safe[:, i], safe[:, j]
-                d = np.abs(a - b)
-                out += 2.0 * np.log(d)
-                if metric is MetricKind.BURES:
-                    out += math.log(2.0) - np.log(a + b)
-                elif metric is MetricKind.BKM:
-                    out += np.log(_bkm_weight_batch(np.maximum(a, b), np.minimum(a, b)))
+        for f in _pair_factors(metric, safe.T):
+            out += np.log(f)
     out = np.where(interior, out, -np.inf)
     return np.where(np.isnan(out), -np.inf, out)

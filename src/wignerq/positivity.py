@@ -21,22 +21,23 @@ from .spectra import KernelSpectrum, StateSpectrum
 DEFAULT_CONE_TOL = 1e-12
 
 
-def min_wigner_value(r: StateSpectrum, k: KernelSpectrum) -> float:
-    """Minimum over the unitary orbit of the state/kernel pairing.
-
-    Equals the dot product of the descending state spectrum with the
-    ascending kernel spectrum (matching indices), which by rearrangement
-    is the smallest value the Wigner function attains on phase space.
-    """
-    if r.n != k.n:
-        raise DomainError(f"dimension mismatch: state has {r.n} levels, kernel {k.n}")
-    return float(np.dot(r.values, k.values))
-
-
 def min_pairing_batch(spectra: np.ndarray, k: KernelSpectrum) -> np.ndarray:
-    """Vectorized ``min_wigner_value`` for an (m, n) array of descending
-    spectra."""
+    """Minimal pairing of each row of an (m, n) array of descending
+    spectra with the ascending kernel spectrum: ``sum_i r_i k_i``, summed
+    column by column in index order, so no BLAS thread count moves a bit."""
     arr = np.asarray(spectra, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != k.n:
         raise DomainError(f"expected an (m, {k.n}) array, got shape {arr.shape}")
-    return arr @ np.asarray(k.values)
+    out = arr[:, 0] * k.values[0]
+    for j in range(1, k.n):
+        out += arr[:, j] * k.values[j]
+    return out
+
+
+def min_wigner_value(r: StateSpectrum, k: KernelSpectrum) -> float:
+    """Minimum over the unitary orbit of the state/kernel pairing: the
+    dot product of the descending state spectrum with the ascending
+    kernel spectrum, which by rearrangement is the smallest value the
+    Wigner function attains on phase space (``min_pairing_batch`` of one
+    row)."""
+    return float(min_pairing_batch(np.array([r.values]), k)[0])

@@ -31,8 +31,6 @@ from .errors import DomainError
 #: Tolerance for algebraic invariants (sums, norms).
 ALGEBRAIC_TOL = 1e-12
 
-_SQRT3 = math.sqrt(3.0)
-
 #: Upper end of the three-level apex angle's range [0, pi/3].
 _ZETA_MAX = math.pi / 3.0
 

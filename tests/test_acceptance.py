@@ -8,8 +8,12 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from polar_reference import (
 )
 
 from wignerq import (
+    KernelSpectrum,
     McSpec,
     MetricKind,
     ModuliPoint,
@@ -36,7 +41,7 @@ from wignerq import (
     qutrit_kernel_spectrum,
 )
 from wignerq.cli import main
-from wignerq.sw_kernel import kernel_spectrum_from_direction, traceless_basis
+from wignerq.sw_kernel import traceless_basis
 
 SQRT3 = math.sqrt(3.0)
 POSITIVE_RADIUS = 1.0 / SQRT3
@@ -145,7 +150,7 @@ def test_criterion_6_property_suites():
                 r = np.sort(rng.dirichlet(np.ones(n)))[::-1]
                 u = rng.standard_normal(n - 1)
                 u /= np.linalg.norm(u)
-                k = kernel_spectrum_from_direction(n, u @ basis)
+                k = KernelSpectrum(tuple(1.0 / n + math.sqrt(n - 1.0 / n) * (u @ basis)))
                 brute = (r @ np.array(k.values)[perms].T).min()
                 aligned = min_wigner_value(StateSpectrum(tuple(r)), k)
                 assert abs(aligned - brute) < 1e-12
@@ -243,3 +248,15 @@ def test_criterion_8_determinism():
             second = run(argv)
             assert first == second and first
             json.loads(first)  # stays parseable
+
+        # seeded Monte Carlo bytes do not depend on the BLAS thread count
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        base = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        envs = [dict(base, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")] + [base]
+        mc = ["indicator", "--n", "3", "--zeta", "pi/6", "--method", "mc", "--samples", "20000", "--seed", "1"]
+        spawned = [mc + ["--metric", m] for m in ("hs", "bures", "bkm")]
+        spawned += [mc + ["--metric", "hs", "--sampler", "matrix"], mc + ["--metric", "bkm", "--workers", "2"]]
+        for argv in spawned:
+            command = [sys.executable, "-m", "wignerq.cli", *argv]
+            outs = [subprocess.run(command, env=env, capture_output=True, check=True).stdout for env in envs]
+            assert outs[0] and len(set(outs)) == 1, argv

@@ -21,11 +21,9 @@ from wignerq import (
     McSpec,
     MetricKind,
     QuadratureSpec,
-    sample_bures_spectra,
-    sample_hs_spectra,
-    sample_weighted_spectra,
 )
 from wignerq.cli import main, parse_angle
+from wignerq.integrate.sampling import sample_bures_spectra, sample_hs_spectra, sample_weighted_spectra
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "schema" / "cli_output.schema.json").read_text()

@@ -20,21 +20,22 @@ from wignerq import (
     global_indicator,
     kernel_for,
     minimize_indicator,
-    orbit_volume_qubit,
     orbit_volume_simplex,
     positivity_curve,
     qubit_positivity_probability,
     qutrit_indicator_closed_form,
 )
-from wignerq import indicators, sample_weighted_spectra
+from wignerq import indicators
 from wignerq.closed_form import _ZETA_TOL, _brent_min
 from wignerq.integrate import DEFAULT_2D, quadrature
 from wignerq.integrate.quadrature import (
     _qutrit_pairing_plane,
     _zeta_positive_fraction,
     gauss_legendre_doubling,
+    orbit_volume_qubit,
     simplex_full_volume,
 )
+from wignerq.integrate.sampling import sample_weighted_spectra
 from wignerq.measures import _density_batch
 
 SQRT3 = math.sqrt(3.0)

@@ -11,7 +11,6 @@ from wignerq import (
     DomainError,
     MetricKind,
     StateSpectrum,
-    positive_ball_radius,
     qubit_ball_volume,
     radial_density,
 )
@@ -276,7 +275,7 @@ class TestQubitBallVolume:
         assert qubit_ball_volume(MetricKind.HS, 1.0) == pytest.approx(1 / 3, rel=1e-15)
 
     def test_bures_positive_fraction(self):
-        ratio = qubit_ball_volume(MetricKind.BURES, positive_ball_radius()) / qubit_ball_volume(
+        ratio = qubit_ball_volume(MetricKind.BURES, 1 / SQRT3) / qubit_ball_volume(
             MetricKind.BURES, 1.0
         )
         assert ratio == pytest.approx(0.09172, abs=2e-5)

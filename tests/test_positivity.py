@@ -11,15 +11,18 @@ from polar_reference import qutrit_orbit_bound, qutrit_positivity_bound, spectru
 
 from wignerq import (
     DomainError,
+    KernelSpectrum,
+    ModuliPoint,
     StateSpectrum,
+    kernel_for,
     min_wigner_value,
-    qubit_kernel_spectrum,
     qutrit_kernel_spectrum,
 )
-from wignerq.positivity import DEFAULT_CONE_TOL
-from wignerq.sw_kernel import kernel_spectrum_from_direction, traceless_basis
+from wignerq.positivity import DEFAULT_CONE_TOL, min_pairing_batch
+from wignerq.sw_kernel import traceless_basis
 
 SQRT3 = math.sqrt(3.0)
+QUBIT_KERNEL = kernel_for(ModuliPoint.qubit())
 
 
 def qubit_wigner(xi, n):
@@ -29,20 +32,20 @@ def qubit_wigner(xi, n):
 
 class TestMinWignerValue:
     def test_pure_state_picks_smallest_kernel_eigenvalue(self):
-        v = min_wigner_value(StateSpectrum((1.0, 0.0)), qubit_kernel_spectrum())
+        v = min_wigner_value(StateSpectrum((1.0, 0.0)), QUBIT_KERNEL)
         assert v == pytest.approx((1 - SQRT3) / 2, abs=1e-14)
 
     def test_maximally_mixed(self):
-        v = min_wigner_value(StateSpectrum((0.5, 0.5)), qubit_kernel_spectrum())
+        v = min_wigner_value(StateSpectrum((0.5, 0.5)), QUBIT_KERNEL)
         assert v == pytest.approx(0.5, abs=1e-14)
 
     def test_positive_ball_boundary_is_zero(self):
         s = StateSpectrum(((1 + 1 / SQRT3) / 2, (1 - 1 / SQRT3) / 2))
-        assert min_wigner_value(s, qubit_kernel_spectrum()) == pytest.approx(0.0, abs=1e-12)
+        assert min_wigner_value(s, QUBIT_KERNEL) == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            min_wigner_value(StateSpectrum((0.5, 0.3, 0.2)), qubit_kernel_spectrum())
+            min_wigner_value(StateSpectrum((0.5, 0.3, 0.2)), QUBIT_KERNEL)
 
     def test_brute_force_over_permutations(self, rng):
         # pairing the descending spectrum with the ascending kernel is the
@@ -54,13 +57,23 @@ class TestMinWignerValue:
                 r = StateSpectrum(tuple(rng.dirichlet(np.ones(n))))
                 u = rng.standard_normal(n - 1)
                 u /= np.linalg.norm(u)
-                k = kernel_spectrum_from_direction(n, u @ basis[n])
+                k = KernelSpectrum(tuple(1.0 / n + math.sqrt(n - 1.0 / n) * (u @ basis[n])))
                 pairings = np.array(r.values) @ np.array(k.values)[perms].T
                 assert min_wigner_value(r, k) == pytest.approx(pairings.min(), abs=1e-12)
                 assert pairings.min() <= pairings.max() + 1e-15
 
+    def test_batch_sums_columns_in_index_order(self, rng):
+        # no BLAS dot product: the bits are the column sum's, and one row
+        # of the batch is min_wigner_value
+        k = kernel_for(ModuliPoint.from_direction(4, (0.6, 0.0, -0.8)))
+        r = -np.sort(-rng.dirichlet(np.ones(4), 1000), axis=1)
+        expected = ((r[:, 0] * k.values[0] + r[:, 1] * k.values[1]) + r[:, 2] * k.values[2]) + r[:, 3] * k.values[3]
+        batch = min_pairing_batch(r, k)
+        assert batch.tobytes() == expected.tobytes()
+        assert [min_wigner_value(StateSpectrum(tuple(row)), k) for row in r[:10]] == batch[:10].tolist()
+
     def test_linear_in_state_for_fixed_order(self, rng):
-        k = kernel_spectrum_from_direction(4, traceless_basis(4)[0])
+        k = kernel_for(ModuliPoint.from_direction(4, (1.0, 0.0, 0.0)))
         for _ in range(100):
             a = StateSpectrum(tuple(rng.dirichlet(np.ones(4))))
             b = StateSpectrum(tuple(rng.dirichlet(np.ones(4))))
@@ -72,13 +85,13 @@ class TestMinWignerValue:
 
 class TestPositiveCone:
     def test_qubit_mixed_inside_pure_outside(self):
-        k = qubit_kernel_spectrum()
+        k = QUBIT_KERNEL
         assert min_wigner_value(StateSpectrum((0.5, 0.5)), k) >= -DEFAULT_CONE_TOL
         assert min_wigner_value(StateSpectrum((1.0, 0.0)), k) < -DEFAULT_CONE_TOL
 
     def test_qubit_ball_radius(self):
         # membership flips exactly at Bloch radius 1/sqrt(3)
-        k = qubit_kernel_spectrum()
+        k = QUBIT_KERNEL
         for rho in np.linspace(0.0, 1.0, 1001):
             expected = rho <= 1 / SQRT3 + 1e-9
             assert (min_wigner_value(StateSpectrum.qubit(rho), k) >= -1e-9) == expected
@@ -152,7 +165,7 @@ class TestQubitWigner:
         v = qubit_wigner((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
         assert v == pytest.approx((1 - SQRT3) / 2, abs=1e-14)
         s = StateSpectrum((1.0, 0.0))
-        assert v == pytest.approx(min_wigner_value(s, qubit_kernel_spectrum()), abs=1e-14)
+        assert v == pytest.approx(min_wigner_value(s, QUBIT_KERNEL), abs=1e-14)
 
     def test_sphere_minimum_matches_pairing(self, rng):
         # Monte Carlo minimum over the sphere approaches the pairing value
@@ -160,7 +173,7 @@ class TestQubitWigner:
         ns = rng.standard_normal((10_000, 3))
         ns /= np.linalg.norm(ns, axis=1, keepdims=True)
         values = 0.5 + (SQRT3 / 2) * ns @ xi
-        pairing = min_wigner_value(StateSpectrum.qubit(np.linalg.norm(xi)), qubit_kernel_spectrum())
+        pairing = min_wigner_value(StateSpectrum.qubit(np.linalg.norm(xi)), QUBIT_KERNEL)
         assert values.min() >= pairing - 1e-12
         assert values.min() == pytest.approx(pairing, abs=1e-3)
 
@@ -170,7 +183,7 @@ class TestQubitWigner:
 def test_pairing_minimum_property(rho, t, angle):
     # any single swap of kernel entries cannot go below the aligned pairing
     r = StateSpectrum.qubit(rho)
-    k = qubit_kernel_spectrum()
+    k = QUBIT_KERNEL
     aligned = min_wigner_value(r, k)
     swapped = r.values[0] * k.values[1] + r.values[1] * k.values[0]
     assert aligned <= swapped + 1e-12

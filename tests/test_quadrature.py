@@ -19,14 +19,14 @@ from wignerq import (
     DomainError,
     KernelSpectrum,
     MetricKind,
+    ModuliPoint,
     QuadratureSpec,
     VolumeEstimate,
+    kernel_for,
     minimize_indicator,
-    orbit_volume_qubit,
     orbit_volume_qutrit,
     orbit_volume_simplex,
     qubit_ball_volume,
-    qubit_kernel_spectrum,
     qutrit_indicator_closed_form,
     qutrit_kernel_spectrum,
 )
@@ -39,6 +39,7 @@ from wignerq.integrate.quadrature import (
     _qutrit_pairing_plane,
     _zeta_positive_fraction,
     gauss_legendre_doubling,
+    orbit_volume_qubit,
     qutrit_full_volume,
     simplex_full_volume,
 )
@@ -210,7 +211,7 @@ class TestQutritVolumes:
 class TestSimplexVolumes:
     def test_two_level_ratios_match_closed_forms(self, metric):
         spec = QuadratureSpec(rel_tol=1e-8)
-        num = orbit_volume_simplex(metric, 2, qubit_kernel_spectrum(), spec).value
+        num = orbit_volume_simplex(metric, 2, kernel_for(ModuliPoint.qubit()), spec).value
         den = orbit_volume_simplex(metric, 2, None, spec).value
         expected = qubit_ball_volume(metric, 1 / SQRT3) / qubit_ball_volume(metric, 1.0)
         assert num / den == pytest.approx(expected, rel=1e-7)
@@ -265,7 +266,7 @@ class TestSimplexVolumes:
 
     def test_kernel_dimension_checked(self):
         with pytest.raises(DomainError):
-            orbit_volume_simplex(MetricKind.HS, 3, qubit_kernel_spectrum())
+            orbit_volume_simplex(MetricKind.HS, 3, kernel_for(ModuliPoint.qubit()))
 
     def test_flat_positive_part_is_exact(self):
         # the exact rational integral of the flat density over the
@@ -381,11 +382,11 @@ class TestSimplexVolumes:
     def test_simplex_route_never_imports_scipy(self):
         script = (
             "import sys\n"
-            "from wignerq import MetricKind, orbit_volume_qubit, orbit_volume_simplex, qubit_kernel_spectrum,"
-            " qutrit_kernel_spectrum\n"
+            "from wignerq import MetricKind, ModuliPoint, kernel_for, orbit_volume_simplex, qutrit_kernel_spectrum\n"
+            "from wignerq.integrate.quadrature import orbit_volume_qubit\n"
             "for m in MetricKind:\n"
             "    orbit_volume_qubit(m, 0.9)\n"
-            "    orbit_volume_simplex(m, 2, qubit_kernel_spectrum())\n"
+            "    orbit_volume_simplex(m, 2, kernel_for(ModuliPoint.qubit()))\n"
             "    orbit_volume_simplex(m, 3, qutrit_kernel_spectrum(0.5))\n"
             "    orbit_volume_simplex(m, 4)\n"
             "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"

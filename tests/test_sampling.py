@@ -18,18 +18,22 @@ from wignerq import (
     kernel_for,
     orbit_volume_simplex,
     qubit_ball_volume,
-    qubit_kernel_spectrum,
     qutrit_kernel_spectrum,
+)
+from wignerq.integrate import sampling as sampling_mod
+from wignerq.integrate.sampling import (
+    positive_fraction_iid,
+    positive_fraction_mcmc,
+    positive_fraction_weighted,
     sample_bures_spectra,
     sample_hs_spectra,
     sample_mcmc_spectra,
     sample_weighted_spectra,
 )
-from wignerq.integrate import sampling as sampling_mod
-from wignerq.integrate.sampling import positive_fraction_iid, positive_fraction_mcmc, positive_fraction_weighted
 from wignerq.positivity import DEFAULT_CONE_TOL, min_pairing_batch
 
 SQRT3 = math.sqrt(3.0)
+QUBIT_KERNEL = kernel_for(ModuliPoint.qubit())
 
 
 class TestMcSpec:
@@ -115,7 +119,7 @@ class TestHsSampler:
         assert (np.diff(arr, axis=1) <= 1e-15).all()
 
     def test_two_level_positive_fraction(self):
-        p, se, _ = positive_fraction_iid(MetricKind.HS, 2, qubit_kernel_spectrum(), McSpec(samples=400_000, seed=2))
+        p, se, _ = positive_fraction_iid(MetricKind.HS, 2, QUBIT_KERNEL, McSpec(samples=400_000, seed=2))
         assert abs(p - 1 / (3 * SQRT3)) < 3 * se
 
     def test_two_level_mean_against_quadrature_oracle(self):
@@ -146,7 +150,7 @@ class TestHsSampler:
 
 class TestBuresSampler:
     def test_two_level_positive_fraction(self):
-        p, se, _ = positive_fraction_iid(MetricKind.BURES, 2, qubit_kernel_spectrum(), McSpec(samples=400_000, seed=5))
+        p, se, _ = positive_fraction_iid(MetricKind.BURES, 2, QUBIT_KERNEL, McSpec(samples=400_000, seed=5))
         assert abs(p - 0.09172) < 3 * se
 
     def test_radius_distribution_kolmogorov_smirnov(self):
@@ -272,7 +276,7 @@ class TestWeightedSampler:
 
     @pytest.mark.parametrize("metric, seed", [(MetricKind.HS, 31), (MetricKind.BURES, 32), (MetricKind.BKM, 33)])
     def test_two_level_positive_fraction(self, metric, seed):
-        p, se, ess = positive_fraction_weighted(metric, 2, qubit_kernel_spectrum(), McSpec(samples=200_000, seed=seed))
+        p, se, ess = positive_fraction_weighted(metric, 2, QUBIT_KERNEL, McSpec(samples=200_000, seed=seed))
         assert 0.0 < ess <= 200_000
         assert abs(p - closed_indicator(metric, 2).value) < 3 * se
 
@@ -296,13 +300,13 @@ class TestWeightedSampler:
         with pytest.raises(DomainError):
             sample_weighted_spectra(MetricKind.BKM, 1, McSpec(samples=10))
         with pytest.raises(DomainError):
-            positive_fraction_weighted(MetricKind.BKM, 1, qubit_kernel_spectrum(), McSpec(samples=10))
+            positive_fraction_weighted(MetricKind.BKM, 1, QUBIT_KERNEL, McSpec(samples=10))
 
 
 #: A positive region of each n with a fraction of 1e-4 to 0.2, so that a
 #: few thousand draws hit it.
 _STREAM_KERNELS = {
-    2: lambda: qubit_kernel_spectrum(),
+    2: lambda: QUBIT_KERNEL,
     3: lambda: qutrit_kernel_spectrum(math.pi / 6),
     4: lambda: kernel_for(ModuliPoint.from_direction(4, (0.0, 0.0, -1.0))),
 }
@@ -370,7 +374,7 @@ class TestUnitWeightEstimator:
 class TestMcmcSampler:
     def test_bkm_two_level_positive_fraction(self):
         res = sample_mcmc_spectra(MetricKind.BKM, 2, McSpec(samples=200_000, seed=8))
-        p, se = positive_fraction_mcmc(res, qubit_kernel_spectrum())
+        p, se = positive_fraction_mcmc(res, QUBIT_KERNEL)
         assert abs(p - 0.0495506) < 3 * se
 
     def test_hs_three_level_rare_fraction(self):
@@ -380,8 +384,8 @@ class TestMcmcSampler:
 
     def test_hs_two_level_cross_validates_matrix_model(self):
         res = sample_mcmc_spectra(MetricKind.HS, 2, McSpec(samples=200_000, seed=10))
-        p1, se1 = positive_fraction_mcmc(res, qubit_kernel_spectrum())
-        p2, se2, _ = positive_fraction_iid(MetricKind.HS, 2, qubit_kernel_spectrum(), McSpec(samples=200_000, seed=11))
+        p1, se1 = positive_fraction_mcmc(res, QUBIT_KERNEL)
+        p2, se2, _ = positive_fraction_iid(MetricKind.HS, 2, QUBIT_KERNEL, McSpec(samples=200_000, seed=11))
         assert abs(p1 - p2) < 3 * math.hypot(se1, se2)
 
     def test_chain_layout_and_diagnostics(self):
@@ -404,12 +408,12 @@ class TestMcmcSampler:
 
 def test_fraction_estimators_shapes():
     spec = McSpec(samples=1_000, seed=17)
-    p, se, ess = positive_fraction_iid(MetricKind.HS, 2, qubit_kernel_spectrum(), spec)
+    p, se, ess = positive_fraction_iid(MetricKind.HS, 2, QUBIT_KERNEL, spec)
     assert 0.0 <= p <= 1.0 and se > 0.0 and ess == 1_000
     with pytest.raises(DomainError):
         positive_fraction_iid(MetricKind.HS, 2, qutrit_kernel_spectrum(0.1), spec)
     with pytest.raises(DomainError, match="no matrix model is available for the BKM measure"):
-        positive_fraction_iid(MetricKind.BKM, 2, qubit_kernel_spectrum(), spec)
+        positive_fraction_iid(MetricKind.BKM, 2, QUBIT_KERNEL, spec)
 
 
 class TestFractionErrorNeverZero:
@@ -420,7 +424,7 @@ class TestFractionErrorNeverZero:
         def one_batch(kind, n, count, seed, index):
             yield np.full((count, n), self.MIXED), np.zeros(count)
 
-        p, se, ess = sampling_mod._fraction(one_batch, None, 2, qubit_kernel_spectrum(), McSpec(samples=40))
+        p, se, ess = sampling_mod._fraction(one_batch, None, 2, QUBIT_KERNEL, McSpec(samples=40))
         assert (p, se, ess) == (1.0, 1.0 / 41, 40.0)
 
     @pytest.mark.parametrize("chains", [1, 4])
@@ -429,6 +433,6 @@ class TestFractionErrorNeverZero:
             samples=np.full((chains, 25, 2), self.MIXED), acceptance_rate=0.4, step_scale=1.0,
             warnings=(),
         )
-        p, se = positive_fraction_mcmc(res, qubit_kernel_spectrum())
+        p, se = positive_fraction_mcmc(res, QUBIT_KERNEL)
         assert p == 1.0
         assert se == 1.0 / (chains + 1) > 0.0

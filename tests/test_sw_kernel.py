@@ -1,36 +1,43 @@
-"""Kernel-spectrum constructors and the sphere constraints."""
+"""Kernel-spectrum construction and the sphere constraints."""
 
 import math
 
 import numpy as np
 import pytest
 
-from wignerq import (
-    DomainError,
-    ModuliPoint,
-    kernel_for,
-    kernel_spectrum_from_direction,
-    qubit_kernel_spectrum,
-    qutrit_kernel_spectrum,
-)
-from wignerq.sw_kernel import embed_direction, traceless_basis
+from wignerq import DomainError, ModuliPoint, kernel_for, qutrit_kernel_spectrum
+from wignerq.sw_kernel import traceless_basis
 
 SQRT3 = math.sqrt(3.0)
 
+#: A few ulps of the kernel entries, which are at most 5/3 in magnitude.
+ULPS = 4 * np.finfo(float).eps
 
-def direction_from_kernel(k):
-    """Unit traceless direction whose sphere point is the given spectrum."""
-    vec = np.asarray(k.values, dtype=float) - 1.0 / k.n
-    return vec / np.linalg.norm(vec)
+
+def qubit_oracle():
+    """The closed form of the unique two-level kernel: (1 -+ sqrt 3)/2."""
+    return ((1 - SQRT3) / 2, (1 + SQRT3) / 2)
+
+
+def qutrit_oracle(zeta):
+    """The closed form of the three-level kernel at apex angle zeta:
+    (1/3 + s + c, 1/3 - s + c, 1/3 - 2c) with s = (2/sqrt 3) sin zeta and
+    c = (2/3) cos zeta, ascending."""
+    s = (2.0 / SQRT3) * math.sin(zeta)
+    c = (2.0 / 3.0) * math.cos(zeta)
+    return tuple(sorted((1 / 3 + s + c, 1 / 3 - s + c, 1 / 3 - 2 * c)))
+
+
+def within_ulps(values, oracle):
+    return max(abs(a - b) for a, b in zip(values, oracle)) <= ULPS
 
 
 class TestQubitKernel:
     def test_unique_spectrum(self):
-        k = qubit_kernel_spectrum()
-        assert k.values == pytest.approx(((1 - SQRT3) / 2, (1 + SQRT3) / 2), abs=1e-15)
+        assert within_ulps(kernel_for(ModuliPoint.qubit()).values, qubit_oracle())
 
     def test_trace_conditions(self):
-        k = qubit_kernel_spectrum()
+        k = kernel_for(ModuliPoint.qubit())
         assert sum(k.values) == pytest.approx(1.0, abs=1e-12)
         assert sum(v * v for v in k.values) == pytest.approx(2.0, abs=1e-12)
 
@@ -59,42 +66,32 @@ class TestQutritKernel:
             assert sum(k.values) == pytest.approx(1.0, abs=1e-12)
             assert sum(v * v for v in k.values) == pytest.approx(3.0, abs=1e-12)
 
-
-class TestDirectionParametrization:
-    def test_two_level_direction_recovers_unique_kernel(self):
-        k = kernel_spectrum_from_direction(2, (-1 / math.sqrt(2), 1 / math.sqrt(2)))
-        ref = qubit_kernel_spectrum()
-        assert k.values == pytest.approx(ref.values, abs=1e-14)
-
-    def test_three_level_direction_matches_apex_angle(self):
-        ref = qutrit_kernel_spectrum(math.pi / 6)
-        u = direction_from_kernel(ref)
-        k = kernel_spectrum_from_direction(3, u)
-        assert k.values == pytest.approx(ref.values, abs=1e-12)
-
     def test_covers_apex_family(self):
-        for zeta in np.linspace(0.0, math.pi / 3, 100):
-            ref = qutrit_kernel_spectrum(zeta)
-            k = kernel_spectrum_from_direction(3, direction_from_kernel(ref))
-            assert max(abs(a - b) for a, b in zip(k.values, ref.values)) < 1e-12
+        # the sphere formula gives the closed form across [0, pi/3]
+        for zeta in np.linspace(0.0, math.pi / 3, 1001):
+            assert within_ulps(qutrit_kernel_spectrum(zeta).values, qutrit_oracle(zeta)), zeta
 
-    def test_rejects_bad_directions(self):
-        with pytest.raises(DomainError):
-            kernel_spectrum_from_direction(3, (1.0, 0.0, 0.0))  # not traceless
-        with pytest.raises(DomainError):
-            kernel_spectrum_from_direction(3, (2.0, -1.0, -1.0))  # not unit
-        with pytest.raises(DomainError):
-            kernel_spectrum_from_direction(3, (1.0, -1.0))  # wrong length
 
-    def test_sphere_radius_from_uniform_point(self, rng):
-        for n in range(2, 7):
-            basis = traceless_basis(n)
+class TestSphereFormula:
+    def test_general_n_is_the_sphere_formula_bit_for_bit(self, rng):
+        for n in range(4, 7):
             for _ in range(50):
                 coords = rng.standard_normal(n - 1)
                 coords /= np.linalg.norm(coords)
-                k = kernel_spectrum_from_direction(n, coords @ basis)
-                dist_sq = sum((v - 1 / n) ** 2 for v in k.values)
-                assert dist_sq == pytest.approx(n - 1 / n, rel=1e-12)
+                expected = 1 / n + math.sqrt(n - 1 / n) * (coords @ traceless_basis(n))
+                k = kernel_for(ModuliPoint.from_direction(n, coords))
+                assert k.values == tuple(sorted(expected.tolist()))
+
+    def test_sphere_radius_from_uniform_point(self, rng):
+        kernels = [kernel_for(ModuliPoint.qubit())]
+        kernels += [qutrit_kernel_spectrum(z) for z in rng.uniform(0.0, math.pi / 3, 50)]
+        for n in range(4, 7):
+            for _ in range(50):
+                coords = rng.standard_normal(n - 1)
+                kernels.append(kernel_for(ModuliPoint.from_direction(n, coords / np.linalg.norm(coords))))
+        for k in kernels:
+            dist_sq = sum((v - 1 / k.n) ** 2 for v in k.values)
+            assert dist_sq == pytest.approx(k.n - 1 / k.n, rel=1e-12)
 
 
 class TestTracelessBasis:
@@ -108,17 +105,26 @@ class TestTracelessBasis:
     def test_embed_preserves_norm(self, rng):
         coords = rng.standard_normal(4)
         coords /= np.linalg.norm(coords)
-        u = embed_direction(5, coords)
+        u = coords @ traceless_basis(5)
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-13)
         assert u.sum() == pytest.approx(0.0, abs=1e-13)
 
 
 class TestKernelFor:
     def test_dispatch(self):
-        assert kernel_for(ModuliPoint.qubit()) == qubit_kernel_spectrum()
+        assert within_ulps(kernel_for(ModuliPoint.qubit()).values, qubit_oracle())
         assert kernel_for(ModuliPoint.qutrit(0.3)) == qutrit_kernel_spectrum(0.3)
         m = ModuliPoint.from_direction(4, (1.0, 0.0, 0.0))
         k = kernel_for(m)
         assert k.n == 4
         assert sum(k.values) == pytest.approx(1.0, abs=1e-12)
         assert sum(v * v for v in k.values) == pytest.approx(4.0, abs=1e-12)
+
+    def test_rejects_bad_directions(self):
+        # the moduli point checks a direction before any kernel is built
+        with pytest.raises(DomainError):
+            ModuliPoint(3, direction=(1.0, 0.0))  # n = 3 takes zeta alone
+        with pytest.raises(DomainError):
+            ModuliPoint.from_direction(4, (2.0, -1.0, -1.0))  # not unit
+        with pytest.raises(DomainError):
+            ModuliPoint.from_direction(4, (1.0, -1.0))  # wrong length
