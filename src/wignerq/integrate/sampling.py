@@ -12,7 +12,8 @@
   read the same random stream.
 * Any metric, and the default of every Monte Carlo indicator:
   importance sampling: sorted Dirichlet(1/2, ..., 1/2) spectra, each
-  weighted by the radial density over the proposal density.
+  weighted by the radial density over the proposal density: for HS
+  ``prod d_ij^2 * prod r_i^(1/2)``, for Bures and BKM the pair product.
 * Any metric, opt-in: random-walk Metropolis on the simplex in logit
   coordinates, targeting the radial density.
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from ..closed_form import McSpec
 from ..errors import DomainError
-from ..measures import log_radial_density
+from ..measures import _log_weight, log_radial_density
 from ..positivity import DEFAULT_CONE_TOL, min_pairing_batch
 from ..spectra import KernelSpectrum, MetricKind
 
@@ -247,12 +248,13 @@ def _weighted_batches(metric: MetricKind, n: int, count: int, seed: int, index: 
     batches concatenate to the rows of a single ``dirichlet`` call."""
     rng = _worker_rng(seed, index)
     alpha = np.full(n, 0.5)
+    power = 0.5 if metric is MetricKind.HS else 0.0  # Bures, BKM: the proposal cancels
     for start in range(0, count, _EIG_BATCH):
-        r = np.sort(rng.dirichlet(alpha, min(_EIG_BATCH, count - start)), axis=1)[:, ::-1]
-        with np.errstate(divide="ignore"):
-            # boundary rows: log_radial_density is -inf there, so the weight is 0
-            log_w = log_radial_density(metric, r) + 0.5 * np.log(r).sum(axis=1)
-        yield r, log_w
+        r = rng.dirichlet(alpha, min(_EIG_BATCH, count - start))
+        r.sort(axis=1)
+        r = r[:, ::-1]
+        # rows descend: a row is on the boundary (weight 0) exactly where its last entry is <= 0
+        yield r, _log_weight(metric, r.T, power, r[:, -1] <= 0.0)
 
 
 def _matrix_model(metric: MetricKind) -> bool:
@@ -294,11 +296,11 @@ def sample_weighted_spectra(metric: MetricKind, n: int, spec: McSpec):
 
     Returns ``(spectra, log_weights)``: (samples, n) Dirichlet(1/2, ...,
     1/2) spectra with rows descending, and the log of each row's
-    unnormalized weight, radial density over proposal density.  The
-    proposal's ``prod r_i^(-1/2)`` cancels the same factor of the Bures
-    and BKM densities, so the weights stay bounded for Bures and HS and
-    grow only logarithmically for BKM.  Rows on the simplex boundary
-    have weight 0 (log weight ``-inf``).  The rows are those that
+    unnormalized weight, density over proposal: for HS ``prod d_ij^2 *
+    prod r_i^(1/2)``; for Bures and BKM the pair product, as the proposal's
+    ``prod r_i^(-1/2)`` cancels and is never computed.  The weights stay
+    bounded for Bures and HS, grow only logarithmically for BKM, and are 0
+    (log weight ``-inf``) on the simplex boundary.  The rows are those that
     ``positive_fraction_weighted`` counts for the same arguments.
     """
     return _draw(_weighted_batches, metric, n, spec)

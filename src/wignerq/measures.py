@@ -12,9 +12,9 @@ for Bures and ``ln(x/y)/(x-y)`` for BKM.  Normalization constants are
 deliberately never computed -- all consumers take ratios.
 
 One vectorized kernel, ``_density_batch``, evaluates the density for
-every quadrature and cubature; ``log_radial_density`` is its log form for
-the samplers.  The closed-form two-level ball volumes are in
-``closed_form``.
+every quadrature and cubature; ``_log_weight`` sums the logs of its
+factors, for ``log_radial_density`` and the importance sampler's weights.
+The closed-form two-level ball volumes are in ``closed_form``.
 """
 
 from __future__ import annotations
@@ -100,23 +100,31 @@ def radial_density(metric: MetricKind, r: StateSpectrum) -> float:
     return float(_density_batch(metric, np.array([r.values]))[0])
 
 
+def _log_weight(metric: MetricKind, cols, power: float, boundary: np.ndarray) -> np.ndarray:
+    """Log of the pair product times ``prod r_i^power`` at columns of
+    eigenvalues, one log per factor and column (a row product underflows
+    at large n); ``-inf`` on ``boundary`` rows and rows summing to NaN."""
+    out = np.zeros(len(boundary))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for f in _pair_factors(metric, cols):
+            out += np.log(f)
+        if power:
+            out += power * sum(map(np.log, cols))
+    out[boundary | np.isnan(out)] = -np.inf
+    return out
+
+
 def log_radial_density(metric: MetricKind, points: np.ndarray) -> np.ndarray:
     """Log of the unnormalized density for an (m, n) batch of simplex
     points (any eigenvalue order; the density is permutation symmetric).
 
     Rows touching the boundary (a non-positive entry) get ``-inf``.  It
-    sums the logs of the factors that ``_density_batch`` multiplies.  The
-    numerator of the importance sampler's weights and the target of
-    the opt-in Markov chain; kept vectorized for speed.
+    sums the logs of the factors that ``_density_batch`` multiplies.  Only
+    the target of the opt-in Markov chain: the importance sampler shares
+    its pair sum, ``_log_weight``, not this function.
     """
-    pts = np.asarray(points, dtype=float)
-    interior = pts.min(axis=1) > 0.0
-    safe = np.where(pts > 0.0, pts, 1.0)
-    out = np.zeros(len(pts))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if metric is not MetricKind.HS:
-            out -= 0.5 * np.log(safe).sum(axis=1)
-        for f in _pair_factors(metric, safe.T):
-            out += np.log(f)
-    out = np.where(interior, out, -np.inf)
-    return np.where(np.isnan(out), -np.inf, out)
+    cols = np.asarray(points, dtype=float).T
+    boundary = cols[0] <= 0.0
+    for x in cols[1:]:
+        boundary |= x <= 0.0
+    return _log_weight(metric, cols, 0.0 if metric is MetricKind.HS else -0.5, boundary)

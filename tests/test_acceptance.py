@@ -256,6 +256,8 @@ def test_criterion_8_determinism():
         mc = ["indicator", "--n", "3", "--zeta", "pi/6", "--method", "mc", "--samples", "20000", "--seed", "1"]
         spawned = [mc + ["--metric", m] for m in ("hs", "bures", "bkm")]
         spawned += [mc + ["--metric", "hs", "--sampler", "matrix"], mc + ["--metric", "bkm", "--workers", "2"]]
+        spawned += [["sample", "--metric", m, "--n", "3", "--sampler", "weighted", "--samples", "2000",
+                     "--seed", "1", "--format", "json"] for m in ("bkm", "hs")]
         for argv in spawned:
             command = [sys.executable, "-m", "wignerq.cli", *argv]
             outs = [subprocess.run(command, env=env, capture_output=True, check=True).stdout for env in envs]

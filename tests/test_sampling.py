@@ -30,6 +30,7 @@ from wignerq.integrate.sampling import (
     sample_mcmc_spectra,
     sample_weighted_spectra,
 )
+from wignerq.measures import log_radial_density
 from wignerq.positivity import DEFAULT_CONE_TOL, min_pairing_batch
 
 SQRT3 = math.sqrt(3.0)
@@ -312,6 +313,14 @@ _STREAM_KERNELS = {
 }
 
 
+def _assert_log_weights_agree(got, want):
+    """``-inf`` on the same rows, the finite rows within 1e-13 * max(1, |log w|)."""
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert (got[~finite] == -np.inf).all() and (want[~finite] == -np.inf).all()
+    assert (np.abs(got[finite] - want[finite]) <= 1e-13 * np.maximum(1.0, np.abs(want[finite]))).all()
+
+
 class TestStreamingEstimator:
     """The batched sampler and the streaming estimator against the whole
     draw of ``weighted_reference``: equal spectra bit for bit, equal
@@ -325,7 +334,34 @@ class TestStreamingEstimator:
         arr, log_w = sample_weighted_spectra(MetricKind.BKM, 3, spec)
         ref, log_ref = reference_weighted_spectra(MetricKind.BKM, 3, samples, spec.seed, workers)
         assert np.array_equal(arr, ref)
-        assert np.array_equal(log_w, log_ref)
+        _assert_log_weights_agree(log_w, log_ref)
+
+    def test_large_n_log_weights_stay_finite(self, metric):
+        # a product over the 780 pairs per row underflows; a sum of their logs does not
+        spec = McSpec(samples=4_000, seed=5, workers=1)
+        arr, log_w = sample_weighted_spectra(metric, 40, spec)
+        ref, log_ref = reference_weighted_spectra(metric, 40, spec.samples, spec.seed, 1)
+        assert np.array_equal(arr, ref)
+        assert np.isfinite(log_ref).all()
+        _assert_log_weights_agree(log_w, log_ref)
+
+    def test_boundary_rows_get_log_weight_minus_inf(self, metric, monkeypatch):
+        rows = np.array([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.2, 0.3, 0.5], [0.0, 0.0, 1.0]])
+        boundary = (rows <= 0.0).any(axis=1)
+        assert (log_radial_density(metric, rows)[boundary] == -np.inf).all()
+        assert np.isfinite(log_radial_density(metric, rows)[~boundary]).all()
+
+        class FixedDraw:
+            def dirichlet(self, alpha, size):
+                return rows[:size].copy()
+
+        monkeypatch.setattr(sampling_mod, "_worker_rng", lambda seed, index: FixedDraw())
+        arr, log_w = sample_weighted_spectra(metric, 3, McSpec(samples=len(rows), seed=0, workers=1))
+        assert np.array_equal(arr, -np.sort(-rows, axis=1))
+        with np.errstate(divide="ignore"):
+            want = log_radial_density(metric, arr) + 0.5 * np.log(arr).sum(axis=1)
+        assert (log_w[boundary] == -np.inf).all()
+        _assert_log_weights_agree(log_w, want)
 
     @pytest.mark.parametrize("samples", [3_000, 5 * sampling_mod._EIG_BATCH // 2], ids=["below-batch", "2.5-batches"])
     @pytest.mark.parametrize("workers", [1, 2])
