@@ -20,7 +20,13 @@
 Each independent sampler is one stream per worker of ``(spectra,
 log_weights)`` batches, at log weight 0 for the matrix models.  Drawing
 writes the streams into preallocated arrays; estimating folds them into
-running weighted sums, so only the Markov chain holds its draws.
+running weighted sums, so only the Markov chain holds its draws.  The
+matrix models draw ``_EIG_BATCH`` rows per batch (fewer at n > 4), and
+their draws depend on that size, as each batch is one call per Ginibre
+stack.  The importance sampler draws ``_WEIGHTED_BATCH`` rows per batch,
+few enough that a batch's columns stay in cache while a comparator
+network sorts them and they are weighted; its draws do not depend on
+that size, as its batches concatenate to one ``dirichlet`` call.
 
 Parallelism and reproducibility: the master seed is split into one
 independent child stream per worker; chunks are combined in worker
@@ -31,6 +37,7 @@ sequentially yields bit-identical output.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -44,10 +51,17 @@ from ..measures import _log_weight, log_radial_density
 from ..positivity import DEFAULT_CONE_TOL, min_pairing_batch
 from ..spectra import KernelSpectrum, MetricKind
 
-#: Rows per batch of both independent samplers; the matrix models take
-#: fewer at n > 4, so their temporaries stay about 16 * _EIG_BATCH
-#: matrix entries.
+#: Rows per batch of the matrix models, fewer at n > 4, so their
+#: temporaries stay about 16 * _EIG_BATCH matrix entries.  Their draws
+#: depend on it: each batch is one call per Ginibre stack.
 _EIG_BATCH = 1 << 17
+
+#: Rows per batch of the importance sampler, so that each of a batch's n
+#: columns (64 KiB) stays in L2 cache while it is sorted and weighted.
+#: Its draws do not depend on it: the batches concatenate to the rows of
+#: one ``dirichlet`` call, and only the association of the running sums
+#: moves with it.
+_WEIGHTED_BATCH = 1 << 13
 
 #: Rows whose trigonometric-formula argument lies within this of +-1 have
 #: near-double eigenvalues, where the closed form loses about sqrt(eps);
@@ -242,19 +256,54 @@ def _matrix_batches(bures: bool, n: int, count: int, seed: int, index: int):
         yield draw(rng, bures, m, n), np.zeros(m)
 
 
+@functools.lru_cache(maxsize=None)
+def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
+    """Comparators ``(i, j)``, i < j, of Batcher's merge exchange on n
+    wires (Batcher, AFIPS 1968; Knuth, TAOCP vol. 3, 5.2.2, Algorithm M):
+    putting the larger value on wire i at each comparator in turn sorts
+    any n values descending.  1, 3 and 5 comparators at n = 2, 3, 4."""
+    pairs = []
+    t = (n - 1).bit_length()
+    p = 1 << (t - 1)
+    while p > 0:
+        q, r, d = 1 << (t - 1), 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return tuple(pairs)
+
+
+def _sort_columns(cols: np.ndarray, network) -> np.ndarray:
+    """Sort the rows of (n, m) columns descending in place by one
+    ``np.maximum``/``np.minimum`` pair per comparator of ``network``.
+    Min and max only move values, so with ``_sorting_network(n)`` the
+    result is ``-np.sort(-cols.T, axis=1)`` bit for bit."""
+    spare = np.empty(cols.shape[1])
+    for i, j in network:
+        np.maximum(cols[i], cols[j], out=spare)
+        np.minimum(cols[i], cols[j], out=cols[j])
+        cols[i] = spare
+    return cols
+
+
 def _weighted_batches(metric: MetricKind, n: int, count: int, seed: int, index: int):
     """One worker's importance sample as ``(spectra, log_weights)``
-    batches of at most ``_EIG_BATCH`` rows, drawn from one stream: the
-    batches concatenate to the rows of a single ``dirichlet`` call."""
+    batches of at most ``_WEIGHTED_BATCH`` rows, drawn from one stream: the
+    batches concatenate to the rows of a single ``dirichlet`` call.  Each
+    batch is sorted and weighted as contiguous columns; its spectra are
+    their transpose."""
     rng = _worker_rng(seed, index)
     alpha = np.full(n, 0.5)
     power = 0.5 if metric is MetricKind.HS else 0.0  # Bures, BKM: the proposal cancels
-    for start in range(0, count, _EIG_BATCH):
-        r = rng.dirichlet(alpha, min(_EIG_BATCH, count - start))
-        r.sort(axis=1)
-        r = r[:, ::-1]
-        # rows descend: a row is on the boundary (weight 0) exactly where its last entry is <= 0
-        yield r, _log_weight(metric, r.T, power, r[:, -1] <= 0.0)
+    network = _sorting_network(n)
+    for start in range(0, count, _WEIGHTED_BATCH):
+        r = rng.dirichlet(alpha, min(_WEIGHTED_BATCH, count - start))
+        cols = _sort_columns(np.ascontiguousarray(r.T), network)
+        # columns descend: a row is on the boundary (weight 0) exactly where its last entry is <= 0
+        yield cols.T, _log_weight(metric, cols, power, cols[-1] <= 0.0)
 
 
 def _matrix_model(metric: MetricKind) -> bool:
@@ -315,6 +364,8 @@ _NO_SUMS = (-math.inf, 0.0, 0.0, 0.0, 0.0)
 
 def _merge_sums(a: tuple, b: tuple) -> tuple:
     """Weighted sums of two row sets, taken to the larger shift."""
+    if b[0] == -math.inf:
+        return a  # b has no weight (and two empty sets would shift by -inf - -inf)
     shift = max(a[0], b[0])
     fa, fb = math.exp(a[0] - shift), math.exp(b[0] - shift)
     return (
@@ -329,8 +380,10 @@ def _merge_sums(a: tuple, b: tuple) -> tuple:
 def _weighted_sums(batches, kind, n: int, kernel: KernelSpectrum, count: int, seed: int, index: int):
     sums = _NO_SUMS
     for r, log_w in batches(kind, n, count, seed, index):
-        inside = min_pairing_batch(r, kernel) >= -DEFAULT_CONE_TOL
         shift = float(log_w.max())
+        if shift == -math.inf:
+            continue  # every row on the boundary: no weight to add
+        inside = min_pairing_batch(r, kernel) >= -DEFAULT_CONE_TOL
         w = np.exp(log_w - shift)
         w2 = w * w
         # summed products rather than BLAS dot products: the BLAS thread count moves no bit
@@ -356,11 +409,15 @@ def _fraction(batches, kind, n: int, kernel: KernelSpectrum, spec: McSpec):
     worker keeps four running sums, rescaled to the largest log weight
     seen so far, so memory stays bounded whatever the sample count; the
     squared error is gathered as ``(1 - p)^2 sum(w^2 inside) + p^2
-    sum(w^2 outside)``, two non-negative terms, so nothing cancels."""
+    sum(w^2 outside)``, two non-negative terms, so nothing cancels.  A
+    batch of weight 0 adds nothing; a sample of weight 0 is a
+    ``DomainError``."""
     sums = _NO_SUMS
     for part in _per_worker(_weighted_sums, spec, batches, kind, n, kernel):
         sums = _merge_sums(sums, part)
     _, sw, sw_in, sw2_in, sw2_out = sums
+    if sw == 0.0:
+        raise DomainError("every draw has weight 0 (on the simplex boundary); no fraction to estimate")
     p = sw_in / sw
     se = math.sqrt((1.0 - p) ** 2 * sw2_in + p * p * sw2_out) / sw
     ess = sw * sw / (sw2_in + sw2_out)

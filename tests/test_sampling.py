@@ -329,7 +329,7 @@ class TestStreamingEstimator:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_batched_draw_is_one_dirichlet_call(self, workers):
         # 2.5 batches, so each worker crosses a batch boundary
-        samples = 5 * sampling_mod._EIG_BATCH // 2
+        samples = 5 * sampling_mod._WEIGHTED_BATCH // 2
         spec = McSpec(samples=samples, seed=41, workers=workers)
         arr, log_w = sample_weighted_spectra(MetricKind.BKM, 3, spec)
         ref, log_ref = reference_weighted_spectra(MetricKind.BKM, 3, samples, spec.seed, workers)
@@ -363,7 +363,7 @@ class TestStreamingEstimator:
         assert (log_w[boundary] == -np.inf).all()
         _assert_log_weights_agree(log_w, want)
 
-    @pytest.mark.parametrize("samples", [3_000, 5 * sampling_mod._EIG_BATCH // 2], ids=["below-batch", "2.5-batches"])
+    @pytest.mark.parametrize("samples", [3_000, 5 * sampling_mod._WEIGHTED_BATCH // 2], ids=["below-batch", "2.5-batches"])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_equals_one_shot_estimate(self, metric, n, workers, samples):
@@ -384,6 +384,86 @@ class TestStreamingEstimator:
         assert p == 0.0
         assert se == 1.0 / (int(ess) + 1)
         assert (p, se, ess) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_batch_of_weight_zero_adds_nothing(self, metric, monkeypatch):
+        # one-row batches, the first on the boundary: that batch's shift is -inf
+        rows = np.array([[0.0, 0.3, 0.7], [0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.4, 0.35, 0.25]])
+
+        class FixedDraw:
+            def __init__(self):
+                self.used = 0
+
+            def dirichlet(self, alpha, size):
+                self.used += size
+                return rows[self.used - size:self.used].copy()
+
+        monkeypatch.setattr(sampling_mod, "_worker_rng", lambda seed, index: FixedDraw())
+        monkeypatch.setattr(sampling_mod, "_WEIGHTED_BATCH", 1)
+        kernel = qutrit_kernel_spectrum(0.4)
+        arr, log_w = sample_weighted_spectra(metric, 3, McSpec(samples=len(rows), seed=0, workers=1))
+        assert log_w[0] == -np.inf
+        got = positive_fraction_weighted(metric, 3, kernel, McSpec(samples=len(rows), seed=0, workers=1))
+        assert np.isfinite(got).all()
+        assert got == pytest.approx(one_shot_fraction(arr, log_w, kernel), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sample_of_weight_zero_is_a_domain_error(self, metric, workers, monkeypatch):
+        class BoundaryDraw:
+            def dirichlet(self, alpha, size):
+                return np.tile([0.5, 0.5, 0.0], (size, 1))
+
+        monkeypatch.setattr(sampling_mod, "_worker_rng", lambda seed, index: BoundaryDraw())
+        with pytest.raises(DomainError, match="weight 0"):
+            positive_fraction_weighted(metric, 3, _STREAM_KERNELS[3](), McSpec(samples=6, seed=0, workers=workers))
+
+
+class TestSortingNetwork:
+    """The importance sampler sorts its columns by a comparator network:
+    the same bits as ``np.sort``, and a network that sorts every input."""
+
+    @staticmethod
+    def _sorted_rows(rows, network):
+        return sampling_mod._sort_columns(np.ascontiguousarray(rows.T), network).T
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 40, 256])
+    def test_equals_np_sort_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        draws = rng.dirichlet(np.full(n, 0.5), 400)
+        zeros = draws[:50].copy()
+        zeros[:, ::2] = 0.0
+        rows = np.concatenate([
+            draws,
+            np.round(draws, 1),  # ties, many of them exact zeros
+            zeros,
+            np.full((3, n), 1.0 / n),  # every entry equal
+        ])
+        got = self._sorted_rows(rows, sampling_mod._sorting_network(n))
+        want = -np.sort(-rows, axis=1)
+        assert np.ascontiguousarray(got).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @staticmethod
+    def _zero_one_inputs(n):
+        return ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(float)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_sorts_every_zero_one_input(self, n):
+        # the 0-1 principle (Knuth, TAOCP vol. 3, 5.3.4): a comparator network
+        # that sorts all 2^n zero-one inputs sorts every input
+        bits = self._zero_one_inputs(n)
+        got = self._sorted_rows(bits, sampling_mod._sorting_network(n))
+        assert np.array_equal(got, -np.sort(-bits, axis=1))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_comparator_is_needed(self, n):
+        bits = self._zero_one_inputs(n)
+        want = -np.sort(-bits, axis=1)
+        network = sampling_mod._sorting_network(n)
+        for k in range(len(network)):
+            dropped = network[:k] + network[k + 1:]
+            assert not np.array_equal(self._sorted_rows(bits, dropped), want), (n, k)
+
+    def test_comparator_counts(self):
+        assert [len(sampling_mod._sorting_network(n)) for n in (2, 3, 4)] == [1, 3, 5]
 
 
 class TestUnitWeightEstimator:
