@@ -44,14 +44,16 @@ from .closed_form import (
 from .errors import ConvergenceError, DomainError
 from .spectra import MetricKind, ModuliPoint
 
-#: Caps on ``sample``: its output is built whole before it is written.
+#: Caps on ``sample``: it holds every spectrum, and its JSON is encoded
+#: whole before it is written.
 _SAMPLE_MAX_N = 256
 _SAMPLE_MAX_VALUES = 10**7
+_CSV_BLOCK = 1 << 16  # rows of ``sample`` made Python floats at a time for CSV
 #: Cap on ``--workers``: the per-worker job lists grow with it.
 _MAX_WORKERS = 256
-#: Cap on ``--samples`` of the Monte Carlo commands.  The weighted and
-#: matrix-model estimates run in bounded memory, but ``--sampler mcmc``
-#: holds every spectrum at once.
+#: Cap on ``--samples`` of the Monte Carlo commands.  The batched
+#: estimates run in bounded memory, but the opt-in Markov chain holds
+#: every spectrum at once.
 _MC_MAX_SAMPLES = 2 * 10**7
 #: The typed flags that each route of ``indicator`` and ``minimize`` reads.
 _ROUTE_FLAGS = {
@@ -228,7 +230,7 @@ def cmd_sample(args) -> int:
     spec = _mc_spec(args)
     import numpy as np
 
-    from .indicators import resolve_sampler, sample_spectra
+    from .integrate.sampling import resolve_sampler, sample_spectra
 
     sampler = resolve_sampler(metric, args.sampler, estimate=False)
     per_row = args.n + (sampler == "weighted")
@@ -237,19 +239,9 @@ def cmd_sample(args) -> int:
             f"sample is capped at --n {_SAMPLE_MAX_N} and at {_SAMPLE_MAX_VALUES:,} "
             "values (--samples x --n, plus one weight per row for the weighted sampler)"
         )
-    draws = sample_spectra(metric, args.n, spec, sampler)
-    warnings: tuple[str, ...] = ()
-    weights = None
-    if sampler == "mcmc":
-        warnings = draws.warnings
-        draws = draws.flat[: spec.samples]
-    elif sampler == "weighted":
-        draws, log_w = draws
-        weights = np.exp(log_w - log_w.max())
-        weights = (weights / weights.mean()).tolist()
+    spectra, log_w, warnings = sample_spectra(metric, args.n, spec, sampler)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    rows = draws.tolist()
     payload = {
         "command": "sample",
         "metric": metric.value,
@@ -258,13 +250,21 @@ def cmd_sample(args) -> int:
         "seed": args.seed,
         "workers": args.workers,
         "warnings": list(warnings),
-        "spectra": rows,
     }
     header = [f"r{i + 1}" for i in range(args.n)]
-    if weights is not None:
-        payload["weights"] = weights
+    if log_w is not None:
+        weights = np.exp(log_w - log_w.max())
+        weights /= weights.mean()
         header.append("weight")
-        rows = (row + [w] for row, w in zip(rows, weights))
+    rows = ()
+    if args.format == "json":
+        payload["spectra"] = spectra.tolist()
+        if log_w is not None:
+            payload["weights"] = weights.tolist()
+    else:
+        table = spectra if log_w is None else np.column_stack((spectra, weights))
+        # Python floats for one block of rows at a time
+        rows = (row for i in range(0, len(table), _CSV_BLOCK) for row in table[i:i + _CSV_BLOCK].tolist())
     _emit(args, payload, header, rows)
     return 0
 

@@ -11,16 +11,14 @@ Three evaluation paths exist and cross-check each other: closed forms
 (two-level systems and the flat three-level case, in ``closed_form``
 with the moduli minimization), deterministic quadrature (the simplex
 volumes of ``integrate.quadrature.orbit_volume_simplex``, 2 <= N <= 6),
-and Monte Carlo.
+and Monte Carlo, whose sampler choice ``integrate.sampling`` owns; it is
+loaded only when a Monte Carlo indicator runs, never by quadrature.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
 from .closed_form import (
     AVERAGED,
-    SAMPLERS,
     IndicatorResult,
     McSpec,
     QuadratureSpec,
@@ -37,16 +35,6 @@ from .integrate.quadrature import (
     orbit_volume_simplex,
     qutrit_full_volume,
     simplex_full_volume,
-)
-from .integrate.sampling import (
-    _matrix_model,
-    positive_fraction_iid,
-    positive_fraction_mcmc,
-    positive_fraction_weighted,
-    sample_bures_spectra,
-    sample_hs_spectra,
-    sample_mcmc_spectra,
-    sample_weighted_spectra,
 )
 from .spectra import _ZETA_MAX, MetricKind, ModuliPoint
 from .sw_kernel import kernel_for
@@ -65,48 +53,10 @@ def _quadrature_indicator(metric, n, moduli, spec: QuadratureSpec) -> IndicatorR
     )
 
 
-def resolve_sampler(metric: MetricKind, sampler: str | None, *, estimate: bool) -> str:
-    """The sampler a request names, with ``None``/'auto' resolved to the
-    default of its job.  An indicator estimate (``estimate=True``) takes
-    the importance sampler for every metric: at equal draws it has less
-    variance than the matrix models, and it resolves positive regions
-    too small for them to hit.  Drawn spectra (``estimate=False``, the
-    ``sample`` command) come unweighted from the metric's matrix model,
-    and from the importance sampler for BKM, which has none."""
-    if sampler in (None, "auto"):
-        return "weighted" if estimate or metric is MetricKind.BKM else "matrix"
-    if sampler not in SAMPLERS:
-        raise DomainError(f"unknown sampler {sampler!r}; expected one of: {', '.join(SAMPLERS)}")
-    return sampler
-
-
-def sample_spectra(metric: MetricKind, n: int, spec: McSpec, sampler: str):
-    """Draw spectra for the metric's measure with a sampler that
-    ``resolve_sampler`` returned: an (m, n) array from a matrix model,
-    the ``(spectra, log_weights)`` pair of the importance sampler, or
-    the ``McmcResult`` of the opt-in Markov chain."""
-    if sampler == "weighted":
-        return sample_weighted_spectra(metric, n, spec)
-    if sampler == "mcmc":
-        return sample_mcmc_spectra(metric, n, spec)
-    return sample_bures_spectra(n, spec) if _matrix_model(metric) else sample_hs_spectra(n, spec)
-
-
 def _mc_indicator(metric, n, moduli, spec: McSpec, sampler) -> IndicatorResult:
-    kernel = kernel_for(moduli)
-    sampler = resolve_sampler(metric, sampler, estimate=True)
-    meta = {"sampler": sampler, "samples": spec.samples}
-    warnings: tuple[str, ...] = ()
-    if sampler == "mcmc":
-        draws = sample_spectra(metric, n, spec, sampler)
-        p, se = positive_fraction_mcmc(draws, kernel)
-        warnings = draws.warnings
-        meta["samples"] = draws.flat.shape[0]
-    else:
-        # drawn and counted in batches: the spectra are never held
-        estimate = positive_fraction_weighted if sampler == "weighted" else positive_fraction_iid
-        p, se, meta["ess"] = estimate(metric, n, kernel, spec)
-    meta.update(seed=spec.seed, workers=spec.workers)
+    from .integrate.sampling import positive_fraction
+
+    p, se, meta, warnings = positive_fraction(metric, n, kernel_for(moduli), spec, sampler)
     return IndicatorResult(p, se, metric, n, moduli, "monte-carlo", warnings=warnings, meta=meta)
 
 
@@ -114,7 +64,7 @@ def global_indicator(
     metric: MetricKind,
     n: int,
     moduli: ModuliPoint | None = None,
-    spec: Union[QuadratureSpec, McSpec, None] = None,
+    spec: QuadratureSpec | McSpec | None = None,
     sampler: str | None = None,
 ) -> IndicatorResult:
     """Relative volume of the Wigner-positive orbit-space region.
@@ -126,13 +76,14 @@ def global_indicator(
     settle: at the default spec the full volume does for Bures up to
     n = 6 and BKM up to n = 5, but not every positive part does, as for
     Bures at n = 6 and direction e_1); an ``McSpec`` estimates the
-    positive-cone fraction from random spectra.  ``sampler`` overrides
-    the Monte Carlo sampler choice ('matrix', 'weighted' or 'mcmc'; with
-    any other spec it is a DomainError).  By default every metric uses
-    the importance sampler (``resolve_sampler``); 'matrix' runs the HS
-    and Bures matrix models, the paper's ensembles.  Both draw and count
-    their spectra in batches, so their memory stays bounded; only 'mcmc'
-    holds its draws.  Samples count as positive to
+    positive-cone fraction from random spectra by
+    ``integrate.sampling.positive_fraction``, which owns the sampler
+    choice and is loaded only on this path.  ``sampler`` names one of
+    ``closed_form.SAMPLERS``; with any other spec it is a DomainError.
+    By default every metric uses the importance sampler; 'matrix' runs
+    the HS and Bures matrix models, the paper's ensembles.  Both draw and
+    count their spectra in batches, so their memory stays bounded; only
+    'mcmc' holds its draws.  Samples count as positive to
     ``positivity.DEFAULT_CONE_TOL``.
     """
     moduli = _default_moduli(n, moduli)
@@ -199,3 +150,17 @@ def average_indicator(
         method,
         meta={"moduli_measure": "uniform", "order": order, "evaluations": evaluations},
     )
+
+
+#: Bench-only, to be deleted with ROADMAP item 10: the sampler names that
+#: bench/spans.py wraps on this module, forwarded by ``__getattr__``.
+_BENCH_NAMES = ("sample_hs_spectra", "sample_bures_spectra", "sample_mcmc_spectra",
+                "positive_fraction_iid", "positive_fraction_mcmc")
+
+
+def __getattr__(name):
+    if name not in _BENCH_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .integrate import sampling
+
+    return getattr(sampling, name)

@@ -17,6 +17,10 @@
 * Any metric, opt-in: random-walk Metropolis on the simplex in logit
   coordinates, targeting the radial density.
 
+It owns the sampler choice (``resolve_sampler``), drawing (``sample_spectra``)
+and estimating (``positive_fraction``); only the Monte Carlo indicator and
+``sample`` import it, so quadrature never loads it or ``positivity``.
+
 Each independent sampler is one stream per worker of ``(spectra,
 log_weights)`` batches, at log weight 0 for the matrix models.  Drawing
 writes the streams into preallocated arrays; estimating folds them into
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..closed_form import McSpec
+from ..closed_form import SAMPLERS, McSpec
 from ..errors import DomainError
 from ..measures import _log_weight, log_radial_density
 from ..positivity import DEFAULT_CONE_TOL, min_pairing_batch
@@ -532,3 +536,47 @@ def positive_fraction_mcmc(result: McmcResult, kernel: KernelSpectrum):
     else:
         se = math.sqrt(p * (1.0 - p) / per_chain)
     return p, _nonzero_error(se, chains)
+
+
+# --- the sampler choice ------------------------------------------------------
+
+def resolve_sampler(metric: MetricKind, sampler: str | None, *, estimate: bool) -> str:
+    """The sampler a request names, with ``None``/'auto' resolved to the
+    default of its job.  An indicator estimate (``estimate=True``) takes
+    the importance sampler for every metric: at equal draws it has less
+    variance than the matrix models, and it resolves positive regions
+    too small for them to hit.  Drawn spectra (``estimate=False``, the
+    ``sample`` command) come unweighted from the metric's matrix model,
+    and from the importance sampler for BKM, which has none."""
+    if sampler in (None, "auto"):
+        return "weighted" if estimate or metric is MetricKind.BKM else "matrix"
+    if sampler not in SAMPLERS:
+        raise DomainError(f"unknown sampler {sampler!r}; expected one of: {', '.join(SAMPLERS)}")
+    return sampler
+
+
+def sample_spectra(metric: MetricKind, n: int, spec: McSpec, sampler: str):
+    """``(spectra, log_weights or None, warnings)`` of a sampler that
+    ``resolve_sampler`` returned; the chain's draws cut to ``spec.samples``."""
+    if sampler == "weighted":
+        return (*sample_weighted_spectra(metric, n, spec), ())
+    if sampler == "mcmc":
+        draws = sample_mcmc_spectra(metric, n, spec)
+        return draws.flat[: spec.samples], None, draws.warnings
+    return _draw(_matrix_batches, _matrix_model(metric), n, spec)[0], None, ()
+
+
+def positive_fraction(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec, sampler=None):
+    """``(p, se, meta, warnings)`` of the positive-cone fraction by the
+    sampler ``resolve_sampler`` picks for an estimate."""
+    sampler = resolve_sampler(metric, sampler, estimate=True)
+    meta, warnings = {"sampler": sampler, "samples": spec.samples}, ()
+    if sampler == "mcmc":
+        draws = sample_mcmc_spectra(metric, n, spec)
+        p, se = positive_fraction_mcmc(draws, kernel)
+        meta["samples"], warnings = draws.flat.shape[0], draws.warnings
+    else:
+        estimate = positive_fraction_weighted if sampler == "weighted" else positive_fraction_iid
+        p, se, meta["ess"] = estimate(metric, n, kernel, spec)
+    meta.update(seed=spec.seed, workers=spec.workers)
+    return p, se, meta, warnings

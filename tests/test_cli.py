@@ -341,7 +341,7 @@ def test_csv_out_file_equals_stdout(capsys, tmp_path, argv):
     [
         ("cli", "closed_indicator", ["indicator", "--n", "2", "--metric", "hs"]),
         ("cli", "positivity_curve", ["curve"]),
-        ("indicators", "sample_spectra", ["sample", "--metric", "hs"]),
+        ("integrate.sampling", "sample_spectra", ["sample", "--metric", "hs"]),
     ],
     ids=["indicator", "curve", "sample"],
 )
@@ -503,6 +503,25 @@ class TestSampleCommand:
                 expected = [row + [x] for row, x in zip(expected, w)]
             assert rows[1:] == [[format(v, ".12g") for v in row] for row in expected]
 
+    @pytest.mark.parametrize("metric", ["hs", "bkm"])
+    def test_csv_rows_equal_json_across_a_block(self, capsys, metric):
+        # CSV converts the rows a block at a time; a run one block and a
+        # few rows long crosses the boundary, with weights for BKM
+        from wignerq import cli
+
+        argv = ("sample", "--metric", metric, "--n", "2", "--samples", str(cli._CSV_BLOCK + 5), "--seed", "9")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        expected = payload["spectra"]
+        if "weights" in payload:
+            expected = [row + [w] for row, w in zip(expected, payload["weights"])]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == cli._CSV_BLOCK + 6
+        assert rows[1:] == [[format(v, ".12g") for v in row] for row in expected]
+
     def test_bkm_matrix_sampler_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "sample", "--metric", "bkm", "--n", "2", "--samples", "10", "--sampler", "matrix"
@@ -512,12 +531,12 @@ class TestSampleCommand:
 
     @pytest.mark.parametrize("n, samples", [(257, 1), (2, 5_000_001), (256, 39_063)])
     def test_caps_rejected_before_drawing(self, capsys, monkeypatch, n, samples):
-        from wignerq import indicators
+        from wignerq.integrate import sampling
 
         def never(*args, **kwargs):
             raise AssertionError("the sampler ran")
 
-        monkeypatch.setattr(indicators, "sample_spectra", never)
+        monkeypatch.setattr(sampling, "sample_spectra", never)
         code, out, err = run_cli(
             capsys, "sample", "--metric", "hs", "--n", str(n), "--samples", str(samples)
         )
@@ -527,15 +546,15 @@ class TestSampleCommand:
 
     @pytest.mark.parametrize("n, samples", [(256, 39_062), (2, 5_000_000)])
     def test_caps_admit_the_limit(self, capsys, monkeypatch, n, samples):
-        from wignerq import indicators
+        from wignerq.integrate import sampling
 
         calls = []
 
         def tiny(metric, n, spec, sampler):
             calls.append((n, spec.samples))
-            return np.full((1, n), 1.0 / n)
+            return np.full((1, n), 1.0 / n), None, ()
 
-        monkeypatch.setattr(indicators, "sample_spectra", tiny)
+        monkeypatch.setattr(sampling, "sample_spectra", tiny)
         code, _, _ = run_cli(capsys, "sample", "--metric", "hs", "--n", str(n), "--samples", str(samples))
         assert code == 0
         assert calls == [(n, samples)]
@@ -543,12 +562,12 @@ class TestSampleCommand:
     @pytest.mark.parametrize("samples, code", [(3_333_334, 2), (3_333_333, 0)])
     def test_weighted_cap_counts_the_weight(self, capsys, monkeypatch, samples, code):
         # each weighted row is n spectrum values plus one weight
-        from wignerq import indicators
+        from wignerq.integrate import sampling
 
         def tiny(metric, n, spec, sampler):
-            return np.full((1, n), 1.0 / n), np.zeros(1)
+            return np.full((1, n), 1.0 / n), np.zeros(1), ()
 
-        monkeypatch.setattr(indicators, "sample_spectra", tiny)
+        monkeypatch.setattr(sampling, "sample_spectra", tiny)
         result, _, err = run_cli(
             capsys, "sample", "--metric", "bkm", "--n", "2", "--samples", str(samples)
         )
@@ -556,15 +575,15 @@ class TestSampleCommand:
         assert ("capped" in err) == (code == 2)
 
     def test_workers_cap_admits_the_limit(self, capsys, monkeypatch):
-        from wignerq import indicators
+        from wignerq.integrate import sampling
 
         workers = []
 
         def tiny(metric, n, spec, sampler):
             workers.append(spec.workers)
-            return np.full((1, n), 1.0 / n)
+            return np.full((1, n), 1.0 / n), None, ()
 
-        monkeypatch.setattr(indicators, "sample_spectra", tiny)
+        monkeypatch.setattr(sampling, "sample_spectra", tiny)
         code, _, _ = run_cli(capsys, "sample", "--metric", "hs", "--samples", "1", "--workers", "256")
         assert code == 0
         assert workers == [256]
@@ -583,7 +602,7 @@ class TestSampleCommand:
 @pytest.mark.parametrize(
     "owner, runner, argv",
     [
-        ("indicators", "sample_spectra", ["sample", "--metric", "hs"]),
+        ("integrate.sampling", "sample_spectra", ["sample", "--metric", "hs"]),
         ("indicators", "global_indicator", ["indicator", "--metric", "hs", "--n", "2", "--method", "mc"]),
         ("cli", "_reproduce_checks", ["reproduce-paper", "--fast"]),
     ],
@@ -756,11 +775,21 @@ def test_typed_flag_the_route_ignores_is_usage_error(argv, flag, route):
     assert run_main([argv], numpy="blocked") == [[2, "", f"error: {flag} does not apply to the {route} route\n"]]
 
 
-_NO_SCIPY_SCRIPT = """
+#: Runs ``main`` on each argv of the JSON list in argv[1] in one
+#: interpreter and prints the exit codes and what the commands loaded.
+_LOADED_SCRIPT = """
 import contextlib, io, json, sys
 import wignerq
 from wignerq.cli import main
-commands = [
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+samplers = sorted({"wignerq.integrate.sampling", "wignerq.positivity"} & set(sys.modules))
+print(json.dumps({"codes": codes, "scipy": scipy, "multiprocessing": "multiprocessing" in sys.modules,
+                  "samplers": samplers}))
+"""
+
+_NO_SCIPY_COMMANDS = [
     ["indicator", "--n", "2", "--metric", "bkm"],
     ["indicator", "--n", "3", "--metric", "hs", "--zeta", "pi/6"],
     ["minimize", "--metric", "hs"],
@@ -772,17 +801,28 @@ commands = [
     ["indicator", "--n", "2", "--metric", "bkm", "--method", "quad"],
     ["reproduce-paper", "--fast"],
 ]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in commands]
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy, "multiprocessing": "multiprocessing" in sys.modules}))
-"""
+_SAMPLER_MODULES = ["wignerq.integrate.sampling", "wignerq.positivity"]
+
+
+def run_loaded(commands):
+    return json.loads(run_python(_LOADED_SCRIPT, json.dumps(commands)))
 
 
 def test_commands_without_integration_never_import_scipy():
     # nor, with one worker, the process pool
-    expected = {"codes": [0] * 10, "scipy": [], "multiprocessing": False}
-    assert json.loads(run_python(_NO_SCIPY_SCRIPT)) == expected
+    expected = {"codes": [0] * 10, "scipy": [], "multiprocessing": False, "samplers": _SAMPLER_MODULES}
+    assert run_loaded(_NO_SCIPY_COMMANDS) == expected
+
+
+@pytest.mark.parametrize(
+    "then, samplers", [([], []), ([_MC_INDICATOR], _SAMPLER_MODULES)], ids=["quadrature", "then-mc"]
+)
+def test_quadrature_commands_never_load_the_samplers(then, samplers):
+    # the Monte Carlo indicator loads them when it runs
+    commands = [_QUAD_INDICATOR, ["average", "--n", "3"], ["minimize", "--metric", "bures"], *then]
+    run = run_loaded(commands)
+    assert run["codes"] == [0] * len(commands)
+    assert run["samplers"] == samplers
 
 
 # RUSAGE_SELF's maximum also counts the address space the process was

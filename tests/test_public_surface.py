@@ -2,6 +2,7 @@
 library example runs."""
 
 import ast
+import importlib.util
 import math
 import os
 import re
@@ -105,3 +106,20 @@ def test_every_public_name_resolves_and_is_listed():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         wignerq.no_such_name
+
+
+def test_every_name_the_benchmark_wraps_resolves():
+    # the traced benchmark pass replaces these attributes; each must be
+    # there, as the package's own module attribute or a forwarded one
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, _ in spans.WRAPPED:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_indicators_forwards_only_the_wrapped_sampler_names():
+    from wignerq import indicators
+
+    with pytest.raises(AttributeError, match="sample_weighted_spectra"):
+        indicators.sample_weighted_spectra
