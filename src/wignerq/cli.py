@@ -251,20 +251,21 @@ def cmd_sample(args) -> int:
         "workers": args.workers,
         "warnings": list(warnings),
     }
-    header = [f"r{i + 1}" for i in range(args.n)]
+    header, columns = [f"r{i + 1}" for i in range(args.n)], [spectra]
     if log_w is not None:
         weights = np.exp(log_w - log_w.max())
         weights /= weights.mean()
         header.append("weight")
+        columns.append(weights)
     rows = ()
     if args.format == "json":
         payload["spectra"] = spectra.tolist()
         if log_w is not None:
             payload["weights"] = weights.tolist()
     else:
-        table = spectra if log_w is None else np.column_stack((spectra, weights))
-        # Python floats for one block of rows at a time
-        rows = (row for i in range(0, len(table), _CSV_BLOCK) for row in table[i:i + _CSV_BLOCK].tolist())
+        # Python floats for one block of rows at a time, the weights stacked on per block
+        rows = (row for i in range(0, len(spectra), _CSV_BLOCK)
+                for row in np.column_stack([c[i:i + _CSV_BLOCK] for c in columns]).tolist())
     _emit(args, payload, header, rows)
     return 0
 

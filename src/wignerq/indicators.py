@@ -152,7 +152,7 @@ def average_indicator(
     )
 
 
-#: Bench-only, to be deleted with ROADMAP item 10: the sampler names that
+#: Bench-only, to be deleted with ROADMAP item 1: the sampler names that
 #: bench/spans.py wraps on this module, forwarded by ``__getattr__``.
 _BENCH_NAMES = ("sample_hs_spectra", "sample_bures_spectra", "sample_mcmc_spectra",
                 "positive_fraction_iid", "positive_fraction_mcmc")

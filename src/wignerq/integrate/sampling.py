@@ -22,9 +22,11 @@ and estimating (``positive_fraction``); only the Monte Carlo indicator and
 ``sample`` import it, so quadrature never loads it or ``positivity``.
 
 Each independent sampler is one stream per worker of ``(spectra,
-log_weights)`` batches, at log weight 0 for the matrix models.  Drawing
-writes the streams into preallocated arrays; estimating folds them into
-running weighted sums, so only the Markov chain holds its draws.  The
+log_weights)`` batches, at log weight 0 for the matrix models; ``_stream``
+alone maps a sampler name to its stream.  Drawing writes each worker's
+stream into preallocated arrays, joined in worker order (a lone worker's
+are returned as written); estimating folds the streams into running
+weighted sums, so only the Markov chain holds its draws.  The
 matrix models draw ``_EIG_BATCH`` rows per batch (fewer at n > 4), and
 their draws depend on that size, as each batch is one call per Ginibre
 stack.  The importance sampler draws ``_WEIGHTED_BATCH`` rows per batch,
@@ -310,11 +312,20 @@ def _weighted_batches(metric: MetricKind, n: int, count: int, seed: int, index: 
         yield cols.T, _log_weight(metric, cols, power, cols[-1] <= 0.0)
 
 
-def _matrix_model(metric: MetricKind) -> bool:
-    """The ``bures`` flag of the metric's matrix model; BKM has none."""
+def _stream(metric: MetricKind, sampler: str):
+    """``(batches, kind)`` of an independent sampler: its per-worker stream
+    and the stream's first argument, the metric or the ``bures`` flag of the
+    metric's matrix model.  An importance-sample row's log weight is that
+    of density over proposal, unnormalized: for HS ``prod d_ij^2 * prod
+    r_i^(1/2)``; for Bures and BKM the pair product, as the proposal's
+    ``prod r_i^(-1/2)`` cancels and is never computed.  The weights stay
+    bounded for Bures and HS, grow only logarithmically for BKM, and are 0
+    (log weight ``-inf``) on the simplex boundary."""
+    if sampler == "weighted":
+        return _weighted_batches, metric
     if metric is MetricKind.BKM:
         raise DomainError("no matrix model is available for the BKM measure; use the 'weighted' sampler")
-    return metric is MetricKind.BURES
+    return _matrix_batches, metric is MetricKind.BURES
 
 
 def _drawn(batches, kind, n: int, count: int, seed: int, index: int):
@@ -327,36 +338,30 @@ def _drawn(batches, kind, n: int, count: int, seed: int, index: int):
     return spectra, log_w
 
 
-def _draw(batches, kind, n: int, spec: McSpec):
-    parts = _per_worker(_drawn, spec, batches, kind, n)
-    return np.concatenate([p[0] for p in parts], axis=0), np.concatenate([p[1] for p in parts])
+def _draw(metric: MetricKind, n: int, spec: McSpec, sampler: str):
+    """``(spectra, log_weights)`` of every worker's stream in worker
+    order; a lone worker's arrays are returned as it wrote them."""
+    parts = _per_worker(_drawn, spec, *_stream(metric, sampler), n)
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
+
+# bench/spans.py wraps these three through ``indicators._BENCH_NAMES``; no
+# package code calls them, and they go with that forwarder (ROADMAP item 1).
 
 def sample_hs_spectra(n: int, spec: McSpec) -> np.ndarray:
-    """Spectra of trace-normalized squared Ginibre matrices: the
-    Hilbert-Schmidt ensemble.  Returns (samples, n), rows descending."""
-    return _draw(_matrix_batches, False, n, spec)[0]
+    """(samples, n) descending spectra of the Hilbert-Schmidt matrix model."""
+    return _draw(MetricKind.HS, n, spec, "matrix")[0]
 
 
 def sample_bures_spectra(n: int, spec: McSpec) -> np.ndarray:
-    """Spectra from the (I + U) G matrix model: the Bures ensemble.
-    Returns (samples, n), rows descending."""
-    return _draw(_matrix_batches, True, n, spec)[0]
+    """(samples, n) descending spectra of the Bures matrix model."""
+    return _draw(MetricKind.BURES, n, spec, "matrix")[0]
 
 
-def sample_weighted_spectra(metric: MetricKind, n: int, spec: McSpec):
-    """Importance sample of the radial density of any supported metric.
-
-    Returns ``(spectra, log_weights)``: (samples, n) Dirichlet(1/2, ...,
-    1/2) spectra with rows descending, and the log of each row's
-    unnormalized weight, density over proposal: for HS ``prod d_ij^2 *
-    prod r_i^(1/2)``; for Bures and BKM the pair product, as the proposal's
-    ``prod r_i^(-1/2)`` cancels and is never computed.  The weights stay
-    bounded for Bures and HS, grow only logarithmically for BKM, and are 0
-    (log weight ``-inf``) on the simplex boundary.  The rows are those that
-    ``positive_fraction_weighted`` counts for the same arguments.
-    """
-    return _draw(_weighted_batches, metric, n, spec)
+def positive_fraction_iid(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
+    """``_fraction`` at unit weight on the metric's matrix model: the hit
+    fraction p, the binomial ``sqrt(p (1 - p) / m)`` and the draw count m."""
+    return _fraction(*_stream(metric, "matrix"), n, kernel, spec)
 
 
 # --- the streaming estimator -------------------------------------------------
@@ -426,20 +431,6 @@ def _fraction(batches, kind, n: int, kernel: KernelSpectrum, spec: McSpec):
     se = math.sqrt((1.0 - p) ** 2 * sw2_in + p * p * sw2_out) / sw
     ess = sw * sw / (sw2_in + sw2_out)
     return p, _nonzero_error(se, int(ess)), ess
-
-
-def positive_fraction_weighted(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
-    """The self-normalized importance-sampling estimate ``(p, se, ess)``
-    (``_fraction``) of ``sample_weighted_spectra(metric, n, spec)``."""
-    return _fraction(_weighted_batches, metric, n, kernel, spec)
-
-
-def positive_fraction_iid(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
-    """The estimate of ``_fraction`` at unit weight on the metric's matrix
-    model, the draws of ``sample_hs_spectra`` or ``sample_bures_spectra``
-    for the same arguments: ``p`` is the hit fraction, ``se`` the binomial
-    ``sqrt(p (1 - p) / m)`` up to rounding and ``ess`` the draw count m."""
-    return _fraction(_matrix_batches, _matrix_model(metric), n, kernel, spec)
 
 
 # --- Metropolis on the simplex ----------------------------------------------
@@ -558,12 +549,11 @@ def resolve_sampler(metric: MetricKind, sampler: str | None, *, estimate: bool) 
 def sample_spectra(metric: MetricKind, n: int, spec: McSpec, sampler: str):
     """``(spectra, log_weights or None, warnings)`` of a sampler that
     ``resolve_sampler`` returned; the chain's draws cut to ``spec.samples``."""
-    if sampler == "weighted":
-        return (*sample_weighted_spectra(metric, n, spec), ())
     if sampler == "mcmc":
         draws = sample_mcmc_spectra(metric, n, spec)
         return draws.flat[: spec.samples], None, draws.warnings
-    return _draw(_matrix_batches, _matrix_model(metric), n, spec)[0], None, ()
+    spectra, log_w = _draw(metric, n, spec, sampler)
+    return spectra, log_w if sampler == "weighted" else None, ()
 
 
 def positive_fraction(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec, sampler=None):
@@ -576,7 +566,6 @@ def positive_fraction(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: 
         p, se = positive_fraction_mcmc(draws, kernel)
         meta["samples"], warnings = draws.flat.shape[0], draws.warnings
     else:
-        estimate = positive_fraction_weighted if sampler == "weighted" else positive_fraction_iid
-        p, se, meta["ess"] = estimate(metric, n, kernel, spec)
+        p, se, meta["ess"] = _fraction(*_stream(metric, sampler), n, kernel, spec)
     meta.update(seed=spec.seed, workers=spec.workers)
     return p, se, meta, warnings

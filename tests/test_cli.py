@@ -23,7 +23,7 @@ from wignerq import (
     QuadratureSpec,
 )
 from wignerq.cli import main, parse_angle
-from wignerq.integrate.sampling import sample_bures_spectra, sample_hs_spectra, sample_weighted_spectra
+from wignerq.integrate.sampling import sample_bures_spectra, sample_hs_spectra, sample_spectra
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "schema" / "cli_output.schema.json").read_text()
@@ -478,7 +478,7 @@ class TestSampleCommand:
 
     def test_output_equals_sampler_values(self, capsys):
         spec = McSpec(20, seed=5)
-        bkm, log_w = sample_weighted_spectra(MetricKind.BKM, 3, spec)
+        bkm, log_w = sample_spectra(MetricKind.BKM, 3, spec, "weighted")[:2]
         weights = np.exp(log_w - log_w.max())
         weights = weights / weights.mean()
         expected_by_metric = {
@@ -503,13 +503,15 @@ class TestSampleCommand:
                 expected = [row + [x] for row, x in zip(expected, w)]
             assert rows[1:] == [[format(v, ".12g") for v in row] for row in expected]
 
-    @pytest.mark.parametrize("metric", ["hs", "bkm"])
-    def test_csv_rows_equal_json_across_a_block(self, capsys, metric):
+    @pytest.mark.parametrize("metric, workers", [("hs", 1), ("bkm", 1), ("bkm", 2)], ids=["hs", "bkm", "bkm-workers2"])
+    def test_csv_rows_equal_json_across_a_block(self, capsys, metric, workers):
         # CSV converts the rows a block at a time; a run one block and a
-        # few rows long crosses the boundary, with weights for BKM
+        # few rows long crosses the boundary, with weights for BKM; at two
+        # workers their draws also join inside the first block
         from wignerq import cli
 
-        argv = ("sample", "--metric", metric, "--n", "2", "--samples", str(cli._CSV_BLOCK + 5), "--seed", "9")
+        argv = ("sample", "--metric", metric, "--n", "2", "--samples", str(cli._CSV_BLOCK + 5), "--seed", "9",
+                "--workers", str(workers))
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         payload = json.loads(out)

@@ -35,7 +35,7 @@ from wignerq.integrate.quadrature import (
     orbit_volume_qubit,
     simplex_full_volume,
 )
-from wignerq.integrate.sampling import sample_weighted_spectra
+from wignerq.integrate.sampling import sample_spectra
 from wignerq.measures import _density_batch
 
 SQRT3 = math.sqrt(3.0)
@@ -259,7 +259,7 @@ class TestAverageIndicator:
         # weighted draws scored by the fraction of angles at which each is
         # positive: an estimate of the same swapped integral (conditional
         # Monte Carlo, Owen, Monte Carlo theory, methods and examples)
-        spectra, log_w = sample_weighted_spectra(metric, 3, McSpec(200_000, seed=17, workers=1))
+        spectra, log_w = sample_spectra(metric, 3, McSpec(200_000, seed=17, workers=1), "weighted")[:2]
         a, b, _ = _qutrit_pairing_plane() @ spectra.T
         f = _zeta_positive_fraction(np.hypot(a, b), np.arctan2(b, a))
         w = np.exp(log_w - log_w.max())

@@ -121,5 +121,5 @@ def test_every_name_the_benchmark_wraps_resolves():
 def test_indicators_forwards_only_the_wrapped_sampler_names():
     from wignerq import indicators
 
-    with pytest.raises(AttributeError, match="sample_weighted_spectra"):
-        indicators.sample_weighted_spectra
+    with pytest.raises(AttributeError, match="sample_spectra"):
+        indicators.sample_spectra

@@ -1,6 +1,7 @@
 """Monte Carlo samplers: target distributions, determinism, diagnostics."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,13 +23,13 @@ from wignerq import (
 )
 from wignerq.integrate import sampling as sampling_mod
 from wignerq.integrate.sampling import (
+    positive_fraction,
     positive_fraction_iid,
     positive_fraction_mcmc,
-    positive_fraction_weighted,
     sample_bures_spectra,
     sample_hs_spectra,
     sample_mcmc_spectra,
-    sample_weighted_spectra,
+    sample_spectra,
 )
 from wignerq.measures import log_radial_density
 from wignerq.positivity import DEFAULT_CONE_TOL, min_pairing_batch
@@ -262,14 +263,14 @@ class TestClosedFormKernel:
 class TestWeightedSampler:
     def test_fixed_seed_bit_identical(self):
         spec = McSpec(samples=2_000, seed=99, workers=2)
-        a, log_a = sample_weighted_spectra(MetricKind.BKM, 3, spec)
-        b, log_b = sample_weighted_spectra(MetricKind.BKM, 3, spec)
+        a, log_a = sample_spectra(MetricKind.BKM, 3, spec, "weighted")[:2]
+        b, log_b = sample_spectra(MetricKind.BKM, 3, spec, "weighted")[:2]
         assert np.array_equal(a, b)
         assert np.array_equal(log_a, log_b)
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_rows_are_sorted_distributions_with_finite_weights(self, metric):
-        arr, log_w = sample_weighted_spectra(metric, 4, McSpec(samples=5_000, seed=14, workers=2))
+        arr, log_w = sample_spectra(metric, 4, McSpec(samples=5_000, seed=14, workers=2), "weighted")[:2]
         assert arr.shape == (5_000, 4) and log_w.shape == (5_000,)
         assert np.allclose(arr.sum(axis=1), 1.0, atol=1e-12)
         assert (np.diff(arr, axis=1) <= 0.0).all()
@@ -277,31 +278,43 @@ class TestWeightedSampler:
 
     @pytest.mark.parametrize("metric, seed", [(MetricKind.HS, 31), (MetricKind.BURES, 32), (MetricKind.BKM, 33)])
     def test_two_level_positive_fraction(self, metric, seed):
-        p, se, ess = positive_fraction_weighted(metric, 2, QUBIT_KERNEL, McSpec(samples=200_000, seed=seed))
-        assert 0.0 < ess <= 200_000
+        p, se, meta, _ = positive_fraction(metric, 2, QUBIT_KERNEL, McSpec(samples=200_000, seed=seed))
+        assert 0.0 < meta["ess"] <= 200_000
         assert abs(p - closed_indicator(metric, 2).value) < 3 * se
 
     @pytest.mark.parametrize("metric, seed", [(MetricKind.HS, 34), (MetricKind.BURES, 35), (MetricKind.BKM, 36)])
     def test_three_level_rare_fraction_against_cubature(self, metric, seed):
         kernel = qutrit_kernel_spectrum(math.pi / 6)
         exact = orbit_volume_simplex(metric, 3, kernel).value / orbit_volume_simplex(metric, 3).value
-        p, se, _ = positive_fraction_weighted(metric, 3, kernel, McSpec(samples=200_000, seed=seed))
+        p, se, _, _ = positive_fraction(metric, 3, kernel, McSpec(samples=200_000, seed=seed))
         assert abs(p - exact) < 3 * se
 
     def test_zero_hits_floor_counts_effective_samples(self):
         # about 1% of Dirichlet(1/2) draws land in this kernel's positive
         # region; these 50 miss it, so the spread is 0
         kernel = kernel_for(ModuliPoint.from_direction(4, (1.0, 0.0, 0.0)))
-        p, se, ess = positive_fraction_weighted(MetricKind.HS, 4, kernel, McSpec(samples=50, seed=1))
+        p, se, meta, _ = positive_fraction(MetricKind.HS, 4, kernel, McSpec(samples=50, seed=1))
+        ess = meta["ess"]
         assert p == 0.0
         assert 1.0 < ess < 50.0
         assert se == 1.0 / (int(ess) + 1)
 
+    def test_one_worker_draw_is_not_copied(self):
+        # one worker's preallocated arrays are the result: no concatenated
+        # copy doubles the peak, and only a batch's temporaries are added
+        tracemalloc.start()
+        try:
+            arr, log_w, _ = sample_spectra(MetricKind.BKM, 3, McSpec(500_000, seed=21), "weighted")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (arr.nbytes + log_w.nbytes)
+
     def test_one_level_rejected(self):
         with pytest.raises(DomainError):
-            sample_weighted_spectra(MetricKind.BKM, 1, McSpec(samples=10))
+            sample_spectra(MetricKind.BKM, 1, McSpec(samples=10), "weighted")
         with pytest.raises(DomainError):
-            positive_fraction_weighted(MetricKind.BKM, 1, QUBIT_KERNEL, McSpec(samples=10))
+            positive_fraction(MetricKind.BKM, 1, QUBIT_KERNEL, McSpec(samples=10))
 
 
 #: A positive region of each n with a fraction of 1e-4 to 0.2, so that a
@@ -331,7 +344,7 @@ class TestStreamingEstimator:
         # 2.5 batches, so each worker crosses a batch boundary
         samples = 5 * sampling_mod._WEIGHTED_BATCH // 2
         spec = McSpec(samples=samples, seed=41, workers=workers)
-        arr, log_w = sample_weighted_spectra(MetricKind.BKM, 3, spec)
+        arr, log_w = sample_spectra(MetricKind.BKM, 3, spec, "weighted")[:2]
         ref, log_ref = reference_weighted_spectra(MetricKind.BKM, 3, samples, spec.seed, workers)
         assert np.array_equal(arr, ref)
         _assert_log_weights_agree(log_w, log_ref)
@@ -339,7 +352,7 @@ class TestStreamingEstimator:
     def test_large_n_log_weights_stay_finite(self, metric):
         # a product over the 780 pairs per row underflows; a sum of their logs does not
         spec = McSpec(samples=4_000, seed=5, workers=1)
-        arr, log_w = sample_weighted_spectra(metric, 40, spec)
+        arr, log_w = sample_spectra(metric, 40, spec, "weighted")[:2]
         ref, log_ref = reference_weighted_spectra(metric, 40, spec.samples, spec.seed, 1)
         assert np.array_equal(arr, ref)
         assert np.isfinite(log_ref).all()
@@ -356,7 +369,7 @@ class TestStreamingEstimator:
                 return rows[:size].copy()
 
         monkeypatch.setattr(sampling_mod, "_worker_rng", lambda seed, index: FixedDraw())
-        arr, log_w = sample_weighted_spectra(metric, 3, McSpec(samples=len(rows), seed=0, workers=1))
+        arr, log_w = sample_spectra(metric, 3, McSpec(samples=len(rows), seed=0, workers=1), "weighted")[:2]
         assert np.array_equal(arr, -np.sort(-rows, axis=1))
         with np.errstate(divide="ignore"):
             want = log_radial_density(metric, arr) + 0.5 * np.log(arr).sum(axis=1)
@@ -369,7 +382,8 @@ class TestStreamingEstimator:
     def test_equals_one_shot_estimate(self, metric, n, workers, samples):
         kernel = _STREAM_KERNELS[n]()
         spec = McSpec(samples=samples, seed=7 * n + workers, workers=workers)
-        got = positive_fraction_weighted(metric, n, kernel, spec)
+        p, se, meta, _ = positive_fraction(metric, n, kernel, spec)
+        got = p, se, meta["ess"]
         want = one_shot_fraction(*reference_weighted_spectra(metric, n, samples, spec.seed, workers), kernel)
         assert want[0] > 0.0
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -379,7 +393,8 @@ class TestStreamingEstimator:
         # none of these 50 draws lands in the kernel's positive region
         kernel = kernel_for(ModuliPoint.from_direction(4, (1.0, 0.0, 0.0)))
         spec = McSpec(samples=50, seed=1, workers=workers)
-        p, se, ess = positive_fraction_weighted(metric, 4, kernel, spec)
+        p, se, meta, _ = positive_fraction(metric, 4, kernel, spec)
+        ess = meta["ess"]
         want = one_shot_fraction(*reference_weighted_spectra(metric, 4, 50, 1, workers), kernel)
         assert p == 0.0
         assert se == 1.0 / (int(ess) + 1)
@@ -400,9 +415,10 @@ class TestStreamingEstimator:
         monkeypatch.setattr(sampling_mod, "_worker_rng", lambda seed, index: FixedDraw())
         monkeypatch.setattr(sampling_mod, "_WEIGHTED_BATCH", 1)
         kernel = qutrit_kernel_spectrum(0.4)
-        arr, log_w = sample_weighted_spectra(metric, 3, McSpec(samples=len(rows), seed=0, workers=1))
+        arr, log_w = sample_spectra(metric, 3, McSpec(samples=len(rows), seed=0, workers=1), "weighted")[:2]
         assert log_w[0] == -np.inf
-        got = positive_fraction_weighted(metric, 3, kernel, McSpec(samples=len(rows), seed=0, workers=1))
+        p, se, meta, _ = positive_fraction(metric, 3, kernel, McSpec(samples=len(rows), seed=0, workers=1))
+        got = p, se, meta["ess"]
         assert np.isfinite(got).all()
         assert got == pytest.approx(one_shot_fraction(arr, log_w, kernel), rel=1e-12, abs=0.0)
 
@@ -414,7 +430,7 @@ class TestStreamingEstimator:
 
         monkeypatch.setattr(sampling_mod, "_worker_rng", lambda seed, index: BoundaryDraw())
         with pytest.raises(DomainError, match="weight 0"):
-            positive_fraction_weighted(metric, 3, _STREAM_KERNELS[3](), McSpec(samples=6, seed=0, workers=workers))
+            positive_fraction(metric, 3, _STREAM_KERNELS[3](), McSpec(samples=6, seed=0, workers=workers))
 
 
 class TestSortingNetwork:
