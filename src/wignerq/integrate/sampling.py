@@ -25,14 +25,15 @@ Each independent sampler is one stream per worker of ``(spectra,
 log_weights)`` batches, at log weight 0 for the matrix models; ``_stream``
 alone maps a sampler name to its stream.  Drawing writes each worker's
 stream into preallocated arrays, joined in worker order (a lone worker's
-are returned as written); estimating folds the streams into running
-weighted sums, so only the Markov chain holds its draws.  The
-matrix models draw ``_EIG_BATCH`` rows per batch (fewer at n > 4), and
-their draws depend on that size, as each batch is one call per Ginibre
-stack.  The importance sampler draws ``_WEIGHTED_BATCH`` rows per batch,
-few enough that a batch's columns stay in cache while a comparator
-network sorts them and they are weighted; its draws do not depend on
-that size, as its batches concatenate to one ``dirichlet`` call.
+are returned as written), and keeps log weights for the importance
+sampler only; estimating folds the streams into running weighted sums,
+so only the Markov chain holds its draws.  The matrix models draw
+``_EIG_BATCH`` rows per batch (fewer at n > 4), and their draws depend
+on that size, as each batch is one call per Ginibre stack.  The
+importance sampler draws ``_WEIGHTED_BATCH`` rows per batch, few enough
+that a batch's columns stay in cache while a comparator network sorts
+them and they are weighted; its draws do not depend on that size, as its
+batches concatenate to one ``dirichlet`` call.
 
 Parallelism and reproducibility: the master seed is split into one
 independent child stream per worker; chunks are combined in worker
@@ -329,20 +330,28 @@ def _stream(metric: MetricKind, sampler: str):
 
 
 def _drawn(batches, kind, n: int, count: int, seed: int, index: int):
-    """One worker's stream, written into preallocated spectra and log weights."""
-    spectra, log_w = np.empty((count, n)), np.empty(count)
+    """One worker's stream, written into preallocated spectra and, for the
+    importance sampler only, log weights: the matrix models' are all 0 and
+    are not kept (None)."""
+    spectra = np.empty((count, n))
+    log_w = np.empty(count) if batches is _weighted_batches else None
     done = 0
     for r, lw in batches(kind, n, count, seed, index):
-        spectra[done:done + len(r)], log_w[done:done + len(r)] = r, lw
+        spectra[done:done + len(r)] = r
+        if log_w is not None:
+            log_w[done:done + len(r)] = lw
         done += len(r)
     return spectra, log_w
 
 
 def _draw(metric: MetricKind, n: int, spec: McSpec, sampler: str):
-    """``(spectra, log_weights)`` of every worker's stream in worker
+    """``(spectra, log_weights or None)`` of every worker's stream in worker
     order; a lone worker's arrays are returned as it wrote them."""
     parts = _per_worker(_drawn, spec, *_stream(metric, sampler), n)
-    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    if len(parts) == 1:
+        return parts[0]
+    spectra, log_w = zip(*parts)
+    return np.concatenate(spectra), None if log_w[0] is None else np.concatenate(log_w)
 
 
 # bench/spans.py wraps these three through ``indicators._BENCH_NAMES``; no
@@ -553,7 +562,7 @@ def sample_spectra(metric: MetricKind, n: int, spec: McSpec, sampler: str):
         draws = sample_mcmc_spectra(metric, n, spec)
         return draws.flat[: spec.samples], None, draws.warnings
     spectra, log_w = _draw(metric, n, spec, sampler)
-    return spectra, log_w if sampler == "weighted" else None, ()
+    return spectra, log_w, ()
 
 
 def positive_fraction(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec, sampler=None):

@@ -13,6 +13,7 @@ import pytest
 import scipy.integrate
 from density_reference import density_reference
 from polar_reference import qutrit_ray
+from sector_reference import sector_rule_sum_reference
 
 from wignerq import (
     ConvergenceError,
@@ -22,6 +23,7 @@ from wignerq import (
     ModuliPoint,
     QuadratureSpec,
     VolumeEstimate,
+    average_indicator,
     kernel_for,
     minimize_indicator,
     orbit_volume_qutrit,
@@ -37,6 +39,8 @@ from wignerq.integrate.quadrature import (
     _exact_hs_volume,
     _gm_rule,
     _qutrit_pairing_plane,
+    _sector_grid,
+    _sector_rule_sum,
     _zeta_positive_fraction,
     gauss_legendre_doubling,
     orbit_volume_qubit,
@@ -528,3 +532,31 @@ class TestZetaPositiveFraction:
         assert np.all(f[negative] == 0.0)
         # in between it is strictly between
         assert np.all((f[~inside & ~negative] > 0.0) & (f[~inside & ~negative] <= 1.0))
+
+
+class TestSectorRule:
+    @pytest.mark.parametrize("order", [8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("metric", list(MetricKind), ids=lambda m: m.value)
+    def test_same_bits_as_the_per_block_rule(self, metric, order):
+        assert _sector_rule_sum(metric, order) == sector_rule_sum_reference(metric, order)
+
+    def test_grid_is_read_only_shared_by_the_metrics_and_bounded(self):
+        _sector_grid.cache_clear()
+        average_indicator(MetricKind.BURES)
+        built = _sector_grid.cache_info().misses
+        assert built == 3  # orders 8, 16, 32
+        for metric in (MetricKind.BKM, MetricKind.HS):
+            average_indicator(metric, inner="quadrature")
+        assert _sector_grid.cache_info().misses == built
+        grids = [_sector_grid(8 << i) for i in range(built)]
+        for spectra, weights in grids:
+            assert not spectra.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            grids[0][1][0, 0] = 1.0
+        # the bounds of the _sector_grid docstring
+        assert sum(a.nbytes for grid in grids for a in grid) <= 0.26e6
+        average_indicator(MetricKind.BKM, spec=QuadratureSpec(rel_tol=1e-13), inner="quadrature")
+        built = _sector_grid.cache_info().misses
+        assert built == 6  # orders 8 ... 256
+        assert sum(a.nbytes for i in range(built) for a in _sector_grid(8 << i)) <= 16.8e6
+        assert _sector_grid.cache_info().misses == built

@@ -149,6 +149,21 @@ class TestHsSampler:
         se = arr[:, 0].std(ddof=1) / math.sqrt(arr.shape[0])
         assert abs(arr[:, 0].mean() - expected) < 3 * se
 
+    def test_matrix_draw_keeps_no_log_weights(self):
+        # the matrix models' log weights are all 0 and are not stored, so
+        # the memory beyond the spectra is one batch's, whatever the count
+        extra = []
+        for samples in (500_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                arr, log_w, _ = sample_spectra(MetricKind.HS, 2, McSpec(samples, seed=21), "matrix")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert log_w is None
+            extra.append(peak - arr.nbytes)
+        assert extra[1] <= extra[0] + 2 ** 20
+
 
 class TestBuresSampler:
     def test_two_level_positive_fraction(self):
