@@ -174,18 +174,24 @@ def closed_indicator(metric: MetricKind, n: int, moduli: ModuliPoint | None = No
     if not _has_closed_form(metric, n):
         raise DomainError(f"no closed form for metric {metric.value} at n = {n}")
     if n == 2:
-        value = qubit_ball_volume(metric, _POSITIVE_BALL_RADIUS) / qubit_ball_volume(metric, 1.0)
+        value = qubit_positivity_probability(metric, 1.0)
     else:
         value = qutrit_indicator_closed_form(moduli.zeta)
     return IndicatorResult(value, 0.0, metric, n, moduli, "closed-form")
 
 
-def _takes_closed_form(metric: MetricKind, path: str) -> bool:
-    """Whether the three-level evaluation path ('auto' or 'quadrature') of
-    a metric is the flat closed form: 'auto' takes it where one exists."""
+def _moduli_route(metric: MetricKind, n: int, spec, path: str, what: str) -> tuple[QuadratureSpec, bool]:
+    """The one check of the moduli average and minimization (``what``):
+    n = 3, a deterministic spec and a known path, 'auto' or 'quadrature'.
+    Returns the spec (``QuadratureSpec()`` for None) and whether the path
+    is the flat closed form: 'auto' takes it where one exists."""
+    if n != 3:
+        raise DomainError(f"moduli {what} is implemented for n = 3")
+    if isinstance(spec, McSpec):
+        raise DomainError(f"{what} is deterministic; pass a QuadratureSpec")
     if path not in ("auto", "quadrature"):
         raise DomainError(f"unknown evaluation path {path!r}")
-    return path == "auto" and _has_closed_form(metric, 3)
+    return spec or QuadratureSpec(), path == "auto" and _has_closed_form(metric, 3)
 
 
 def _brent_min(f, a: float, b: float, tol: float):
@@ -261,17 +267,19 @@ def minimize_indicator(
     ``_ZETA_TOL`` = 1e-6 wide; ``q_star`` is the indicator at
     ``zeta_star``.  The curved metrics take about 9 quadratures, the flat
     one 6.  ``method`` picks the evaluation path: 'auto' (the closed form
-    where one exists, quadrature elsewhere) or 'quadrature'.
+    where one exists, quadrature elsewhere) or 'quadrature', which
+    minimizes ``indicators.global_indicator`` at ``spec``.
+    ``_moduli_route`` checks the arguments, as for ``average_indicator``:
+    an ``McSpec``, any n but 3 or another ``method`` is a DomainError.
     """
-    if n != 3:
-        raise DomainError("moduli minimization is implemented for n = 3")
-    spec = spec or QuadratureSpec()
-    if _takes_closed_form(metric, method):
+    spec, closed = _moduli_route(metric, n, spec, method, "minimization")
+    if closed:
         f = qutrit_indicator_closed_form
     else:
-        from .indicators import _qutrit_indicator_fn
+        from .indicators import global_indicator
 
-        f = _qutrit_indicator_fn(metric, spec)
+        def f(z):
+            return global_indicator(metric, 3, ModuliPoint.qutrit(z), spec).value
     return _brent_min(f, 0.0, _ZETA_MAX, _ZETA_TOL)
 
 

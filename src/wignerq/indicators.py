@@ -23,19 +23,18 @@ from .closed_form import (
     McSpec,
     QuadratureSpec,
     _default_moduli,
-    _takes_closed_form,
+    _moduli_route,
     qutrit_indicator_closed_form,
 )
 from .errors import DomainError
 from .integrate.quadrature import (
     _moduli_average_integral,
     gauss_legendre_doubling,
-    orbit_volume_qubit,  # noqa: F401 -- bench/spans.py wraps this attribute in a traced pass
-    orbit_volume_qutrit,
     orbit_volume_simplex,
-    qutrit_full_volume,
     simplex_full_volume,
 )
+# bench/spans.py wraps these attributes in a traced pass; no package code calls them here (ROADMAP item 1)
+from .integrate.quadrature import orbit_volume_qubit, orbit_volume_qutrit, qutrit_full_volume  # noqa: F401
 from .spectra import _ZETA_MAX, MetricKind, ModuliPoint
 from .sw_kernel import kernel_for
 
@@ -94,17 +93,6 @@ def global_indicator(
     return _quadrature_indicator(metric, n, moduli, spec or QuadratureSpec())
 
 
-def _qutrit_indicator_fn(metric: MetricKind, spec: QuadratureSpec):
-    """The zeta -> indicator function of one metric by quadrature, over
-    the cached full volume; the quadrature path of ``minimize_indicator``."""
-    den = qutrit_full_volume(metric, spec)
-
-    def f(z):
-        return orbit_volume_qutrit(metric, z, spec).value / den
-
-    return f
-
-
 def average_indicator(
     metric: MetricKind,
     n: int = 3,
@@ -124,14 +112,12 @@ def average_indicator(
     itself.  Both routes stop on ``rel_tol`` alone and raise
     ConvergenceError when their last order does not reach it.  ``meta``
     records the final order and the evaluations of the closed form or of
-    the density.
+    the density.  ``closed_form._moduli_route`` checks the arguments, as
+    for ``minimize_indicator``: an ``McSpec``, any n but 3 or another
+    ``inner`` is a DomainError.
     """
-    if n != 3:
-        raise DomainError("moduli averaging is implemented for n = 3")
-    if isinstance(spec, McSpec):
-        raise DomainError("averaging is deterministic; pass a QuadratureSpec")
-    spec = spec or QuadratureSpec()
-    if _takes_closed_form(metric, inner):
+    spec, closed = _moduli_route(metric, n, spec, inner, "averaging")
+    if closed:
         total, change, order, evaluations = gauss_legendre_doubling(
             qutrit_indicator_closed_form, 0.0, _ZETA_MAX, rel_tol=spec.rel_tol
         )

@@ -520,12 +520,13 @@ def _sector_rule_sum(metric, order: int) -> float:
     """The integral of density times ``_zeta_positive_fraction`` over the
     ordered triangle by the rule of ``_sector_grid``: the density at its
     spectra in calls of at most ``_CHUNK`` rows, then one weighted sum per
-    block."""
+    block, a summed product rather than a BLAS dot product, so the BLAS
+    thread count moves no bit."""
     spectra, weights = _sector_grid(order)
     density = np.empty(len(spectra))
     for at in range(0, len(spectra), _CHUNK):
         density[at:at + _CHUNK] = _density_batch(metric, spectra[at:at + _CHUNK])
-    return math.fsum(float(wb @ db) for wb, db in zip(weights, density.reshape(len(weights), -1)))
+    return math.fsum(float((wb * db).sum()) for wb, db in zip(weights, density.reshape(len(weights), -1)))
 
 
 def _moduli_average_integral(metric, rel_tol: float):

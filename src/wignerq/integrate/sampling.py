@@ -126,16 +126,16 @@ def _map_ordered(fn, jobs, workers: int):
     return [fn(*job) for job in jobs]
 
 
-def _per_worker(fn, spec: McSpec, batches, kind, n: int, *rest):
-    """``fn(batches, kind, n, *rest, count, seed, index)`` for each worker
+def _per_worker(fn, spec: McSpec, batches, metric: MetricKind, n: int, *rest):
+    """``fn(batches, metric, n, *rest, count, seed, index)`` for each worker
     with a non-empty share of ``spec.samples`` (the first ``samples %
-    workers`` take one more), in worker order; ``batches(kind, n, count,
-    seed, index)`` is its stream, ``kind`` the Bures flag or the metric."""
+    workers`` take one more), in worker order; ``batches(metric, n, count,
+    seed, index)`` is its stream."""
     if n < 2:
         raise DomainError("sampling needs n >= 2")
     base, extra = divmod(spec.samples, spec.workers)
     counts = [base + (i < extra) for i in range(spec.workers)]
-    jobs = [(batches, kind, n, *rest, c, spec.seed, i) for i, c in enumerate(counts) if c > 0]
+    jobs = [(batches, metric, n, *rest, c, spec.seed, i) for i, c in enumerate(counts) if c > 0]
     return _map_ordered(fn, jobs, spec.workers)
 
 
@@ -252,11 +252,13 @@ def _closed_form_spectra(rng: np.random.Generator, bures: bool, m: int, n: int) 
     return ev / ev.sum(axis=1, keepdims=True)
 
 
-def _matrix_batches(bures: bool, n: int, count: int, seed: int, index: int):
-    """One worker's matrix-model draws as ``(spectra, log_weights)``
-    batches; every log weight is 0, as the rows are unweighted."""
+def _matrix_batches(metric: MetricKind, n: int, count: int, seed: int, index: int):
+    """One worker's draws from the metric's matrix model (HS or Bures) as
+    ``(spectra, log_weights)`` batches; every log weight is 0, as the rows
+    are unweighted."""
     rng = _worker_rng(seed, index)
     draw = _closed_form_spectra if n <= 3 else _lapack_spectra
+    bures = metric is MetricKind.BURES
     batch = min(_EIG_BATCH, max(1, 16 * _EIG_BATCH // (n * n)))
     for start in range(0, count, batch):
         m = min(batch, count - start)
@@ -314,29 +316,28 @@ def _weighted_batches(metric: MetricKind, n: int, count: int, seed: int, index: 
 
 
 def _stream(metric: MetricKind, sampler: str):
-    """``(batches, kind)`` of an independent sampler: its per-worker stream
-    and the stream's first argument, the metric or the ``bures`` flag of the
-    metric's matrix model.  An importance-sample row's log weight is that
-    of density over proposal, unnormalized: for HS ``prod d_ij^2 * prod
-    r_i^(1/2)``; for Bures and BKM the pair product, as the proposal's
-    ``prod r_i^(-1/2)`` cancels and is never computed.  The weights stay
-    bounded for Bures and HS, grow only logarithmically for BKM, and are 0
-    (log weight ``-inf``) on the simplex boundary."""
+    """The per-worker stream of an independent sampler, called with the
+    metric.  An importance-sample row's log weight is that of density over
+    proposal, unnormalized: for HS ``prod d_ij^2 * prod r_i^(1/2)``; for
+    Bures and BKM the pair product, as the proposal's ``prod r_i^(-1/2)``
+    cancels and is never computed.  The weights stay bounded for Bures and
+    HS, grow only logarithmically for BKM, and are 0 (log weight ``-inf``)
+    on the simplex boundary."""
     if sampler == "weighted":
-        return _weighted_batches, metric
+        return _weighted_batches
     if metric is MetricKind.BKM:
         raise DomainError("no matrix model is available for the BKM measure; use the 'weighted' sampler")
-    return _matrix_batches, metric is MetricKind.BURES
+    return _matrix_batches
 
 
-def _drawn(batches, kind, n: int, count: int, seed: int, index: int):
+def _drawn(batches, metric: MetricKind, n: int, count: int, seed: int, index: int):
     """One worker's stream, written into preallocated spectra and, for the
     importance sampler only, log weights: the matrix models' are all 0 and
     are not kept (None)."""
     spectra = np.empty((count, n))
     log_w = np.empty(count) if batches is _weighted_batches else None
     done = 0
-    for r, lw in batches(kind, n, count, seed, index):
+    for r, lw in batches(metric, n, count, seed, index):
         spectra[done:done + len(r)] = r
         if log_w is not None:
             log_w[done:done + len(r)] = lw
@@ -347,7 +348,7 @@ def _drawn(batches, kind, n: int, count: int, seed: int, index: int):
 def _draw(metric: MetricKind, n: int, spec: McSpec, sampler: str):
     """``(spectra, log_weights or None)`` of every worker's stream in worker
     order; a lone worker's arrays are returned as it wrote them."""
-    parts = _per_worker(_drawn, spec, *_stream(metric, sampler), n)
+    parts = _per_worker(_drawn, spec, _stream(metric, sampler), metric, n)
     if len(parts) == 1:
         return parts[0]
     spectra, log_w = zip(*parts)
@@ -370,7 +371,7 @@ def sample_bures_spectra(n: int, spec: McSpec) -> np.ndarray:
 def positive_fraction_iid(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
     """``_fraction`` at unit weight on the metric's matrix model: the hit
     fraction p, the binomial ``sqrt(p (1 - p) / m)`` and the draw count m."""
-    return _fraction(*_stream(metric, "matrix"), n, kernel, spec)
+    return _fraction(_stream(metric, "matrix"), metric, n, kernel, spec)
 
 
 # --- the streaming estimator -------------------------------------------------
@@ -395,9 +396,9 @@ def _merge_sums(a: tuple, b: tuple) -> tuple:
     )
 
 
-def _weighted_sums(batches, kind, n: int, kernel: KernelSpectrum, count: int, seed: int, index: int):
+def _weighted_sums(batches, metric: MetricKind, n: int, kernel: KernelSpectrum, count: int, seed: int, index: int):
     sums = _NO_SUMS
-    for r, log_w in batches(kind, n, count, seed, index):
+    for r, log_w in batches(metric, n, count, seed, index):
         shift = float(log_w.max())
         if shift == -math.inf:
             continue  # every row on the boundary: no weight to add
@@ -418,7 +419,7 @@ def _nonzero_error(se: float, units: int) -> float:
     return se if se > 0.0 else 1.0 / (units + 1)
 
 
-def _fraction(batches, kind, n: int, kernel: KernelSpectrum, spec: McSpec):
+def _fraction(batches, metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
     """Self-normalized estimate ``(p, se, ess)`` of the positive-cone
     fraction of every worker's stream (Owen, *Monte Carlo theory, methods
     and examples*, ch. 9): ``p = sum(w inside) / sum(w)``, the delta-method
@@ -431,7 +432,7 @@ def _fraction(batches, kind, n: int, kernel: KernelSpectrum, spec: McSpec):
     batch of weight 0 adds nothing; a sample of weight 0 is a
     ``DomainError``."""
     sums = _NO_SUMS
-    for part in _per_worker(_weighted_sums, spec, batches, kind, n, kernel):
+    for part in _per_worker(_weighted_sums, spec, batches, metric, n, kernel):
         sums = _merge_sums(sums, part)
     _, sw, sw_in, sw2_in, sw2_out = sums
     if sw == 0.0:
@@ -575,6 +576,6 @@ def positive_fraction(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: 
         p, se = positive_fraction_mcmc(draws, kernel)
         meta["samples"], warnings = draws.flat.shape[0], draws.warnings
     else:
-        p, se, meta["ess"] = _fraction(*_stream(metric, sampler), n, kernel, spec)
+        p, se, meta["ess"] = _fraction(_stream(metric, sampler), metric, n, kernel, spec)
     meta.update(seed=spec.seed, workers=spec.workers)
     return p, se, meta, warnings

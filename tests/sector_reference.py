@@ -16,8 +16,8 @@ def sector_rule_sum_reference(metric, order):
     """The integral of density times ``_zeta_positive_fraction`` over the
     ordered triangle by a tensor Gauss-Legendre rule of the given order
     per axis, in polar coordinates (rho, phi) of (A, B): six blocks, two
-    phi halves times three radial pieces, each summed by its own dot
-    product."""
+    phi halves times three radial pieces, each block's weights times
+    densities summed on their own."""
     plane = _qutrit_pairing_plane()
     to_spectrum = np.linalg.inv(plane).T
     jacobian = 1.0 / abs(np.linalg.det(plane))
@@ -34,5 +34,5 @@ def sector_rule_sum_reference(metric, order):
         for rho, w_rho in radial:
             points = np.stack([rho * np.cos(phi), rho * np.sin(phi), np.ones_like(rho)], axis=-1)
             weight = jacobian * half * w[:, None] * w_rho * rho * _zeta_positive_fraction(rho, phi)
-            total.append(float(weight.ravel() @ _density_batch(metric, points.reshape(-1, 3) @ to_spectrum)))
+            total.append(float((weight.ravel() * _density_batch(metric, points.reshape(-1, 3) @ to_spectrum)).sum()))
     return math.fsum(total)

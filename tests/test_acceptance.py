@@ -249,7 +249,7 @@ def test_criterion_8_determinism():
             assert first == second and first
             json.loads(first)  # stays parseable
 
-        # seeded Monte Carlo bytes do not depend on the BLAS thread count
+        # seeded Monte Carlo and moduli-average bytes do not depend on the BLAS thread count
         src = str(Path(__file__).resolve().parents[1] / "src")
         base = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
         envs = [dict(base, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")] + [base]
@@ -258,6 +258,8 @@ def test_criterion_8_determinism():
         spawned += [mc + ["--metric", "hs", "--sampler", "matrix"], mc + ["--metric", "bkm", "--workers", "2"]]
         spawned += [["sample", "--metric", m, "--n", "3", "--sampler", "weighted", "--samples", "2000",
                      "--seed", "1", "--format", "json"] for m in ("bkm", "hs")]
+        # the tight moduli average: its sector rule reaches order 128, blocks large enough for threads
+        spawned += [["average", "--metric", "bkm", "--rel-tol", "1e-12"]]
         for argv in spawned:
             command = [sys.executable, "-m", "wignerq.cli", *argv]
             outs = [subprocess.run(command, env=env, capture_output=True, check=True).stdout for env in envs]

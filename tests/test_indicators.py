@@ -372,17 +372,29 @@ class TestMinimizeIndicator:
         zeta_star, q_star = minimize_indicator(metric)
         assert abs(zeta_star - zeta_ref) <= 1e-5
         assert q_star == pytest.approx(q_ref, rel=2e-7, abs=0.0)
+        # the minimization evaluates the quadrature indicator itself
+        assert q_star == global_indicator(metric, 3, ModuliPoint.qutrit(zeta_star)).value
 
     def test_bures_takes_few_quadratures(self, monkeypatch):
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return quadrature.orbit_volume_qutrit(*args)
+            return quadrature.orbit_volume_simplex(*args)
 
-        monkeypatch.setattr(indicators, "orbit_volume_qutrit", counted)
+        monkeypatch.setattr(indicators, "orbit_volume_simplex", counted)
         minimize_indicator(MetricKind.BURES, method="quadrature")
-        assert len(calls) <= 12
+        assert 0 < len(calls) <= 12
+
+    def test_rejects_other_dimensions_and_mc(self):
+        with pytest.raises(DomainError, match="moduli minimization is implemented for n = 3"):
+            minimize_indicator(MetricKind.HS, n=2)
+        for metric in MetricKind:
+            for method in ("auto", "quadrature"):
+                with pytest.raises(DomainError, match="minimization is deterministic; pass a QuadratureSpec"):
+                    minimize_indicator(metric, 3, McSpec(samples=1000), method)
+        with pytest.raises(DomainError, match="unknown evaluation path"):
+            minimize_indicator(MetricKind.BURES, method="simpson")
 
 
 class TestBrentMin:

@@ -71,7 +71,7 @@ class TestDeterminism:
         def no_pool(*args, **kwargs):
             raise OSError("process pool refused")
 
-        jobs = [(sampling_mod._matrix_batches, False, 2, 500, 99, i) for i in range(2)]
+        jobs = [(sampling_mod._matrix_batches, MetricKind.HS, 2, 500, 99, i) for i in range(2)]
         sequential = sampling_mod._map_ordered(sampling_mod._drawn, jobs, 1)
         # the pool is imported where it starts, so it is patched at its source
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
@@ -568,7 +568,7 @@ class TestFractionErrorNeverZero:
 
     def test_iid_all_inside(self):
         # one batch of unit-weight rows through the shared running sums
-        def one_batch(kind, n, count, seed, index):
+        def one_batch(metric, n, count, seed, index):
             yield np.full((count, n), self.MIXED), np.zeros(count)
 
         p, se, ess = sampling_mod._fraction(one_batch, None, 2, QUBIT_KERNEL, McSpec(samples=40))
