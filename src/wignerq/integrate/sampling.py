@@ -11,9 +11,10 @@
   a phase-fixed ``np.linalg.qr`` and the spectra from ``eigvalsh``.  Both
   read the same random stream.
 * Any metric, and the default of every Monte Carlo indicator:
-  importance sampling: sorted Dirichlet(1/2, ..., 1/2) spectra, each
-  weighted by the radial density over the proposal density: for HS
-  ``prod d_ij^2 * prod r_i^(1/2)``, for Bures and BKM the pair product.
+  importance sampling: sorted Dirichlet(1/2, ..., 1/2) spectra, drawn as
+  squared standard normals over their sum, each weighted by the radial
+  density over the proposal density: for HS ``prod d_ij^2 *
+  prod r_i^(1/2)``, for Bures and BKM the pair product.
 * Any metric, opt-in: random-walk Metropolis on the simplex in logit
   coordinates, targeting the radial density.
 
@@ -30,16 +31,18 @@ sampler only; estimating folds the streams into running weighted sums,
 so only the Markov chain holds its draws.  The matrix models draw
 ``_EIG_BATCH`` rows per batch (fewer at n > 4), and their draws depend
 on that size, as each batch is one call per Ginibre stack.  The
-importance sampler draws ``_WEIGHTED_BATCH`` rows per batch, few enough
-that a batch's columns stay in cache while a comparator network sorts
-them and they are weighted; its draws do not depend on that size, as its
-batches concatenate to one ``dirichlet`` call.
+importance sampler draws ``_WEIGHTED_BATCH`` rows of normals per batch,
+few enough that a batch's columns stay in cache while they are squared,
+normalized, sorted by a comparator network and weighted; its draws do not
+depend on that size, as its batches concatenate to one
+``standard_normal`` call.
 
 Parallelism and reproducibility: the master seed is split into one
 independent child stream per worker; chunks are combined in worker
 order, so results are a pure function of (samples, seed, workers).
 Worker processes are an execution detail only -- running the same spec
-sequentially yields bit-identical output.
+sequentially yields bit-identical output, and where a process pool cannot
+start the workers run in this process and the result's warnings say so.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +66,10 @@ from ..spectra import KernelSpectrum, MetricKind
 _EIG_BATCH = 1 << 17
 
 #: Rows per batch of the importance sampler, so that each of a batch's n
-#: columns (64 KiB) stays in L2 cache while it is sorted and weighted.
-#: Its draws do not depend on it: the batches concatenate to the rows of
-#: one ``dirichlet`` call, and only the association of the running sums
+#: columns (64 KiB) stays in L2 cache while it is normalized, sorted and
+#: weighted.  Its draws do not depend on it: each batch draws its rows of
+#: squared normals, which concatenate to the rows of one
+#: ``standard_normal`` call, and only the association of the running sums
 #: moves with it.
 _WEIGHTED_BATCH = 1 << 13
 
@@ -108,29 +111,28 @@ def _worker_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _map_ordered(fn, jobs, workers: int):
-    """Run jobs, in parallel when asked, returning results in job order;
-    the process pool is imported only where one starts."""
+    """Run jobs, in parallel when asked, as ``(results in job order,
+    warnings)``: where the process pool cannot start, the jobs run in this
+    process and the one warning says so.  The pool is imported only where
+    one starts."""
+    fallback = ()
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         try:
             with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
                 futures = [pool.submit(fn, *job) for job in jobs]
-                return [f.result() for f in futures]
+                return [f.result() for f in futures], ()
         except OSError as exc:
-            warnings.warn(
-                f"process pool for {workers} workers unavailable ({exc!r}); running sequentially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return [fn(*job) for job in jobs]
+            fallback = (f"process pool for {workers} workers unavailable ({exc!r}); ran sequentially",)
+    return [fn(*job) for job in jobs], fallback
 
 
 def _per_worker(fn, spec: McSpec, batches, metric: MetricKind, n: int, *rest):
-    """``fn(batches, metric, n, *rest, count, seed, index)`` for each worker
-    with a non-empty share of ``spec.samples`` (the first ``samples %
-    workers`` take one more), in worker order; ``batches(metric, n, count,
-    seed, index)`` is its stream."""
+    """``_map_ordered`` of ``fn(batches, metric, n, *rest, count, seed,
+    index)`` for each worker with a non-empty share of ``spec.samples``
+    (the first ``samples % workers`` take one more), in worker order;
+    ``batches(metric, n, count, seed, index)`` is its stream."""
     if n < 2:
         raise DomainError("sampling needs n >= 2")
     base, extra = divmod(spec.samples, spec.workers)
@@ -298,19 +300,33 @@ def _sort_columns(cols: np.ndarray, network) -> np.ndarray:
     return cols
 
 
+def _half_dirichlet_columns(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """m Dirichlet(1/2, ..., 1/2) rows as contiguous (n, m) columns: squared
+    standard normals over their sum, as chi-squared(1) is Gamma(1/2, 2)
+    (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. XI).  The
+    normals are drawn as rows, so consecutive calls read one stream; the sum
+    is added column by column in index order."""
+    z = rng.standard_normal((m, n))
+    np.square(z, out=z)
+    cols = np.ascontiguousarray(z.T)
+    total = cols[0].copy()
+    for col in cols[1:]:
+        total += col
+    cols /= total
+    return cols
+
+
 def _weighted_batches(metric: MetricKind, n: int, count: int, seed: int, index: int):
     """One worker's importance sample as ``(spectra, log_weights)``
     batches of at most ``_WEIGHTED_BATCH`` rows, drawn from one stream: the
-    batches concatenate to the rows of a single ``dirichlet`` call.  Each
-    batch is sorted and weighted as contiguous columns; its spectra are
-    their transpose."""
+    batches' normals concatenate to the rows of a single
+    ``standard_normal((count, n))`` call.  Each batch is drawn, sorted and
+    weighted as contiguous columns; its spectra are their transpose."""
     rng = _worker_rng(seed, index)
-    alpha = np.full(n, 0.5)
     power = 0.5 if metric is MetricKind.HS else 0.0  # Bures, BKM: the proposal cancels
     network = _sorting_network(n)
     for start in range(0, count, _WEIGHTED_BATCH):
-        r = rng.dirichlet(alpha, min(_WEIGHTED_BATCH, count - start))
-        cols = _sort_columns(np.ascontiguousarray(r.T), network)
+        cols = _sort_columns(_half_dirichlet_columns(rng, min(_WEIGHTED_BATCH, count - start), n), network)
         # columns descend: a row is on the boundary (weight 0) exactly where its last entry is <= 0
         yield cols.T, _log_weight(metric, cols, power, cols[-1] <= 0.0)
 
@@ -346,13 +362,13 @@ def _drawn(batches, metric: MetricKind, n: int, count: int, seed: int, index: in
 
 
 def _draw(metric: MetricKind, n: int, spec: McSpec, sampler: str):
-    """``(spectra, log_weights or None)`` of every worker's stream in worker
-    order; a lone worker's arrays are returned as it wrote them."""
-    parts = _per_worker(_drawn, spec, _stream(metric, sampler), metric, n)
+    """``(spectra, log_weights or None, warnings)`` of every worker's stream
+    in worker order; a lone worker's arrays are returned as it wrote them."""
+    parts, warnings = _per_worker(_drawn, spec, _stream(metric, sampler), metric, n)
     if len(parts) == 1:
-        return parts[0]
+        return (*parts[0], warnings)
     spectra, log_w = zip(*parts)
-    return np.concatenate(spectra), None if log_w[0] is None else np.concatenate(log_w)
+    return np.concatenate(spectra), None if log_w[0] is None else np.concatenate(log_w), warnings
 
 
 # bench/spans.py wraps these three through ``indicators._BENCH_NAMES``; no
@@ -371,7 +387,7 @@ def sample_bures_spectra(n: int, spec: McSpec) -> np.ndarray:
 def positive_fraction_iid(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
     """``_fraction`` at unit weight on the metric's matrix model: the hit
     fraction p, the binomial ``sqrt(p (1 - p) / m)`` and the draw count m."""
-    return _fraction(_stream(metric, "matrix"), metric, n, kernel, spec)
+    return _fraction(_stream(metric, "matrix"), metric, n, kernel, spec)[:3]
 
 
 # --- the streaming estimator -------------------------------------------------
@@ -420,7 +436,7 @@ def _nonzero_error(se: float, units: int) -> float:
 
 
 def _fraction(batches, metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
-    """Self-normalized estimate ``(p, se, ess)`` of the positive-cone
+    """Self-normalized estimate ``(p, se, ess, warnings)`` of the positive-cone
     fraction of every worker's stream (Owen, *Monte Carlo theory, methods
     and examples*, ch. 9): ``p = sum(w inside) / sum(w)``, the delta-method
     ``se = sqrt(sum(w^2 (inside - p)^2)) / sum(w)``, floored in units of
@@ -431,8 +447,9 @@ def _fraction(batches, metric: MetricKind, n: int, kernel: KernelSpectrum, spec:
     sum(w^2 outside)``, two non-negative terms, so nothing cancels.  A
     batch of weight 0 adds nothing; a sample of weight 0 is a
     ``DomainError``."""
+    parts, warnings = _per_worker(_weighted_sums, spec, batches, metric, n, kernel)
     sums = _NO_SUMS
-    for part in _per_worker(_weighted_sums, spec, batches, metric, n, kernel):
+    for part in parts:
         sums = _merge_sums(sums, part)
     _, sw, sw_in, sw2_in, sw2_out = sums
     if sw == 0.0:
@@ -440,7 +457,7 @@ def _fraction(batches, metric: MetricKind, n: int, kernel: KernelSpectrum, spec:
     p = sw_in / sw
     se = math.sqrt((1.0 - p) ** 2 * sw2_in + p * p * sw2_out) / sw
     ess = sw * sw / (sw2_in + sw2_out)
-    return p, _nonzero_error(se, int(ess)), ess
+    return p, _nonzero_error(se, int(ess)), ess, warnings
 
 
 # --- Metropolis on the simplex ----------------------------------------------
@@ -500,8 +517,8 @@ def sample_mcmc_spectra(metric: MetricKind, n: int, spec: McSpec) -> McmcResult:
     density is permutation symmetric) and reports sorted spectra.  The
     step scale adapts toward ~40% acceptance during burn-in and is then
     frozen; a post-adaptation acceptance rate outside [0.1, 0.9] is
-    reported as a warning.  An opt-in cross-check of the independent
-    samplers for every metric.
+    reported as a warning, as is a process pool that could not start.  An
+    opt-in cross-check of the independent samplers for every metric.
     """
     if n < 2:
         raise DomainError("sampling needs n >= 2")
@@ -511,13 +528,12 @@ def sample_mcmc_spectra(metric: MetricKind, n: int, spec: McSpec) -> McmcResult:
         (metric, n, spec.chains_per_worker, per_chain, spec.burn_in, spec.thin, spec.seed, i)
         for i in range(spec.workers)
     ]
-    parts = _map_ordered(_mcmc_chunk, jobs, spec.workers)
+    parts, warnings = _map_ordered(_mcmc_chunk, jobs, spec.workers)
     samples = np.concatenate([p[0] for p in parts], axis=0)
     rate = float(np.mean([p[2] for p in parts]))
     scale = float(np.mean([p[1] for p in parts]))
-    warnings = ()
     if not _ACCEPT_WINDOW[0] <= rate <= _ACCEPT_WINDOW[1]:
-        warnings = (
+        warnings += (
             f"Metropolis acceptance rate {rate:.3f} outside "
             f"[{_ACCEPT_WINDOW[0]}, {_ACCEPT_WINDOW[1]}] after adaptation",
         )
@@ -562,20 +578,19 @@ def sample_spectra(metric: MetricKind, n: int, spec: McSpec, sampler: str):
     if sampler == "mcmc":
         draws = sample_mcmc_spectra(metric, n, spec)
         return draws.flat[: spec.samples], None, draws.warnings
-    spectra, log_w = _draw(metric, n, spec, sampler)
-    return spectra, log_w, ()
+    return _draw(metric, n, spec, sampler)
 
 
 def positive_fraction(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec, sampler=None):
     """``(p, se, meta, warnings)`` of the positive-cone fraction by the
     sampler ``resolve_sampler`` picks for an estimate."""
     sampler = resolve_sampler(metric, sampler, estimate=True)
-    meta, warnings = {"sampler": sampler, "samples": spec.samples}, ()
+    meta = {"sampler": sampler, "samples": spec.samples}
     if sampler == "mcmc":
         draws = sample_mcmc_spectra(metric, n, spec)
         p, se = positive_fraction_mcmc(draws, kernel)
         meta["samples"], warnings = draws.flat.shape[0], draws.warnings
     else:
-        p, se, meta["ess"] = _fraction(_stream(metric, sampler), metric, n, kernel, spec)
+        p, se, meta["ess"], warnings = _fraction(_stream(metric, sampler), metric, n, kernel, spec)
     meta.update(seed=spec.seed, workers=spec.workers)
     return p, se, meta, warnings

@@ -602,6 +602,28 @@ class TestSampleCommand:
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["indicator", "--metric", "hs", "--n", "2", "--method", "mc"],
+        ["indicator", "--metric", "bkm", "--n", "2", "--method", "mc", "--sampler", "mcmc"],
+        ["sample", "--metric", "bkm", "--n", "3"],
+    ],
+    ids=["indicator", "indicator-mcmc", "sample"],
+)
+def test_pool_fallback_reaches_json_warnings(capsys, monkeypatch, argv):
+    def no_pool(*args, **kwargs):
+        raise OSError("process pool refused")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    code, out, _ = run_cli(capsys, *argv, "--samples", "2000", "--seed", "3", "--workers", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    validate(payload)
+    found = payload["results"][0]["warnings"] if "results" in payload else payload["warnings"]
+    assert any(re.search(r"process pool for 2 workers unavailable.*process pool refused", w) for w in found)
+
+
+@pytest.mark.parametrize(
     "owner, runner, argv",
     [
         ("integrate.sampling", "sample_spectra", ["sample", "--metric", "hs"]),

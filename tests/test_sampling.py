@@ -1,6 +1,7 @@
 """Monte Carlo samplers: target distributions, determinism, diagnostics."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -38,6 +39,14 @@ SQRT3 = math.sqrt(3.0)
 QUBIT_KERNEL = kernel_for(ModuliPoint.qubit())
 
 
+def _refuse_process_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise OSError("process pool refused")
+
+    # the pool is imported where it starts, so it is patched at its source
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+
+
 class TestMcSpec:
     def test_validation(self):
         McSpec(samples=10)
@@ -68,17 +77,27 @@ class TestDeterminism:
         assert a.acceptance_rate == b.acceptance_rate
 
     def test_pool_failure_warns_and_runs_sequentially(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise OSError("process pool refused")
-
         jobs = [(sampling_mod._matrix_batches, MetricKind.HS, 2, 500, 99, i) for i in range(2)]
-        sequential = sampling_mod._map_ordered(sampling_mod._drawn, jobs, 1)
-        # the pool is imported where it starts, so it is patched at its source
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        with pytest.warns(RuntimeWarning, match=r"2 workers.*process pool refused"):
-            fallback = sampling_mod._map_ordered(sampling_mod._drawn, jobs, 2)
+        sequential, none = sampling_mod._map_ordered(sampling_mod._drawn, jobs, 1)
+        _refuse_process_pool(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fallback is reported in the result, not raised
+            fallback, (warning,) = sampling_mod._map_ordered(sampling_mod._drawn, jobs, 2)
+        assert none == ()
+        assert re.search(r"2 workers.*process pool refused.*ran sequentially", warning)
         assert len(fallback) == len(sequential) == 2
         assert all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) for a, b in zip(fallback, sequential))
+
+    @pytest.mark.parametrize("metric, sampler", [
+        (MetricKind.BKM, "weighted"), (MetricKind.HS, "matrix"), (MetricKind.HS, "mcmc"),
+    ])
+    def test_pool_failure_reaches_the_result_warnings(self, metric, sampler, monkeypatch):
+        spec = McSpec(samples=2_000, seed=99, workers=2, burn_in=100)
+        _refuse_process_pool(monkeypatch)
+        p, se, meta, found = positive_fraction(metric, 2, QUBIT_KERNEL, spec, sampler)
+        assert 0.0 < p < 1.0 and se > 0.0 and meta["workers"] == 2
+        assert len(found) == 1 and re.search(r"2 workers.*process pool refused", found[0])
+        assert sample_spectra(metric, 2, spec, sampler)[2] == found
 
     @pytest.mark.parametrize("seed", [0, 7, 123456])
     def test_worker_stream_is_spawned_child(self, seed):
@@ -304,6 +323,32 @@ class TestWeightedSampler:
         p, se, _, _ = positive_fraction(metric, 3, kernel, McSpec(samples=200_000, seed=seed))
         assert abs(p - exact) < 3 * se
 
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_draw_is_dirichlet_half(self, n):
+        # two-sample Kolmogorov-Smirnov of each sorted coordinate against
+        # numpy's gamma-based Dirichlet, judged at the asymptotic critical
+        # value of level 1e-3: D < sqrt(-ln(5e-4) / 2) * sqrt(2 / rows)
+        rows = 100_000
+        drawn = sample_spectra(MetricKind.BKM, n, McSpec(samples=rows, seed=2024), "weighted")[0]
+        want = -np.sort(-np.random.default_rng(2025).dirichlet(np.full(n, 0.5), rows), axis=1)
+        critical = math.sqrt(-math.log(5e-4) / 2.0) * math.sqrt(2.0 / rows)
+        for k in range(n):
+            assert stats.ks_2samp(drawn[:, k], want[:, k]).statistic < critical, k
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_error_bars_are_calibrated(self, metric):
+        # z = (p - exact) / error over 400 seeds of 2,000 draws: mean 0 and
+        # sd 1 within about 4 of their standard errors (0.05 and 0.035), and
+        # no more than 5 beyond 3 sigma, where about 1 is expected
+        exact = closed_indicator(metric, 2).value
+        z = np.array([
+            (p - exact) / se
+            for p, se, _, _ in (positive_fraction(metric, 2, QUBIT_KERNEL, McSpec(2_000, seed=s)) for s in range(400))
+        ])
+        assert abs(z.mean()) <= 0.2
+        assert 0.85 <= z.std(ddof=1) <= 1.15
+        assert (np.abs(z) > 3.0).sum() <= 5
+
     def test_zero_hits_floor_counts_effective_samples(self):
         # about 1% of Dirichlet(1/2) draws land in this kernel's positive
         # region; these 50 miss it, so the spread is 0
@@ -355,7 +400,7 @@ class TestStreamingEstimator:
     estimates to rounding."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_batched_draw_is_one_dirichlet_call(self, workers):
+    def test_batched_draw_is_one_standard_normal_call(self, workers):
         # 2.5 batches, so each worker crosses a batch boundary
         samples = 5 * sampling_mod._WEIGHTED_BATCH // 2
         spec = McSpec(samples=samples, seed=41, workers=workers)
@@ -379,11 +424,7 @@ class TestStreamingEstimator:
         assert (log_radial_density(metric, rows)[boundary] == -np.inf).all()
         assert np.isfinite(log_radial_density(metric, rows)[~boundary]).all()
 
-        class FixedDraw:
-            def dirichlet(self, alpha, size):
-                return rows[:size].copy()
-
-        monkeypatch.setattr(sampling_mod, "_worker_rng", lambda seed, index: FixedDraw())
+        monkeypatch.setattr(sampling_mod, "_half_dirichlet_columns", lambda rng, m, n: rows[:m].T.copy())
         arr, log_w = sample_spectra(metric, 3, McSpec(samples=len(rows), seed=0, workers=1), "weighted")[:2]
         assert np.array_equal(arr, -np.sort(-rows, axis=1))
         with np.errstate(divide="ignore"):
@@ -420,14 +461,17 @@ class TestStreamingEstimator:
         rows = np.array([[0.0, 0.3, 0.7], [0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.4, 0.35, 0.25]])
 
         class FixedDraw:
+            """A stream's position: each stream starts again at the first row."""
+
             def __init__(self):
                 self.used = 0
 
-            def dirichlet(self, alpha, size):
-                self.used += size
-                return rows[self.used - size:self.used].copy()
+        def fixed_columns(draw, m, n):
+            draw.used += m
+            return rows[draw.used - m:draw.used].T.copy()
 
         monkeypatch.setattr(sampling_mod, "_worker_rng", lambda seed, index: FixedDraw())
+        monkeypatch.setattr(sampling_mod, "_half_dirichlet_columns", fixed_columns)
         monkeypatch.setattr(sampling_mod, "_WEIGHTED_BATCH", 1)
         kernel = qutrit_kernel_spectrum(0.4)
         arr, log_w = sample_spectra(metric, 3, McSpec(samples=len(rows), seed=0, workers=1), "weighted")[:2]
@@ -439,11 +483,10 @@ class TestStreamingEstimator:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sample_of_weight_zero_is_a_domain_error(self, metric, workers, monkeypatch):
-        class BoundaryDraw:
-            def dirichlet(self, alpha, size):
-                return np.tile([0.5, 0.5, 0.0], (size, 1))
+        def boundary_columns(rng, m, n):
+            return np.tile([[0.5], [0.5], [0.0]], (1, m))
 
-        monkeypatch.setattr(sampling_mod, "_worker_rng", lambda seed, index: BoundaryDraw())
+        monkeypatch.setattr(sampling_mod, "_half_dirichlet_columns", boundary_columns)
         with pytest.raises(DomainError, match="weight 0"):
             positive_fraction(metric, 3, _STREAM_KERNELS[3](), McSpec(samples=6, seed=0, workers=workers))
 
@@ -571,8 +614,8 @@ class TestFractionErrorNeverZero:
         def one_batch(metric, n, count, seed, index):
             yield np.full((count, n), self.MIXED), np.zeros(count)
 
-        p, se, ess = sampling_mod._fraction(one_batch, None, 2, QUBIT_KERNEL, McSpec(samples=40))
-        assert (p, se, ess) == (1.0, 1.0 / 41, 40.0)
+        p, se, ess, found = sampling_mod._fraction(one_batch, None, 2, QUBIT_KERNEL, McSpec(samples=40))
+        assert (p, se, ess, found) == (1.0, 1.0 / 41, 40.0, ())
 
     @pytest.mark.parametrize("chains", [1, 4])
     def test_chain_all_inside(self, chains):

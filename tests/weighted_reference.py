@@ -1,6 +1,6 @@
-"""The importance sampler drawn whole: one ``dirichlet`` call per worker
-stream and the self-normalized estimate formed from every weight at
-once.  The oracle of the package's batched sampler and streaming
+"""The importance sampler drawn whole: one ``standard_normal`` call per
+worker stream, squared and normalized by row, and the self-normalized
+estimate formed from every weight at once.  The oracle of the package's batched sampler and streaming
 estimator, which must equal it to rounding."""
 
 import math
@@ -14,13 +14,18 @@ from wignerq.positivity import DEFAULT_CONE_TOL, min_pairing_batch
 def reference_weighted_spectra(metric, n, samples, seed, workers):
     """Sorted Dirichlet(1/2) spectra, rows descending, and their log
     weights, drawn unbatched from worker ``i``'s child stream
-    ``SeedSequence(seed, spawn_key=(i,))``."""
+    ``SeedSequence(seed, spawn_key=(i,))`` as squared standard normals
+    over their row sum, added in index order."""
     base, extra = divmod(samples, workers)
     rows = []
     for index in range(workers):
         count = base + (1 if index < extra else 0)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
-        rows.append(np.sort(rng.dirichlet(np.full(n, 0.5), count), axis=1)[:, ::-1])
+        z = rng.standard_normal((count, n)) ** 2
+        total = z[:, 0].copy()
+        for j in range(1, n):
+            total += z[:, j]
+        rows.append(np.sort(z / total[:, None], axis=1)[:, ::-1])
     r = np.concatenate(rows, axis=0)
     with np.errstate(divide="ignore"):
         log_w = log_radial_density(metric, r) + 0.5 * np.log(r).sum(axis=1)
