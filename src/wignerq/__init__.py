@@ -18,10 +18,11 @@ __version__ = "0.1.0"
 _SOURCES = {
     "errors": ("ConvergenceError", "DomainError"),
     "closed_form": (
-        "AVERAGED", "IndicatorResult", "McSpec", "QuadratureSpec", "closed_indicator", "minimize_indicator",
-        "positivity_curve", "qubit_ball_volume", "qubit_positivity_probability", "qutrit_indicator_closed_form",
+        "AVERAGED", "IndicatorResult", "McSpec", "QuadratureSpec", "average_indicator", "closed_indicator",
+        "minimize_indicator", "positivity_curve", "qubit_ball_volume", "qubit_positivity_probability",
+        "qutrit_indicator_closed_form",
     ),
-    "indicators": ("average_indicator", "global_indicator"),
+    "indicators": ("global_indicator",),
     "integrate.quadrature": ("VolumeEstimate", "orbit_volume_qutrit", "orbit_volume_simplex"),
     "measures": ("radial_density",),
     "positivity": ("min_wigner_value",),

@@ -14,8 +14,8 @@ output ends), 1 numerical failure, 2 usage error.
 Every command checks its flags before it computes.  numpy and the
 numerical engines are imported only by the paths that use them, so the
 closed-form commands (every ``indicator --n 2``, the flat
-``indicator --n 3``, ``minimize --metric hs`` and ``curve``) start
-without them.
+``indicator --n 3``, ``average --metric hs``, ``minimize --metric hs``
+and ``curve``) start without them.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .closed_form import (
     McSpec,
     QuadratureSpec,
     _has_closed_form,
+    average_indicator,
     closed_indicator,
     minimize_indicator,
     positivity_curve,
@@ -51,11 +52,13 @@ _SAMPLE_MAX_VALUES = 10**7
 _CSV_BLOCK = 1 << 16  # rows of ``sample`` made Python floats at a time for CSV
 #: Cap on ``--workers``: the per-worker job lists grow with it.
 _MAX_WORKERS = 256
-#: Cap on ``--samples`` of the Monte Carlo commands.  The batched
-#: estimates run in bounded memory, but the opt-in Markov chain holds
-#: every spectrum at once.
+#: Cap on ``--samples`` of the Monte Carlo commands.  Every estimate
+#: counts its draws in batches, so its memory does not grow with the
+#: count; the cap bounds the run time instead (at the cap, seconds for the
+#: weighted sampler and about ten times that for the matrix models).
 _MC_MAX_SAMPLES = 2 * 10**7
-#: The typed flags that each route of ``indicator`` and ``minimize`` reads.
+#: The typed flags that each route of ``indicator``, ``average`` and
+#: ``minimize`` reads.
 _ROUTE_FLAGS = {
     "closed-form": (),
     "quadrature": ("--rel-tol",),
@@ -196,9 +199,8 @@ def cmd_indicator(args) -> int:
 
 def cmd_average(args) -> int:
     metrics = list(MetricKind) if args.metric == "all" else [MetricKind.from_name(args.metric)]
+    _check_route(args, "closed-form" if all(_has_closed_form(m, 3) for m in metrics) else "quadrature")
     spec = _quad_spec(args)
-    from .indicators import average_indicator
-
     results = [average_indicator(m, args.n, spec) for m in metrics]
     payload = {"command": "average", "results": [r.to_json_dict() for r in results]}
     _emit(args, payload, *_indicator_rows(results))
@@ -272,7 +274,7 @@ def cmd_sample(args) -> int:
 
 def _reproduce_checks(mc_spec: McSpec):
     """Rows of the published-value table: (name, value, target, kind, tol)."""
-    from .indicators import average_indicator, global_indicator
+    from .indicators import global_indicator
 
     checks = []
     prints = {MetricKind.HS: 0.19245, MetricKind.BURES: 0.09172, MetricKind.BKM: 0.0495506}

@@ -1,14 +1,16 @@
-"""Closed forms, the moduli minimization, and the run specs, without numpy.
+"""Closed forms, the moduli average and minimum, and the run specs, without numpy.
 
 Everything the closed-form commands need lives here and imports only the
 standard library, ``errors`` and ``spectra``: the two-level ball volumes
 (the integral over the Bloch radius of the two-level density) and the
 positive-ball radius, the flat three-level indicator as a function of the
 apex angle, the closed-form indicator result, the two-level positivity
-curve, Brent's bounded minimization over the angle, the quadrature and
-Monte Carlo specs and the sampler names, so the command line checks its
-flags before loading any numerical engine.  The quadrature path of the
-minimization imports ``indicators`` when it runs.
+curve, the moduli average (exact for the flat metric) and Brent's bounded
+minimization over the angle, the quadrature and Monte Carlo specs and the
+sampler names, so the command line checks its flags before loading any
+numerical engine.  The quadrature route of the average imports
+``integrate.quadrature``, and that of the minimization ``indicators``,
+when they run.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ AVERAGED = "averaged"
 #: Width of the bracket on which the moduli minimization stops; the
 #: minimizing angle lies in it, as does the returned point.
 _ZETA_TOL = 1e-6
+
+#: The flat moduli average, sqrt(3) (69 + 32 ln 2) / (36864 pi): the flat
+#: indicator integrated over zeta in [0, pi/3] with t = tan(zeta - pi/6),
+#: over pi/3, correctly rounded (the float expression falls one ulp low).
+_FLAT_MODULI_AVERAGE = 1.3636762154306278e-3
 
 #: Bloch radius 1/sqrt(3) bounding the Wigner-positive two-level states.
 _POSITIVE_BALL_RADIUS = 1.0 / math.sqrt(3.0)
@@ -47,18 +54,19 @@ class QuadratureSpec:
             raise DomainError("quadrature tolerances must be finite and positive")
 
 
-#: The Monte Carlo samplers a run may name: the metric's matrix model,
-#: the importance sampler, and the opt-in Markov chain.
-SAMPLERS = ("matrix", "weighted", "mcmc")
+#: The Monte Carlo samplers a run may name: the metric's matrix model and
+#: the importance sampler.
+SAMPLERS = ("matrix", "weighted")
 
 
 @dataclass(frozen=True)
 class McSpec:
     """Sample budget, seeding and parallel layout of a Monte Carlo run.
 
-    ``burn_in``, ``thin`` and ``chains_per_worker`` only affect the
-    Markov-chain sampler.  The worker count is part of the
-    reproducibility contract: changing it changes the random streams.
+    The worker count is part of the reproducibility contract: changing
+    it changes the random streams.  ``burn_in``, ``thin`` and
+    ``chains_per_worker`` are bench-only: they lay out the Markov chain
+    that only ``bench/`` runs, and no command or library route reads them.
     """
 
     samples: int
@@ -250,6 +258,41 @@ def _brent_min(f, a: float, b: float, tol: float):
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
     return x, fx
+
+
+def average_indicator(
+    metric: MetricKind,
+    n: int = 3,
+    spec: QuadratureSpec | None = None,
+    inner: str = "auto",
+) -> IndicatorResult:
+    """Indicator averaged uniformly over the three-level moduli angle.
+
+    ``inner`` picks the route.  'auto' returns the flat metric's exact
+    average, ``_FLAT_MODULI_AVERAGE`` at error 0 whatever ``spec``, and
+    runs 'quadrature' for Bures and BKM.  'quadrature' swaps the two
+    integrals: the density times the fraction of angles at which each
+    spectrum is Wigner-positive, integrated once over the ordered simplex
+    by a sector rule doubled to ``spec.rel_tol`` (relative only;
+    ConvergenceError past order 256), over the cached full volume; its
+    error is the rule's last change over the full volume plus ``2 *
+    rel_tol * value`` for the full volume itself, and ``meta`` records
+    the final order and the density evaluations.  It imports
+    ``integrate.quadrature`` when it runs.  ``_moduli_route`` checks the
+    arguments, as for ``minimize_indicator``: an ``McSpec``, any n but 3
+    or another ``inner`` is a DomainError.
+    """
+    spec, closed = _moduli_route(metric, n, spec, inner, "averaging")
+    meta = {"moduli_measure": "uniform"}
+    if closed:
+        return IndicatorResult(_FLAT_MODULI_AVERAGE, 0.0, metric, 3, AVERAGED, "closed-form", meta=meta)
+    from .integrate.quadrature import _moduli_average_integral, simplex_full_volume
+
+    total, change, order, evaluations = _moduli_average_integral(metric, spec.rel_tol)
+    den = simplex_full_volume(metric, 3, spec)
+    value = total / den
+    return IndicatorResult(value, change / den + 2.0 * spec.rel_tol * value, metric, 3, AVERAGED, "quadrature",
+                           meta={**meta, "order": order, "evaluations": evaluations})
 
 
 def minimize_indicator(

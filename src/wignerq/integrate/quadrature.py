@@ -16,10 +16,10 @@ ball -- and integrates each piece:
 The three-level moduli average is one integral over the ordered simplex
 of the density times the fraction of apex angles at which each spectrum
 is Wigner-positive, by a Gauss-Legendre rule on sectors about the
-maximally mixed state; ``gauss_legendre_doubling`` integrates the flat
-closed form over the angle instead.  These two rules share one doubling
-loop, ``_doubled``: the order doubles until two orders agree to
-``rel_tol``, relative only (``abs_tol`` does not apply).  Each 1-D rule,
+maximally mixed state.  Its order doubles in ``_doubled`` until two
+orders agree to ``rel_tol``, relative only (``abs_tol`` does not apply);
+``gauss_legendre_doubling``, the same loop on an interval, is bench-only
+and a test oracle, as the flat moduli average is exact.  Each 1-D rule,
 each small reference grid of the collapsed rule and each order's grid of
 the sector rule is built once per process.  The sector grid does not
 depend on the metric, so the three metrics share it; it holds 192 k^2
@@ -126,7 +126,7 @@ def _doubled(rule, what: str, rel_tol: float, first: int, last: int):
                 return value, change, order
         prev, order = value, 2 * order
     raise ConvergenceError(f"{what} did not settle below rel_tol={rel_tol:g} by order {order // 2}: "
-                           f"value {prev:.6e}, last change {change:.3e}")
+                           f"integral {prev:.6e}, last change {change:.3e}")
 
 
 def gauss_legendre_doubling(f, a: float, b: float, *, rel_tol: float):

@@ -15,27 +15,24 @@
   squared standard normals over their sum, each weighted by the radial
   density over the proposal density: for HS ``prod d_ij^2 *
   prod r_i^(1/2)``, for Bures and BKM the pair product.
-* Any metric, opt-in: random-walk Metropolis on the simplex in logit
-  coordinates, targeting the radial density.
 
 It owns the sampler choice (``resolve_sampler``), drawing (``sample_spectra``)
 and estimating (``positive_fraction``); only the Monte Carlo indicator and
 ``sample`` import it, so quadrature never loads it or ``positivity``.
 
-Each independent sampler is one stream per worker of ``(spectra,
-log_weights)`` batches, at log weight 0 for the matrix models; ``_stream``
-alone maps a sampler name to its stream.  Drawing writes each worker's
-stream into preallocated arrays, joined in worker order (a lone worker's
-are returned as written), and keeps log weights for the importance
-sampler only; estimating folds the streams into running weighted sums,
-so only the Markov chain holds its draws.  The matrix models draw
-``_EIG_BATCH`` rows per batch (fewer at n > 4), and their draws depend
-on that size, as each batch is one call per Ginibre stack.  The
-importance sampler draws ``_WEIGHTED_BATCH`` rows of normals per batch,
-few enough that a batch's columns stay in cache while they are squared,
-normalized, sorted by a comparator network and weighted; its draws do not
-depend on that size, as its batches concatenate to one
-``standard_normal`` call.
+Each sampler is one stream per worker of ``(spectra, log_weights)``
+batches, at log weight 0 for the matrix models; ``_stream`` alone maps a
+sampler name to its stream.  Drawing writes each worker's stream into
+preallocated arrays, joined in worker order (a lone worker's are
+returned as written), and keeps log weights for the importance sampler
+only; estimating folds the streams into running weighted sums, so no
+estimate holds its draws.  The matrix models draw ``_EIG_BATCH`` rows
+per batch (fewer at n > 4), and their draws depend on that size, as each
+batch is one call per Ginibre stack.  The importance sampler draws
+``_WEIGHTED_BATCH`` rows of normals per batch, few enough that a batch's
+columns stay in cache while they are squared, normalized, sorted by a
+comparator network and weighted; its draws do not depend on that size,
+as its batches concatenate to one ``standard_normal`` call.
 
 Parallelism and reproducibility: the master seed is split into one
 independent child stream per worker; chunks are combined in worker
@@ -43,6 +40,10 @@ order, so results are a pure function of (samples, seed, workers).
 Worker processes are an execution detail only -- running the same spec
 sequentially yields bit-identical output, and where a process pool cannot
 start the workers run in this process and the result's warnings say so.
+
+The block at the end is bench-only: the names ``bench/`` wraps or reads,
+three thin wrappers of the matrix models and random-walk Metropolis on the
+simplex.  No command or library route calls it.
 """
 
 from __future__ import annotations
@@ -77,31 +78,6 @@ _WEIGHTED_BATCH = 1 << 13
 #: near-double eigenvalues, where the closed form loses about sqrt(eps);
 #: ``eigvalsh`` takes them.
 _TRIG_MARGIN = 1e-6
-
-#: Metropolis acceptance-rate window considered healthy after adaptation.
-_ACCEPT_WINDOW = (0.1, 0.9)
-
-_ADAPT_TARGET = 0.4
-_ADAPT_INTERVAL = 100
-
-
-@dataclass(frozen=True)
-class McmcResult:
-    """Markov-chain output: equal-length chains plus diagnostics.
-
-    ``samples`` has shape (chains, per_chain, n) with descending
-    spectra; the total sample count is rounded up from the request so
-    every chain has the same length.
-    """
-
-    samples: np.ndarray
-    acceptance_rate: float
-    step_scale: float
-    warnings: tuple[str, ...]
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.samples.reshape(-1, self.samples.shape[-1])
 
 
 def _worker_rng(seed: int, index: int) -> np.random.Generator:
@@ -141,7 +117,7 @@ def _per_worker(fn, spec: McSpec, batches, metric: MetricKind, n: int, *rest):
     return _map_ordered(fn, jobs, spec.workers)
 
 
-# --- independent samplers ----------------------------------------------------
+# --- the samplers ------------------------------------------------------------
 
 def _ginibre(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
@@ -332,13 +308,13 @@ def _weighted_batches(metric: MetricKind, n: int, count: int, seed: int, index: 
 
 
 def _stream(metric: MetricKind, sampler: str):
-    """The per-worker stream of an independent sampler, called with the
-    metric.  An importance-sample row's log weight is that of density over
-    proposal, unnormalized: for HS ``prod d_ij^2 * prod r_i^(1/2)``; for
-    Bures and BKM the pair product, as the proposal's ``prod r_i^(-1/2)``
-    cancels and is never computed.  The weights stay bounded for Bures and
-    HS, grow only logarithmically for BKM, and are 0 (log weight ``-inf``)
-    on the simplex boundary."""
+    """The per-worker stream of a sampler, called with the metric.  An
+    importance-sample row's log weight is that of density over proposal,
+    unnormalized: for HS ``prod d_ij^2 * prod r_i^(1/2)``; for Bures and
+    BKM the pair product, as the proposal's ``prod r_i^(-1/2)`` cancels
+    and is never computed.  The weights stay bounded for Bures and HS,
+    grow only logarithmically for BKM, and are 0 (log weight ``-inf``) on
+    the simplex boundary."""
     if sampler == "weighted":
         return _weighted_batches
     if metric is MetricKind.BKM:
@@ -359,35 +335,6 @@ def _drawn(batches, metric: MetricKind, n: int, count: int, seed: int, index: in
             log_w[done:done + len(r)] = lw
         done += len(r)
     return spectra, log_w
-
-
-def _draw(metric: MetricKind, n: int, spec: McSpec, sampler: str):
-    """``(spectra, log_weights or None, warnings)`` of every worker's stream
-    in worker order; a lone worker's arrays are returned as it wrote them."""
-    parts, warnings = _per_worker(_drawn, spec, _stream(metric, sampler), metric, n)
-    if len(parts) == 1:
-        return (*parts[0], warnings)
-    spectra, log_w = zip(*parts)
-    return np.concatenate(spectra), None if log_w[0] is None else np.concatenate(log_w), warnings
-
-
-# bench/spans.py wraps these three through ``indicators._BENCH_NAMES``; no
-# package code calls them, and they go with that forwarder (ROADMAP item 1).
-
-def sample_hs_spectra(n: int, spec: McSpec) -> np.ndarray:
-    """(samples, n) descending spectra of the Hilbert-Schmidt matrix model."""
-    return _draw(MetricKind.HS, n, spec, "matrix")[0]
-
-
-def sample_bures_spectra(n: int, spec: McSpec) -> np.ndarray:
-    """(samples, n) descending spectra of the Bures matrix model."""
-    return _draw(MetricKind.BURES, n, spec, "matrix")[0]
-
-
-def positive_fraction_iid(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
-    """``_fraction`` at unit weight on the metric's matrix model: the hit
-    fraction p, the binomial ``sqrt(p (1 - p) / m)`` and the draw count m."""
-    return _fraction(_stream(metric, "matrix"), metric, n, kernel, spec)[:3]
 
 
 # --- the streaming estimator -------------------------------------------------
@@ -460,7 +407,93 @@ def _fraction(batches, metric: MetricKind, n: int, kernel: KernelSpectrum, spec:
     return p, _nonzero_error(se, int(ess)), ess, warnings
 
 
-# --- Metropolis on the simplex ----------------------------------------------
+# --- the sampler choice ------------------------------------------------------
+
+def resolve_sampler(metric: MetricKind, sampler: str | None, *, estimate: bool) -> str:
+    """The sampler a request names, with ``None``/'auto' resolved to the
+    default of its job.  An indicator estimate (``estimate=True``) takes
+    the importance sampler for every metric: at equal draws it has less
+    variance than the matrix models, and it resolves positive regions
+    too small for them to hit.  Drawn spectra (``estimate=False``, the
+    ``sample`` command) come unweighted from the metric's matrix model,
+    and from the importance sampler for BKM, which has none."""
+    if sampler in (None, "auto"):
+        return "weighted" if estimate or metric is MetricKind.BKM else "matrix"
+    if sampler not in SAMPLERS:
+        raise DomainError(f"unknown sampler {sampler!r}; expected one of: {', '.join(SAMPLERS)}")
+    return sampler
+
+
+def sample_spectra(metric: MetricKind, n: int, spec: McSpec, sampler: str):
+    """``(spectra, log_weights or None, warnings)`` of a sampler that
+    ``resolve_sampler`` returned: every worker's stream in worker order; a
+    lone worker's arrays are returned as it wrote them."""
+    parts, warnings = _per_worker(_drawn, spec, _stream(metric, sampler), metric, n)
+    if len(parts) == 1:
+        return (*parts[0], warnings)
+    spectra, log_w = zip(*parts)
+    return np.concatenate(spectra), None if log_w[0] is None else np.concatenate(log_w), warnings
+
+
+def positive_fraction(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec, sampler=None):
+    """``(p, se, meta, warnings)`` of the positive-cone fraction by the
+    sampler ``resolve_sampler`` picks for an estimate."""
+    sampler = resolve_sampler(metric, sampler, estimate=True)
+    p, se, ess, warnings = _fraction(_stream(metric, sampler), metric, n, kernel, spec)
+    meta = {"sampler": sampler, "samples": spec.samples, "ess": ess, "seed": spec.seed, "workers": spec.workers}
+    return p, se, meta, warnings
+
+
+# --- bench-only --------------------------------------------------------------
+# bench/spans.py wraps these names through ``indicators._BENCH_NAMES``, and
+# bench/layers.py and bench/workloads.py read the Markov chain's layout; no
+# command or library route calls them.  They go with ROADMAP item 1.
+
+def sample_hs_spectra(n: int, spec: McSpec) -> np.ndarray:
+    """(samples, n) descending spectra of the Hilbert-Schmidt matrix model."""
+    return sample_spectra(MetricKind.HS, n, spec, "matrix")[0]
+
+
+def sample_bures_spectra(n: int, spec: McSpec) -> np.ndarray:
+    """(samples, n) descending spectra of the Bures matrix model."""
+    return sample_spectra(MetricKind.BURES, n, spec, "matrix")[0]
+
+
+def positive_fraction_iid(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
+    """``_fraction`` at unit weight on the metric's matrix model: the hit
+    fraction p, the binomial ``sqrt(p (1 - p) / m)`` and the draw count m."""
+    return _fraction(_stream(metric, "matrix"), metric, n, kernel, spec)[:3]
+
+
+# Random-walk Metropolis on the simplex, in logit coordinates, targeting
+# the radial density; ``McSpec.burn_in``, ``thin`` and ``chains_per_worker``
+# lay out its chains.
+
+#: Metropolis acceptance-rate window considered healthy after adaptation.
+_ACCEPT_WINDOW = (0.1, 0.9)
+
+_ADAPT_TARGET = 0.4
+_ADAPT_INTERVAL = 100
+
+
+@dataclass(frozen=True)
+class McmcResult:
+    """Markov-chain output: equal-length chains plus diagnostics.
+
+    ``samples`` has shape (chains, per_chain, n) with descending
+    spectra; the total sample count is rounded up from the request so
+    every chain has the same length.
+    """
+
+    samples: np.ndarray
+    acceptance_rate: float
+    step_scale: float
+    warnings: tuple[str, ...]
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self.samples.reshape(-1, self.samples.shape[-1])
+
 
 def _logit_to_simplex(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Additive-logistic map and its log-Jacobian, vectorized over rows."""
@@ -517,8 +550,7 @@ def sample_mcmc_spectra(metric: MetricKind, n: int, spec: McSpec) -> McmcResult:
     density is permutation symmetric) and reports sorted spectra.  The
     step scale adapts toward ~40% acceptance during burn-in and is then
     frozen; a post-adaptation acceptance rate outside [0.1, 0.9] is
-    reported as a warning, as is a process pool that could not start.  An
-    opt-in cross-check of the independent samplers for every metric.
+    reported as a warning, as is a process pool that could not start.
     """
     if n < 2:
         raise DomainError("sampling needs n >= 2")
@@ -553,44 +585,3 @@ def positive_fraction_mcmc(result: McmcResult, kernel: KernelSpectrum):
     else:
         se = math.sqrt(p * (1.0 - p) / per_chain)
     return p, _nonzero_error(se, chains)
-
-
-# --- the sampler choice ------------------------------------------------------
-
-def resolve_sampler(metric: MetricKind, sampler: str | None, *, estimate: bool) -> str:
-    """The sampler a request names, with ``None``/'auto' resolved to the
-    default of its job.  An indicator estimate (``estimate=True``) takes
-    the importance sampler for every metric: at equal draws it has less
-    variance than the matrix models, and it resolves positive regions
-    too small for them to hit.  Drawn spectra (``estimate=False``, the
-    ``sample`` command) come unweighted from the metric's matrix model,
-    and from the importance sampler for BKM, which has none."""
-    if sampler in (None, "auto"):
-        return "weighted" if estimate or metric is MetricKind.BKM else "matrix"
-    if sampler not in SAMPLERS:
-        raise DomainError(f"unknown sampler {sampler!r}; expected one of: {', '.join(SAMPLERS)}")
-    return sampler
-
-
-def sample_spectra(metric: MetricKind, n: int, spec: McSpec, sampler: str):
-    """``(spectra, log_weights or None, warnings)`` of a sampler that
-    ``resolve_sampler`` returned; the chain's draws cut to ``spec.samples``."""
-    if sampler == "mcmc":
-        draws = sample_mcmc_spectra(metric, n, spec)
-        return draws.flat[: spec.samples], None, draws.warnings
-    return _draw(metric, n, spec, sampler)
-
-
-def positive_fraction(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec, sampler=None):
-    """``(p, se, meta, warnings)`` of the positive-cone fraction by the
-    sampler ``resolve_sampler`` picks for an estimate."""
-    sampler = resolve_sampler(metric, sampler, estimate=True)
-    meta = {"sampler": sampler, "samples": spec.samples}
-    if sampler == "mcmc":
-        draws = sample_mcmc_spectra(metric, n, spec)
-        p, se = positive_fraction_mcmc(draws, kernel)
-        meta["samples"], warnings = draws.flat.shape[0], draws.warnings
-    else:
-        p, se, meta["ess"], warnings = _fraction(_stream(metric, sampler), metric, n, kernel, spec)
-    meta.update(seed=spec.seed, workers=spec.workers)
-    return p, se, meta, warnings

@@ -119,9 +119,10 @@ def log_radial_density(metric: MetricKind, points: np.ndarray) -> np.ndarray:
     points (any eigenvalue order; the density is permutation symmetric).
 
     Rows touching the boundary (a non-positive entry) get ``-inf``.  It
-    sums the logs of the factors that ``_density_batch`` multiplies.  Only
-    the target of the opt-in Markov chain: the importance sampler shares
-    its pair sum, ``_log_weight``, not this function.
+    sums the logs of the factors that ``_density_batch`` multiplies.
+    Bench-only: the target of the Markov chain that only ``bench/`` runs;
+    the importance sampler shares its pair sum, ``_log_weight``, not this
+    function.
     """
     cols = np.asarray(points, dtype=float).T
     boundary = cols[0] <= 0.0

@@ -45,13 +45,13 @@ def validate(payload):
 
 def test_schema_describes_every_meta_key(capsys):
     # one output per route: closed form, quadrature, each Monte Carlo
-    # sampler, and a moduli average
+    # sampler, and the moduli average's closed form and quadrature
     mc = ["indicator", "--n", "2", "--metric", "hs", "--method", "mc", "--samples", "500", "--sampler"]
     commands = [
         ["indicator", "--n", "2", "--metric", "hs"],
         ["indicator", "--n", "2", "--metric", "bkm", "--method", "quad"],
-        *(mc + [sampler] for sampler in ("matrix", "weighted", "mcmc")),
-        ["average", "--metric", "hs"],
+        *(mc + [sampler] for sampler in ("matrix", "weighted")),
+        ["average"],
     ]
     described = SCHEMA["$defs"]["result_fields"]["properties"]["meta"]["properties"]
     for argv in commands:
@@ -171,6 +171,17 @@ class TestIndicatorCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "argv", [["indicator", "--n", "2", "--metric", "hs", "--method", "mc"], ["sample", "--metric", "hs"]],
+        ids=["indicator", "sample"],
+    )
+    def test_mcmc_sampler_is_usage_error(self, capsys, argv):
+        # two samplers remain: the matrix models and the weighted sampler
+        code, out, err = run_cli(capsys, *argv, "--sampler", "mcmc")
+        assert code == 2
+        assert out == ""
+        assert "--sampler" in err and "'mcmc'" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [_QUAD_INDICATOR, ["minimize", "--metric", "bures"], ["average", "--metric", "hs"]],
         ids=["indicator", "minimize", "average"],
@@ -187,7 +198,7 @@ class TestIndicatorCommand:
         [
             pytest.param(_QUAD_INDICATOR, "--rel-tol", "nan", id="--rel-tol-nan"),
             pytest.param(_QUAD_INDICATOR, "--rel-tol", "inf", id="--rel-tol-inf"),
-            pytest.param(["average", "--metric", "hs"], "--rel-tol", "nan", id="average-rel-tol-nan"),
+            pytest.param(["average", "--metric", "bures"], "--rel-tol", "nan", id="average-rel-tol-nan"),
         ],
     )
     def test_non_finite_tolerance_is_usage_error(self, capsys, argv, flag, value):
@@ -211,20 +222,26 @@ class TestAverageCommand:
         assert out == ""
         assert err.startswith("numerical failure:")
         assert "sector rule did not settle below rel_tol=1e-16 by order 256" in err
+        # the number reported is the numerator integral, not the average
+        integral = float(re.search(r"integral (\S+),", err).group(1))
+        assert integral == pytest.approx(2.645e-5, rel=1e-3)
 
-    def test_unreachable_tolerance_fails_for_the_flat_metric_too(self, capsys):
-        code, out, err = run_cli(capsys, "average", "--metric", "hs", "--rel-tol", "1e-16")
-        assert code == 1
+    def test_flat_metric_refuses_rel_tol(self, capsys):
+        # the flat average is exact, so no tolerance applies to it
+        code, out, err = run_cli(capsys, "average", "--metric", "hs", "--rel-tol", "1e-9")
+        assert code == 2
         assert out == ""
-        assert err.startswith("numerical failure:")
-        assert "Gauss-Legendre doubling did not settle below rel_tol=1e-16 by order 256" in err
+        assert err == "error: --rel-tol does not apply to the closed-form route\n"
 
     def test_provenance_validates(self, capsys):
         code, out, _ = run_cli(capsys, "average", "--metric", "all")
         assert code == 0
         payload = json.loads(out)
         validate(payload)
-        for result in payload["results"]:
+        hs, *curved = payload["results"]
+        # the flat average is exact; the sector rule records its order and evaluations
+        assert (hs["method"], hs["error"], hs["meta"]) == ("closed-form", 0.0, {"moduli_measure": "uniform"})
+        for result in curved:
             assert {"order", "evaluations"} <= result["meta"].keys()
 
     def test_flat_only(self, capsys):
@@ -294,7 +311,7 @@ class _Stop(Exception):
 @pytest.mark.parametrize(
     "owner, runner, argv, flag",
     [
-        ("indicators", "average_indicator", ["average", "--metric", "bures"], "--rel-tol"),
+        ("cli", "average_indicator", ["average", "--metric", "bures"], "--rel-tol"),
         ("cli", "minimize_indicator", ["minimize", "--metric", "bures"], "--rel-tol"),
         ("indicators", "global_indicator", ["indicator", "--n", "2", "--metric", "bkm", "--method", "quad"],
          "--rel-tol"),
@@ -605,10 +622,10 @@ class TestSampleCommand:
     "argv",
     [
         ["indicator", "--metric", "hs", "--n", "2", "--method", "mc"],
-        ["indicator", "--metric", "bkm", "--n", "2", "--method", "mc", "--sampler", "mcmc"],
+        ["indicator", "--metric", "hs", "--n", "2", "--method", "mc", "--sampler", "matrix"],
         ["sample", "--metric", "bkm", "--n", "3"],
     ],
-    ids=["indicator", "indicator-mcmc", "sample"],
+    ids=["indicator", "indicator-matrix", "sample"],
 )
 def test_pool_fallback_reaches_json_warnings(capsys, monkeypatch, argv):
     def no_pool(*args, **kwargs):
@@ -728,7 +745,9 @@ _CLOSED_FORM_INDICATORS = [
     *(["indicator", "--n", "2", "--metric", m] for m in ("hs", "bures", "bkm")),
     ["indicator", "--n", "3", "--metric", "hs", "--zeta", "pi/6"],
 ]
-_CLOSED_FORM_COMMANDS = [*_CLOSED_FORM_INDICATORS, ["minimize", "--metric", "hs"], ["curve"]]
+_CLOSED_FORM_COMMANDS = [
+    *_CLOSED_FORM_INDICATORS, ["average", "--metric", "hs"], ["minimize", "--metric", "hs"], ["curve"],
+]
 
 
 def run_main(commands, numpy="importable"):
@@ -751,6 +770,7 @@ _QUAD_FLAG_COMMANDS = [
     (_QUAD_INDICATOR, None),
     (_MC_INDICATOR, "monte-carlo"),
     (["average"], None),
+    (["average", "--metric", "hs"], "closed-form"),
     (["minimize", "--metric", "hs"], "closed-form"),
     (["minimize", "--metric", "bures"], None),
 ]
@@ -784,7 +804,8 @@ def test_flag_is_checked_by_every_command_that_takes_it(flag, value, message, co
 @pytest.mark.parametrize(
     "argv, flag, route",
     [
-        (["indicator", "--n", "2", "--metric", "hs", "--sampler", "mcmc", "--samples", "5"], "--sampler", "closed-form"),
+        (["indicator", "--n", "2", "--metric", "hs", "--sampler", "matrix", "--samples", "5"], "--sampler",
+         "closed-form"),
         (["indicator", "--n", "2", "--metric", "bkm", "--seed", "0"], "--seed", "closed-form"),
         (_QUAD_INDICATOR + ["--sampler", "matrix"], "--sampler", "quadrature"),
         (_QUAD_INDICATOR + ["--work", "1"], "--workers", "quadrature"),
@@ -816,6 +837,7 @@ print(json.dumps({"codes": codes, "scipy": scipy, "multiprocessing": "multiproce
 _NO_SCIPY_COMMANDS = [
     ["indicator", "--n", "2", "--metric", "bkm"],
     ["indicator", "--n", "3", "--metric", "hs", "--zeta", "pi/6"],
+    ["average", "--metric", "hs"],
     ["minimize", "--metric", "hs"],
     ["curve"],
     ["sample", "--metric", "hs", "--n", "3", "--samples", "100"],
@@ -834,7 +856,8 @@ def run_loaded(commands):
 
 def test_commands_without_integration_never_import_scipy():
     # nor, with one worker, the process pool
-    expected = {"codes": [0] * 10, "scipy": [], "multiprocessing": False, "samplers": _SAMPLER_MODULES}
+    expected = {"codes": [0] * len(_NO_SCIPY_COMMANDS), "scipy": [], "multiprocessing": False,
+                "samplers": _SAMPLER_MODULES}
     assert run_loaded(_NO_SCIPY_COMMANDS) == expected
 
 

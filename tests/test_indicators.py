@@ -1,6 +1,7 @@
 """Indicator values, moduli averages, minimization and the probability curve."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,8 +150,13 @@ class TestGlobalIndicator:
     @pytest.mark.parametrize("spec", [None, QuadratureSpec()], ids=["default", "quadrature"])
     def test_sampler_needs_mc_spec(self, spec):
         # quadrature draws nothing, so a sampler there is refused, not dropped
-        with pytest.raises(DomainError, match="sampler 'mcmc' needs an McSpec"):
-            global_indicator(MetricKind.HS, 3, ModuliPoint.qutrit(0.3), spec, sampler="mcmc")
+        with pytest.raises(DomainError, match="sampler 'weighted' needs an McSpec"):
+            global_indicator(MetricKind.HS, 3, ModuliPoint.qutrit(0.3), spec, sampler="weighted")
+
+    def test_mcmc_sampler_is_refused(self):
+        # two samplers remain: the matrix models and the weighted sampler
+        with pytest.raises(DomainError, match="unknown sampler 'mcmc'; expected one of: matrix, weighted"):
+            global_indicator(MetricKind.HS, 2, spec=McSpec(samples=100, seed=1), sampler="mcmc")
 
     def test_closed_form_dispatch(self):
         assert closed_indicator(MetricKind.BKM, 2).value == pytest.approx(0.0495506, abs=1e-7)
@@ -287,7 +293,8 @@ class TestAverageIndicator:
     def test_converges_at_tight_tolerance(self, metric, inner):
         r = average_indicator(metric, spec=QuadratureSpec(rel_tol=1e-13), inner=inner)
         default = average_indicator(metric, inner=inner)
-        assert r.meta["order"] >= default.meta["order"]
+        # the flat closed form has no order: it is exact at every tolerance
+        assert r.meta.get("order", 0) >= default.meta.get("order", 0)
         assert abs(r.value - default.value) <= r.error + default.error
 
     def test_flat_average_matches_its_exact_value(self):
@@ -302,14 +309,22 @@ class TestAverageIndicator:
         assert abs(quad.value - exact) <= quad.error
         assert closed.value == pytest.approx(exact, rel=1e-14, abs=0.0)
 
-    def test_flat_closed_form_route_stops_on_rel_tol(self):
-        # order 32 meets every rel_tol down to 1e-12; at 1e-16 the doubling
-        # stalls on rounding (change 1.5e-17) instead of passing on abs_tol
-        bits = {average_indicator(MetricKind.HS, spec=QuadratureSpec(rel_tol=t)).value.hex()
-                for t in (1e-5, 1e-7, 1e-9, 1e-12)}
-        assert len(bits) == 1
-        with pytest.raises(ConvergenceError, match="did not settle below rel_tol=1e-16 by order 256"):
-            average_indicator(MetricKind.HS, spec=QuadratureSpec(rel_tol=1e-16))
+    def test_flat_average_is_exact_at_every_rel_tol(self):
+        # the correctly rounded value at every tolerance, reported as
+        # closed_indicator reports a closed form
+        for k in range(5, 17):
+            r = average_indicator(MetricKind.HS, spec=QuadratureSpec(rel_tol=float(f"1e-{k}")))
+            assert r.value.hex() == (1.3636762154306278e-3).hex()
+            assert (r.error, r.method, r.meta) == (0.0, "closed-form", {"moduli_measure": "uniform"})
+
+    def test_unsettled_sector_rule_reports_its_integral(self, monkeypatch):
+        # the number in the message is the rule's last sum, the numerator
+        # integral, not the average (that sum over the full volume)
+        monkeypatch.setattr(quadrature, "_sector_rule_sum", lambda metric, order: 1.0 + 1.0 / order)
+        message = ("bkm n=3 moduli average: sector rule did not settle below rel_tol=1e-07 by order 256: "
+                   "integral 1.003906e+00, last change 3.906e-03")
+        with pytest.raises(ConvergenceError, match=re.escape(message)):
+            average_indicator(MetricKind.BKM)
 
     def test_rejects_other_dimensions_and_mc(self):
         with pytest.raises(DomainError):

@@ -108,18 +108,30 @@ def test_unknown_attribute_raises():
         wignerq.no_such_name
 
 
-def test_every_name_the_benchmark_wraps_resolves():
-    # the traced benchmark pass replaces these attributes; each must be
-    # there, as the package's own module attribute or a forwarded one
+def _wrapped():
+    """``bench/spans.py``'s ``WRAPPED``: (module, attribute, layer) triples."""
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    for module, attr, _ in spans.WRAPPED:
+    return spans.WRAPPED
+
+
+def test_every_name_the_benchmark_wraps_resolves():
+    # the traced benchmark pass replaces these attributes; each must be
+    # there, as the package's own module attribute or a forwarded one
+    for module, attr, _ in _wrapped():
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
 
 
 def test_indicators_forwards_only_the_wrapped_sampler_names():
+    # one fence: indicators imports none of the names bench/spans.py wraps
+    # on it, and forwards each, and no other, from the engine that defines it
     from wignerq import indicators
 
+    wrapped = {attr for module, attr, _ in _wrapped() if module == "wignerq.indicators"}
+    assert set(indicators._BENCH_NAMES) == wrapped
+    for name, engine in indicators._BENCH_NAMES.items():
+        assert name not in vars(indicators)
+        assert getattr(indicators, name).__module__ == f"wignerq.integrate.{engine}"
     with pytest.raises(AttributeError, match="sample_spectra"):
         indicators.sample_spectra

@@ -421,7 +421,7 @@ class TestGaussLegendreDoubling:
     def test_stalls_on_rough_integrand(self):
         with pytest.raises(ConvergenceError) as err:
             gauss_legendre_doubling(lambda x: math.sin(1000.0 * x), 0.0, 1.0, rel_tol=1e-12)
-        found = re.search(r"by order 256: value (\S+), last change (\S+)$", str(err.value))
+        found = re.search(r"by order 256: integral (\S+), last change (\S+)$", str(err.value))
         assert found is not None
         assert math.isfinite(float(found[1])) and float(found[2]) > 0.0
 

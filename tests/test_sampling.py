@@ -89,10 +89,10 @@ class TestDeterminism:
         assert all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) for a, b in zip(fallback, sequential))
 
     @pytest.mark.parametrize("metric, sampler", [
-        (MetricKind.BKM, "weighted"), (MetricKind.HS, "matrix"), (MetricKind.HS, "mcmc"),
+        (MetricKind.BKM, "weighted"), (MetricKind.HS, "matrix"),
     ])
     def test_pool_failure_reaches_the_result_warnings(self, metric, sampler, monkeypatch):
-        spec = McSpec(samples=2_000, seed=99, workers=2, burn_in=100)
+        spec = McSpec(samples=2_000, seed=99, workers=2)
         _refuse_process_pool(monkeypatch)
         p, se, meta, found = positive_fraction(metric, 2, QUBIT_KERNEL, spec, sampler)
         assert 0.0 < p < 1.0 and se > 0.0 and meta["workers"] == 2
