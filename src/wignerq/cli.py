@@ -6,8 +6,9 @@ values, ``average`` and ``minimize`` over the three-level moduli angle,
 spectra, and ``reproduce-paper`` for the full table of published
 values with a pass/fail manifest.
 
-All output is machine readable (JSON or CSV, 12 significant digits) and
-deterministic given identical flags, including seed and worker count.
+All output is machine readable (JSON, or CSV rounded to 12 significant
+digits) and deterministic given identical flags, including seed and
+worker count.
 Exit codes: 0 success (also when the reader closes stdout before the
 output ends), 1 numerical failure, 2 usage error.
 

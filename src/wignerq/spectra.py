@@ -156,8 +156,10 @@ class ModuliPoint:
             if self.zeta is not None or self.direction is not None:
                 raise DomainError("the two-level kernel is unique; no zeta or direction applies")
         elif self.n == 3:
-            if self.zeta is None or self.direction is not None:
+            if self.direction is not None:
                 raise DomainError("a three-level moduli point is the angle zeta alone")
+            if self.zeta is None:
+                raise DomainError("a three-level moduli point needs the angle zeta")
             object.__setattr__(self, "zeta", _check_zeta(self.zeta))
         else:
             if self.direction is None or self.zeta is not None:

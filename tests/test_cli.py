@@ -151,7 +151,7 @@ class TestIndicatorCommand:
     def test_missing_zeta_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "indicator", "--n", "3", "--metric", "hs")
         assert code == 2
-        assert "zeta" in err
+        assert "a three-level moduli point needs the angle zeta" in err
 
     def test_zero_denominator_angle_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "indicator", "--n", "3", "--metric", "hs", "--zeta", "pi/0")
@@ -209,7 +209,7 @@ class TestIndicatorCommand:
 
     def test_unreachable_tolerance_is_numerical_failure(self, capsys):
         code, _, err = run_cli(
-            capsys, "indicator", "--n", "2", "--metric", "bkm", "--method", "quad", "--rel-tol", "1e-15"
+            capsys, "indicator", "--n", "2", "--metric", "bkm", "--method", "quad", "--rel-tol", "1e-16"
         )
         assert code == 1
         assert "numerical failure" in err
@@ -217,14 +217,16 @@ class TestIndicatorCommand:
 
 class TestAverageCommand:
     def test_unreachable_tolerance_names_the_order_reached(self, capsys):
-        code, out, err = run_cli(capsys, "average", "--metric", "bkm", "--rel-tol", "1e-16")
+        # Bures: its sector rule runs before the full volume and still moves
+        # by 4e-16 from order 128 to 256 (BKM's does not move at all there)
+        code, out, err = run_cli(capsys, "average", "--metric", "bures", "--rel-tol", "1e-16")
         assert code == 1
         assert out == ""
         assert err.startswith("numerical failure:")
         assert "sector rule did not settle below rel_tol=1e-16 by order 256" in err
         # the number reported is the numerator integral, not the average
         integral = float(re.search(r"integral (\S+),", err).group(1))
-        assert integral == pytest.approx(2.645e-5, rel=1e-3)
+        assert integral == pytest.approx(2.294e-5, rel=1e-3)
 
     def test_flat_metric_refuses_rel_tol(self, capsys):
         # the flat average is exact, so no tolerance applies to it

@@ -163,6 +163,12 @@ class TestGlobalIndicator:
         with pytest.raises(DomainError):
             closed_indicator(MetricKind.BURES, 3, ModuliPoint.qutrit(0.1))
 
+    def test_bkm_qubit_quadrature_settles_at_rel_tol_1e_15(self):
+        # the Golub-Welsch weights are accurate enough for the collapsed
+        # cubature to settle this close to its closed form
+        q = global_indicator(MetricKind.BKM, 2, spec=QuadratureSpec(rel_tol=1e-15)).value
+        assert q == pytest.approx(closed_indicator(MetricKind.BKM, 2).value, rel=1e-14, abs=0.0)
+
 
 class TestDefaultSpec:
     """Every entry point given ``spec=None`` runs at ``QuadratureSpec()``."""

@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from density_reference import density_reference
+from gm_reference import gm_rule_reference
 from polar_reference import qutrit_ray
 from sector_reference import sector_rule_sum_reference
 
@@ -137,7 +139,7 @@ class TestQubitVolumes:
             orbit_volume_qubit(MetricKind.HS, 1.5)
 
     def test_unreachable_tolerance_raises_with_estimate(self):
-        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
+        spec = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-300)
         with pytest.raises(ConvergenceError) as err:
             orbit_volume_qubit(MetricKind.BKM, 1.0, spec)
         # the message carries the last cubature value and its change
@@ -386,23 +388,34 @@ class TestSimplexVolumes:
     def test_simplex_route_never_imports_scipy(self):
         script = (
             "import sys\n"
-            "from wignerq import MetricKind, ModuliPoint, kernel_for, orbit_volume_simplex, qutrit_kernel_spectrum\n"
+            "from wignerq import (MetricKind, ModuliPoint, average_indicator, kernel_for, orbit_volume_simplex,\n"
+            "                     qutrit_kernel_spectrum)\n"
             "from wignerq.integrate.quadrature import orbit_volume_qubit\n"
             "for m in MetricKind:\n"
             "    orbit_volume_qubit(m, 0.9)\n"
             "    orbit_volume_simplex(m, 2, kernel_for(ModuliPoint.qubit()))\n"
             "    orbit_volume_simplex(m, 3, qutrit_kernel_spectrum(0.5))\n"
             "    orbit_volume_simplex(m, 4)\n"
+            "average_indicator(MetricKind.BKM)\n"
             "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
             "print(sorted({'wignerq.integrate.sampling', 'concurrent.futures'} & set(sys.modules)))\n"
+            "print(sorted(k for k in sys.modules if k.startswith('numpy.polynomial')))\n"
         )
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                               timeout=120, check=True)
-        # nor the sampler and its process pool
-        assert proc.stdout == "[]\n[]\n"
+        # nor the sampler and its process pool, nor numpy.polynomial: the
+        # Gauss-Legendre rules come from numpy.linalg
+        assert proc.stdout == "[]\n[]\n[]\n"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_flat_rule_matches_its_per_composition_build(self, n):
+        points, weights = _gm_rule(n - 1, n * (n - 1) // 2)
+        ref_points, ref_weights = gm_rule_reference(n - 1, n * (n - 1) // 2)
+        assert np.array_equal(points, ref_points) and np.array_equal(weights, ref_weights)
+        assert not points.flags.writeable and not weights.flags.writeable
 
     def test_flat_route_rejects_large_n_before_building_a_rule(self):
         before = _gm_rule.cache_info()
@@ -434,9 +447,12 @@ class TestGaussLegendreDoubling:
             gauss_legendre_doubling(math.cos, 0.0, 1.0, rel_tol=1e-6, abs_tol=1e-15)
 
     def test_rules_are_read_only_and_built_once(self):
+        for order in range(1, 129):
+            s, w = quadrature._gauss_legendre(order)
+            nodes, weights = scipy.special.roots_legendre(order)
+            assert np.max(np.abs(s - (nodes + 1.0) / 2.0)) <= 5e-16
+            assert np.max(np.abs(w - weights / 2.0) / (weights / 2.0)) <= 1e-10
         s, w = quadrature._gauss_legendre(16)
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        assert np.array_equal(s, (nodes + 1.0) / 2.0) and np.array_equal(w, weights / 2.0)
         assert not s.flags.writeable and not w.flags.writeable
         with pytest.raises(ValueError):
             s[0] = 0.5

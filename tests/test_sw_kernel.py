@@ -122,8 +122,10 @@ class TestKernelFor:
 
     def test_rejects_bad_directions(self):
         # the moduli point checks a direction before any kernel is built
-        with pytest.raises(DomainError):
-            ModuliPoint(3, direction=(1.0, 0.0))  # n = 3 takes zeta alone
+        with pytest.raises(DomainError, match="the angle zeta alone"):
+            ModuliPoint(3, direction=(1.0, 0.0))
+        with pytest.raises(DomainError, match="the angle zeta alone"):
+            ModuliPoint(3, zeta=0.5, direction=(1.0, 0.0))
         with pytest.raises(DomainError):
             ModuliPoint.from_direction(4, (2.0, -1.0, -1.0))  # not unit
         with pytest.raises(DomainError):
