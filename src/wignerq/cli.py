@@ -32,7 +32,6 @@ import re
 import sys
 
 from .closed_form import (
-    SAMPLERS,
     IndicatorResult,
     McSpec,
     QuadratureSpec,
@@ -54,16 +53,16 @@ _CSV_BLOCK = 1 << 16  # rows of ``sample`` made Python floats at a time for CSV
 #: Cap on ``--workers``: the per-worker job lists grow with it.
 _MAX_WORKERS = 256
 #: Cap on ``--samples`` of the Monte Carlo commands.  Every estimate
-#: counts its draws in batches, so its memory does not grow with the
-#: count; the cap bounds the run time instead (at the cap, seconds for the
-#: weighted sampler and about ten times that for the matrix models).
+#: counts its importance-sampled draws in batches, so its memory does not
+#: grow with the count; the cap bounds the run time instead (seconds at
+#: the cap).
 _MC_MAX_SAMPLES = 2 * 10**7
 #: The typed flags that each route of ``indicator``, ``average`` and
 #: ``minimize`` reads.
 _ROUTE_FLAGS = {
     "closed-form": (),
     "quadrature": ("--rel-tol",),
-    "monte-carlo": ("--sampler", "--samples", "--seed", "--workers"),
+    "monte-carlo": ("--samples", "--seed", "--workers"),
 }
 #: Cap on ``curve --points``: the table is built whole before it is written.
 _CURVE_MAX_POINTS = 10**6
@@ -192,7 +191,7 @@ def cmd_indicator(args) -> int:
         spec = _mc_spec(args) if mc else _quad_spec(args)
         from .indicators import global_indicator
 
-        result = global_indicator(metric, args.n, moduli, spec, sampler=args.sampler)
+        result = global_indicator(metric, args.n, moduli, spec)
     payload = {"command": "indicator", **result.to_json_dict()}
     _emit(args, payload, *_indicator_rows([result]))
     return 0
@@ -233,9 +232,9 @@ def cmd_sample(args) -> int:
     spec = _mc_spec(args)
     import numpy as np
 
-    from .integrate.sampling import resolve_sampler, sample_spectra
+    from .integrate.sampling import sample_spectra, sampler_for
 
-    sampler = resolve_sampler(metric, args.sampler, estimate=False)
+    sampler = sampler_for(metric)
     per_row = args.n + (sampler == "weighted")
     if args.n > _SAMPLE_MAX_N or args.samples * per_row > _SAMPLE_MAX_VALUES:
         raise DomainError(
@@ -372,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=parse_angle, default=None,
                    help="moduli angle for n=3; accepts pi-fractions like pi/6")
     p.add_argument("--method", choices=("auto", "quad", "mc"), default="auto")
-    p.add_argument("--sampler", choices=SAMPLERS, default=None, action=_Typed)
     _add_quad_flags(p)
     _add_mc_flags(p)
     _add_output_flags(p)
@@ -400,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw random spectra and write them out")
     p.add_argument("--metric", required=True)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--sampler", choices=("auto", *SAMPLERS), default="auto")
     _add_mc_flags(p, samples_default=10_000)
     _add_output_flags(p, default_format="csv")
     p.set_defaults(func=cmd_sample)

@@ -6,11 +6,10 @@ standard library, ``errors`` and ``spectra``: the two-level ball volumes
 positive-ball radius, the flat three-level indicator as a function of the
 apex angle, the closed-form indicator result, the two-level positivity
 curve, the moduli average (exact for the flat metric) and Brent's bounded
-minimization over the angle, the quadrature and Monte Carlo specs and the
-sampler names, so the command line checks its flags before loading any
-numerical engine.  The quadrature route of the average imports
-``integrate.quadrature``, and that of the minimization ``indicators``,
-when they run.
+minimization over the angle, and the quadrature and Monte Carlo specs, so
+the command line checks its flags before loading any numerical engine.
+The quadrature route of the average imports ``integrate.quadrature``, and
+that of the minimization ``indicators``, when they run.
 """
 
 from __future__ import annotations
@@ -52,11 +51,6 @@ class QuadratureSpec:
     def __post_init__(self):
         if not all(math.isfinite(t) and t > 0.0 for t in (self.rel_tol, self.abs_tol)):
             raise DomainError("quadrature tolerances must be finite and positive")
-
-
-#: The Monte Carlo samplers a run may name: the metric's matrix model and
-#: the importance sampler.
-SAMPLERS = ("matrix", "weighted")
 
 
 @dataclass(frozen=True)

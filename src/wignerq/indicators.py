@@ -12,7 +12,7 @@ Three evaluation paths exist and cross-check each other: closed forms
 (two-level systems and the flat three-level case, in ``closed_form``),
 deterministic quadrature (the simplex volumes of
 ``integrate.quadrature.orbit_volume_simplex``, 2 <= N <= 6), and Monte
-Carlo, whose sampler choice ``integrate.sampling`` owns; it is loaded
+Carlo by importance sampling in ``integrate.sampling``, which is loaded
 only when a Monte Carlo indicator runs, never by quadrature.
 """
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 import importlib
 
 from .closed_form import IndicatorResult, McSpec, QuadratureSpec, _default_moduli
-from .errors import DomainError
 from .integrate.quadrature import orbit_volume_simplex, simplex_full_volume
 from .spectra import MetricKind, ModuliPoint
 from .sw_kernel import kernel_for
@@ -40,10 +39,10 @@ def _quadrature_indicator(metric, n, moduli, spec: QuadratureSpec) -> IndicatorR
     )
 
 
-def _mc_indicator(metric, n, moduli, spec: McSpec, sampler) -> IndicatorResult:
+def _mc_indicator(metric, n, moduli, spec: McSpec) -> IndicatorResult:
     from .integrate.sampling import positive_fraction
 
-    p, se, meta, warnings = positive_fraction(metric, n, kernel_for(moduli), spec, sampler)
+    p, se, meta, warnings = positive_fraction(metric, n, kernel_for(moduli), spec)
     return IndicatorResult(p, se, metric, n, moduli, "monte-carlo", warnings=warnings, meta=meta)
 
 
@@ -52,7 +51,6 @@ def global_indicator(
     n: int,
     moduli: ModuliPoint | None = None,
     spec: QuadratureSpec | McSpec | None = None,
-    sampler: str | None = None,
 ) -> IndicatorResult:
     """Relative volume of the Wigner-positive orbit-space region.
 
@@ -63,20 +61,14 @@ def global_indicator(
     settle: at the default spec the full volume does for Bures up to
     n = 6 and BKM up to n = 5, but not every positive part does, as for
     Bures at n = 6 and direction e_1); an ``McSpec`` estimates the
-    positive-cone fraction from random spectra by
-    ``integrate.sampling.positive_fraction``, which owns the sampler
-    choice and is loaded only on this path.  ``sampler`` names one of
-    ``closed_form.SAMPLERS``; with any other spec it is a DomainError.
-    By default every metric uses the importance sampler; 'matrix' runs
-    the HS and Bures matrix models, the paper's ensembles.  Both draw and
-    count their spectra in batches, so their memory stays bounded.
-    Samples count as positive to ``positivity.DEFAULT_CONE_TOL``.
+    positive-cone fraction from importance-sampled spectra by
+    ``integrate.sampling.positive_fraction``, which is loaded only on this
+    path.  It draws and counts its spectra in batches, so its memory stays
+    bounded.  Samples count as positive to ``positivity.DEFAULT_CONE_TOL``.
     """
     moduli = _default_moduli(n, moduli)
     if isinstance(spec, McSpec):
-        return _mc_indicator(metric, n, moduli, spec, sampler)
-    if sampler is not None:
-        raise DomainError(f"sampler {sampler!r} needs an McSpec; quadrature draws no samples")
+        return _mc_indicator(metric, n, moduli, spec)
     return _quadrature_indicator(metric, n, moduli, spec or QuadratureSpec())
 
 

@@ -10,29 +10,32 @@
   for the rare rows with near-double eigenvalues.  At n >= 4 U comes from
   a phase-fixed ``np.linalg.qr`` and the spectra from ``eigvalsh``.  Both
   read the same random stream.
-* Any metric, and the default of every Monte Carlo indicator:
-  importance sampling: sorted Dirichlet(1/2, ..., 1/2) spectra, drawn as
-  squared standard normals over their sum, each weighted by the radial
-  density over the proposal density: for HS ``prod d_ij^2 *
-  prod r_i^(1/2)``, for Bures and BKM the pair product.
+* Any metric, and every Monte Carlo indicator: importance sampling:
+  sorted Dirichlet(1/2, ..., 1/2) spectra, drawn as squared standard
+  normals over their sum, each weighted by the radial density over the
+  proposal density.
 
-It owns the sampler choice (``resolve_sampler``), drawing (``sample_spectra``)
-and estimating (``positive_fraction``); only the Monte Carlo indicator and
-``sample`` import it, so quadrature never loads it or ``positivity``.
+Each job has one sampler.  Estimating (``positive_fraction``, the Monte
+Carlo indicator) always importance-samples: at every n it has less
+variance per unit of work than the matrix models, and it resolves
+positive regions too small for them to hit.  Drawing (``sample_spectra``,
+the ``sample`` command) takes the sampler that ``sampler_for`` names: the
+metric's matrix model, and the importance sampler for BKM, which has
+none.  Only the Monte Carlo indicator and ``sample`` import this module,
+so quadrature never loads it or ``positivity``.
 
 Each sampler is one stream per worker of ``(spectra, log_weights)``
-batches, at log weight 0 for the matrix models; ``_stream`` alone maps a
-sampler name to its stream.  Drawing writes each worker's stream into
-preallocated arrays, joined in worker order (a lone worker's are
-returned as written), and keeps log weights for the importance sampler
-only; estimating folds the streams into running weighted sums, so no
-estimate holds its draws.  The matrix models draw ``_EIG_BATCH`` rows
-per batch (fewer at n > 4), and their draws depend on that size, as each
-batch is one call per Ginibre stack.  The importance sampler draws
-``_WEIGHTED_BATCH`` rows of normals per batch, few enough that a batch's
-columns stay in cache while they are squared, normalized, sorted by a
-comparator network and weighted; its draws do not depend on that size,
-as its batches concatenate to one ``standard_normal`` call.
+batches, at log weight 0 for the matrix models.  Drawing writes each
+worker's stream into preallocated arrays, joined in worker order (a lone
+worker's are returned as written), and keeps log weights for the
+importance sampler only; estimating folds the streams into running
+weighted sums, so no estimate holds its draws.  The matrix models draw
+``_EIG_BATCH`` rows per batch (fewer at n > 4), and their draws depend on
+that size, as each batch is one call per Ginibre stack.  The importance
+sampler draws ``_WEIGHTED_BATCH`` rows of normals per batch, few enough
+that a batch's columns stay in cache while they are squared, normalized,
+sorted by a comparator network and weighted; its draws do not depend on
+that size, as its batches concatenate to one ``standard_normal`` call.
 
 Parallelism and reproducibility: the master seed is split into one
 independent child stream per worker; chunks are combined in worker
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..closed_form import SAMPLERS, McSpec
+from ..closed_form import McSpec
 from ..errors import DomainError
 from ..measures import _log_weight, log_radial_density
 from ..positivity import DEFAULT_CONE_TOL, min_pairing_batch
@@ -233,7 +236,10 @@ def _closed_form_spectra(rng: np.random.Generator, bures: bool, m: int, n: int) 
 def _matrix_batches(metric: MetricKind, n: int, count: int, seed: int, index: int):
     """One worker's draws from the metric's matrix model (HS or Bures) as
     ``(spectra, log_weights)`` batches; every log weight is 0, as the rows
-    are unweighted."""
+    are unweighted.  BKM has no matrix model: its first batch is a
+    DomainError."""
+    if metric is MetricKind.BKM:
+        raise DomainError("no matrix model is available for the BKM measure; use the 'weighted' sampler")
     rng = _worker_rng(seed, index)
     draw = _closed_form_spectra if n <= 3 else _lapack_spectra
     bures = metric is MetricKind.BURES
@@ -297,7 +303,14 @@ def _weighted_batches(metric: MetricKind, n: int, count: int, seed: int, index: 
     batches of at most ``_WEIGHTED_BATCH`` rows, drawn from one stream: the
     batches' normals concatenate to the rows of a single
     ``standard_normal((count, n))`` call.  Each batch is drawn, sorted and
-    weighted as contiguous columns; its spectra are their transpose."""
+    weighted as contiguous columns; its spectra are their transpose.
+
+    A row's log weight is that of density over proposal, unnormalized: for
+    HS ``prod d_ij^2 * prod r_i^(1/2)``; for Bures and BKM the pair
+    product, as the proposal's ``prod r_i^(-1/2)`` cancels and is never
+    computed.  The weights stay bounded for Bures and HS, grow only
+    logarithmically for BKM, and are 0 (log weight ``-inf``) on the
+    simplex boundary."""
     rng = _worker_rng(seed, index)
     power = 0.5 if metric is MetricKind.HS else 0.0  # Bures, BKM: the proposal cancels
     network = _sorting_network(n)
@@ -305,21 +318,6 @@ def _weighted_batches(metric: MetricKind, n: int, count: int, seed: int, index: 
         cols = _sort_columns(_half_dirichlet_columns(rng, min(_WEIGHTED_BATCH, count - start), n), network)
         # columns descend: a row is on the boundary (weight 0) exactly where its last entry is <= 0
         yield cols.T, _log_weight(metric, cols, power, cols[-1] <= 0.0)
-
-
-def _stream(metric: MetricKind, sampler: str):
-    """The per-worker stream of a sampler, called with the metric.  An
-    importance-sample row's log weight is that of density over proposal,
-    unnormalized: for HS ``prod d_ij^2 * prod r_i^(1/2)``; for Bures and
-    BKM the pair product, as the proposal's ``prod r_i^(-1/2)`` cancels
-    and is never computed.  The weights stay bounded for Bures and HS,
-    grow only logarithmically for BKM, and are 0 (log weight ``-inf``) on
-    the simplex boundary."""
-    if sampler == "weighted":
-        return _weighted_batches
-    if metric is MetricKind.BKM:
-        raise DomainError("no matrix model is available for the BKM measure; use the 'weighted' sampler")
-    return _matrix_batches
 
 
 def _drawn(batches, metric: MetricKind, n: int, count: int, seed: int, index: int):
@@ -407,40 +405,31 @@ def _fraction(batches, metric: MetricKind, n: int, kernel: KernelSpectrum, spec:
     return p, _nonzero_error(se, int(ess)), ess, warnings
 
 
-# --- the sampler choice ------------------------------------------------------
+# --- the two jobs ------------------------------------------------------------
 
-def resolve_sampler(metric: MetricKind, sampler: str | None, *, estimate: bool) -> str:
-    """The sampler a request names, with ``None``/'auto' resolved to the
-    default of its job.  An indicator estimate (``estimate=True``) takes
-    the importance sampler for every metric: at equal draws it has less
-    variance than the matrix models, and it resolves positive regions
-    too small for them to hit.  Drawn spectra (``estimate=False``, the
-    ``sample`` command) come unweighted from the metric's matrix model,
-    and from the importance sampler for BKM, which has none."""
-    if sampler in (None, "auto"):
-        return "weighted" if estimate or metric is MetricKind.BKM else "matrix"
-    if sampler not in SAMPLERS:
-        raise DomainError(f"unknown sampler {sampler!r}; expected one of: {', '.join(SAMPLERS)}")
-    return sampler
+def sampler_for(metric: MetricKind) -> str:
+    """The sampler that ``sample`` draws a metric's spectra from: its
+    matrix model, unweighted, and the importance sampler for BKM."""
+    return "weighted" if metric is MetricKind.BKM else "matrix"
 
 
 def sample_spectra(metric: MetricKind, n: int, spec: McSpec, sampler: str):
-    """``(spectra, log_weights or None, warnings)`` of a sampler that
-    ``resolve_sampler`` returned: every worker's stream in worker order; a
-    lone worker's arrays are returned as it wrote them."""
-    parts, warnings = _per_worker(_drawn, spec, _stream(metric, sampler), metric, n)
+    """``(spectra, log_weights or None, warnings)`` of the sampler named
+    'matrix' or 'weighted': every worker's stream in worker order; a lone
+    worker's arrays are returned as it wrote them."""
+    batches = {"matrix": _matrix_batches, "weighted": _weighted_batches}[sampler]
+    parts, warnings = _per_worker(_drawn, spec, batches, metric, n)
     if len(parts) == 1:
         return (*parts[0], warnings)
     spectra, log_w = zip(*parts)
     return np.concatenate(spectra), None if log_w[0] is None else np.concatenate(log_w), warnings
 
 
-def positive_fraction(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec, sampler=None):
+def positive_fraction(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
     """``(p, se, meta, warnings)`` of the positive-cone fraction by the
-    sampler ``resolve_sampler`` picks for an estimate."""
-    sampler = resolve_sampler(metric, sampler, estimate=True)
-    p, se, ess, warnings = _fraction(_stream(metric, sampler), metric, n, kernel, spec)
-    meta = {"sampler": sampler, "samples": spec.samples, "ess": ess, "seed": spec.seed, "workers": spec.workers}
+    importance sampler."""
+    p, se, ess, warnings = _fraction(_weighted_batches, metric, n, kernel, spec)
+    meta = {"sampler": "weighted", "samples": spec.samples, "ess": ess, "seed": spec.seed, "workers": spec.workers}
     return p, se, meta, warnings
 
 
@@ -462,7 +451,7 @@ def sample_bures_spectra(n: int, spec: McSpec) -> np.ndarray:
 def positive_fraction_iid(metric: MetricKind, n: int, kernel: KernelSpectrum, spec: McSpec):
     """``_fraction`` at unit weight on the metric's matrix model: the hit
     fraction p, the binomial ``sqrt(p (1 - p) / m)`` and the draw count m."""
-    return _fraction(_stream(metric, "matrix"), metric, n, kernel, spec)[:3]
+    return _fraction(_matrix_batches, metric, n, kernel, spec)[:3]
 
 
 # Random-walk Metropolis on the simplex, in logit coordinates, targeting

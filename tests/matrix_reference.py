@@ -1,10 +1,21 @@
-"""The LAPACK chain of the matrix-model samplers, written with numpy's
-stacked linear algebra only: a phase-fixed ``np.linalg.qr`` for the Haar
-unitary and ``eigvalsh`` for the spectra.  The oracle of the package's
+"""The matrix-model samplers as oracles.
+
+``reference_spectra`` is their LAPACK chain, written with numpy's stacked
+linear algebra only: a phase-fixed ``np.linalg.qr`` for the Haar unitary
+and ``eigvalsh`` for the spectra.  It is the oracle of the package's
 closed-form qubit and qutrit kernel; on the same random stream it is the
-package's n >= 4 path, operation for operation."""
+package's n >= 4 path, operation for operation.
+
+``matrix_fraction`` is the positive-cone fraction of the package's matrix
+models, an estimate that shares no weights with the importance-sampled
+indicator."""
+
+import math
 
 import numpy as np
+
+from wignerq.integrate.sampling import sample_spectra
+from wignerq.positivity import DEFAULT_CONE_TOL, min_pairing_batch
 
 
 def ginibre(rng, m, n):
@@ -39,3 +50,12 @@ def reference_spectra(bures, n, samples, seed, workers, batch):
             rows.append(ev[:, ::-1])
             done += m
     return np.concatenate(rows, axis=0)
+
+
+def matrix_fraction(metric, n, kernel, spec):
+    """The fraction p of ``spec.samples`` = m matrix-model spectra inside
+    the kernel's positive cone, to ``DEFAULT_CONE_TOL``, and its binomial
+    standard error sqrt(p (1 - p) / m)."""
+    spectra = sample_spectra(metric, n, spec, "matrix")[0]
+    p = float(np.mean(min_pairing_batch(spectra, kernel) >= -DEFAULT_CONE_TOL))
+    return p, math.sqrt(p * (1.0 - p) / len(spectra))

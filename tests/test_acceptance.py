@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from matrix_reference import matrix_fraction
 from polar_reference import (
     polar_from_spectrum,
     qutrit_orbit_bound,
@@ -34,6 +35,7 @@ from wignerq import (
     average_indicator,
     closed_indicator,
     global_indicator,
+    kernel_for,
     min_wigner_value,
     minimize_indicator,
     qubit_positivity_probability,
@@ -189,16 +191,14 @@ def test_criterion_7_cross_estimator_consistency():
         def within(a, sa, b, sb):
             return abs(a - b) <= 3.0 * math.hypot(sa, sb)
 
-        # two-level systems: quadrature vs matrix model vs importance sampler
+        # two-level systems: quadrature vs matrix model vs importance-sampled indicator
         for metric, seed in ((MetricKind.HS, 201), (MetricKind.BURES, 202), (MetricKind.BKM, 203)):
             quad = global_indicator(metric, 2).value
             estimates = []
             if metric is not MetricKind.BKM:
-                r = global_indicator(metric, 2, spec=McSpec(samples=600_000, seed=seed), sampler="matrix")
-                estimates.append((r.value, r.error))
-            r = global_indicator(
-                metric, 2, spec=McSpec(samples=400_000, seed=seed + 10), sampler="weighted"
-            )
+                kernel = kernel_for(ModuliPoint.qubit())
+                estimates.append(matrix_fraction(metric, 2, kernel, McSpec(samples=600_000, seed=seed)))
+            r = global_indicator(metric, 2, spec=McSpec(samples=400_000, seed=seed + 10))
             estimates.append((r.value, r.error))
             for value, err in estimates:
                 assert within(quad, 0.0, value, err)
@@ -215,11 +215,8 @@ def test_criterion_7_cross_estimator_consistency():
             quad = global_indicator(metric, 3, m).value
             estimates = []
             if n_matrix:
-                r = global_indicator(metric, 3, m, McSpec(samples=n_matrix, seed=seed), sampler="matrix")
-                estimates.append((r.value, r.error))
-            r = global_indicator(
-                metric, 3, m, McSpec(samples=n_weighted, seed=seed + 10), sampler="weighted"
-            )
+                estimates.append(matrix_fraction(metric, 3, kernel_for(m), McSpec(samples=n_matrix, seed=seed)))
+            r = global_indicator(metric, 3, m, McSpec(samples=n_weighted, seed=seed + 10))
             estimates.append((r.value, r.error))
             for value, err in estimates:
                 assert within(quad, 0.0, value, err)
@@ -255,8 +252,9 @@ def test_criterion_8_determinism():
         envs = [dict(base, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")] + [base]
         mc = ["indicator", "--n", "3", "--zeta", "pi/6", "--method", "mc", "--samples", "20000", "--seed", "1"]
         spawned = [mc + ["--metric", m] for m in ("hs", "bures", "bkm")]
-        spawned += [mc + ["--metric", "hs", "--sampler", "matrix"], mc + ["--metric", "bkm", "--workers", "2"]]
-        spawned += [["sample", "--metric", m, "--n", "3", "--sampler", "weighted", "--samples", "2000",
+        spawned += [mc + ["--metric", "bkm", "--workers", "2"]]
+        # BKM draws from the importance sampler, HS from its matrix model
+        spawned += [["sample", "--metric", m, "--n", "3", "--samples", "2000",
                      "--seed", "1", "--format", "json"] for m in ("bkm", "hs")]
         # the tight moduli average: its sector rule reaches order 128, blocks large enough for threads
         spawned += [["average", "--metric", "bkm", "--rel-tol", "1e-12"]]

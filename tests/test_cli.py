@@ -21,6 +21,7 @@ from wignerq import (
     McSpec,
     MetricKind,
     QuadratureSpec,
+    global_indicator,
 )
 from wignerq.cli import main, parse_angle
 from wignerq.integrate.sampling import sample_bures_spectra, sample_hs_spectra, sample_spectra
@@ -44,13 +45,12 @@ def validate(payload):
 
 
 def test_schema_describes_every_meta_key(capsys):
-    # one output per route: closed form, quadrature, each Monte Carlo
-    # sampler, and the moduli average's closed form and quadrature
-    mc = ["indicator", "--n", "2", "--metric", "hs", "--method", "mc", "--samples", "500", "--sampler"]
+    # one output per route: closed form, quadrature, Monte Carlo, and the
+    # moduli average's closed form and quadrature
     commands = [
         ["indicator", "--n", "2", "--metric", "hs"],
         ["indicator", "--n", "2", "--metric", "bkm", "--method", "quad"],
-        *(mc + [sampler] for sampler in ("matrix", "weighted")),
+        ["indicator", "--n", "2", "--metric", "hs", "--method", "mc", "--samples", "500"],
         ["average"],
     ]
     described = SCHEMA["$defs"]["result_fields"]["properties"]["meta"]["properties"]
@@ -175,11 +175,11 @@ class TestIndicatorCommand:
         ids=["indicator", "sample"],
     )
     def test_mcmc_sampler_is_usage_error(self, capsys, argv):
-        # two samplers remain: the matrix models and the weighted sampler
+        # no command takes a sampler
         code, out, err = run_cli(capsys, *argv, "--sampler", "mcmc")
         assert code == 2
         assert out == ""
-        assert "--sampler" in err and "'mcmc'" in err
+        assert "unrecognized arguments: --sampler mcmc" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -485,8 +485,7 @@ class TestSampleCommand:
 
     def test_weighted_without_weights_fails_schema(self, capsys):
         code, out, _ = run_cli(
-            capsys, "sample", "--metric", "hs", "--n", "2", "--samples", "5", "--sampler", "weighted",
-            "--format", "json"
+            capsys, "sample", "--metric", "bkm", "--n", "2", "--samples", "5", "--format", "json"
         )
         assert code == 0
         payload = json.loads(out)
@@ -544,11 +543,12 @@ class TestSampleCommand:
         assert rows[1:] == [[format(v, ".12g") for v in row] for row in expected]
 
     def test_bkm_matrix_sampler_is_usage_error(self, capsys):
+        # BKM spectra always come weighted: no flag names a sampler
         code, _, err = run_cli(
             capsys, "sample", "--metric", "bkm", "--n", "2", "--samples", "10", "--sampler", "matrix"
         )
         assert code == 2
-        assert "BKM" in err
+        assert "unrecognized arguments: --sampler matrix" in err
 
     @pytest.mark.parametrize("n, samples", [(257, 1), (2, 5_000_001), (256, 39_063)])
     def test_caps_rejected_before_drawing(self, capsys, monkeypatch, n, samples):
@@ -624,10 +624,10 @@ class TestSampleCommand:
     "argv",
     [
         ["indicator", "--metric", "hs", "--n", "2", "--method", "mc"],
-        ["indicator", "--metric", "hs", "--n", "2", "--method", "mc", "--sampler", "matrix"],
+        ["sample", "--metric", "hs", "--n", "3"],
         ["sample", "--metric", "bkm", "--n", "3"],
     ],
-    ids=["indicator", "indicator-matrix", "sample"],
+    ids=["indicator", "sample-matrix", "sample"],
 )
 def test_pool_fallback_reaches_json_warnings(capsys, monkeypatch, argv):
     def no_pool(*args, **kwargs):
@@ -806,20 +806,37 @@ def test_flag_is_checked_by_every_command_that_takes_it(flag, value, message, co
 @pytest.mark.parametrize(
     "argv, flag, route",
     [
-        (["indicator", "--n", "2", "--metric", "hs", "--sampler", "matrix", "--samples", "5"], "--sampler",
-         "closed-form"),
         (["indicator", "--n", "2", "--metric", "bkm", "--seed", "0"], "--seed", "closed-form"),
-        (_QUAD_INDICATOR + ["--sampler", "matrix"], "--sampler", "quadrature"),
         (_QUAD_INDICATOR + ["--work", "1"], "--workers", "quadrature"),
         (_MC_INDICATOR + ["--rel-tol", "1e-3"], "--rel-tol", "monte-carlo"),
         (["minimize", "--metric", "hs", "--rel-tol=1e-3"], "--rel-tol", "closed-form"),
     ],
-    ids=["closed-form-sampler", "closed-form-default-seed", "quad-sampler", "quad-abbreviated-workers",
-         "mc-rel-tol", "minimize-hs-rel-tol"],
+    ids=["closed-form-default-seed", "quad-abbreviated-workers", "mc-rel-tol", "minimize-hs-rel-tol"],
 )
 def test_typed_flag_the_route_ignores_is_usage_error(argv, flag, route):
     # valid values, a default typed out and an abbreviated flag count too
     assert run_main([argv], numpy="blocked") == [[2, "", f"error: {flag} does not apply to the {route} route\n"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["indicator", "--n", "2", "--metric", "hs", "--method", "mc", "--sampler", "matrix"],
+        ["sample", "--metric", "hs", "--sampler", "weighted"],
+        None,
+    ],
+    ids=["indicator", "sample", "global_indicator"],
+)
+def test_sampler_is_no_option(capsys, argv):
+    # each job has one sampler: the indicator importance-samples, and
+    # sample draws each metric's own ensemble
+    if argv is None:
+        with pytest.raises(TypeError, match="sampler"):
+            global_indicator(MetricKind.HS, 2, spec=McSpec(samples=5), sampler="weighted")
+        return
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 #: Runs ``main`` on each argv of the JSON list in argv[1] in one
@@ -893,18 +910,12 @@ print(code, peak_kb)
 
 def test_weighted_indicator_memory_is_bounded():
     # 3e6 draws held at once would take about 360 MB; batched, the whole
-    # process stays near its import footprint.  The matrix models count
-    # in batches too: 5e6 HS n = 3 draws held at once peaked at 273 MB.
-    runs = [
-        ["--n", "3", "--metric", "bkm", "--zeta", "pi/6", "--samples", "3000000"],
-        ["--n", "3", "--metric", "hs", "--zeta", "pi/6", "--sampler", "matrix", "--samples", "5000000"],
-        ["--n", "2", "--metric", "bures", "--sampler", "matrix", "--samples", "5000000"],
-    ]
-    for argv in runs:
-        out = run_python(_PEAK_RSS_SCRIPT, "indicator", "--method", "mc", *argv, timeout=300)
-        code, peak_kb = map(int, out.split())
-        assert code == 0
-        assert peak_kb < 150 * 1024, argv
+    # process stays near its import footprint
+    argv = ["--n", "3", "--metric", "bkm", "--zeta", "pi/6", "--samples", "3000000"]
+    out = run_python(_PEAK_RSS_SCRIPT, "indicator", "--method", "mc", *argv, timeout=300)
+    code, peak_kb = map(int, out.split())
+    assert code == 0
+    assert peak_kb < 150 * 1024
 
 
 class TestReproduceCommand:

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from matrix_reference import matrix_fraction
 from scipy.optimize import minimize_scalar
 
 from wignerq import (
@@ -99,7 +100,7 @@ class TestGlobalIndicator:
         # draws, within 3 standard errors
         m = ModuliPoint.from_direction(4, (1.0, 0.0, 0.0))
         quad = global_indicator(metric, 4, m)
-        mc = global_indicator(metric, 4, m, McSpec(samples=400_000, seed=13), sampler="weighted")
+        mc = global_indicator(metric, 4, m, McSpec(samples=400_000, seed=13))
         assert mc.meta["sampler"] == "weighted"
         assert abs(quad.value - mc.value) < 3.0 * mc.error
 
@@ -108,10 +109,9 @@ class TestGlobalIndicator:
         assert r.method == "monte-carlo"
         assert r.meta["sampler"] == "weighted"
         assert abs(r.value - 1 / (3 * SQRT3)) < 3 * r.error
-        r = global_indicator(MetricKind.HS, 2, spec=McSpec(samples=100_000, seed=21), sampler="matrix")
-        assert r.meta["sampler"] == "matrix"
-        assert r.meta["ess"] == r.meta["samples"] == 100_000
-        assert abs(r.value - 1 / (3 * SQRT3)) < 3 * r.error
+        # the matrix model on the same samples and seed agrees too
+        p, se = matrix_fraction(MetricKind.HS, 2, kernel_for(ModuliPoint.qubit()), McSpec(samples=100_000, seed=21))
+        assert abs(p - 1 / (3 * SQRT3)) < 3 * se
 
     def test_mc_four_level_direction(self):
         # positive regions collapse quickly with dimension; this kernel
@@ -122,13 +122,13 @@ class TestGlobalIndicator:
         assert r.error > 0.0
 
     def test_mc_zero_hits_reports_wilson_bound(self):
-        # no matrix-model draw lands in this kernel's positive region (exact
-        # HS fraction 5.0e-8), so the binomial error is 0; the far end of the z = 1
-        # Wilson interval, 1/(m + 1), is reported instead
-        m = ModuliPoint.from_direction(4, (1.0, 0.0, 0.0))
-        r = global_indicator(MetricKind.HS, 4, m, McSpec(20_000, seed=1), sampler="matrix")
+        # no weighted draw lands in this kernel's positive region, so the
+        # delta-method error is 0; the far end of the z = 1 Wilson interval
+        # in units of the effective sample size, 1/(ess + 1), is reported instead
+        m = ModuliPoint.from_direction(6, (1.0, 0.0, 0.0, 0.0, 0.0))
+        r = global_indicator(MetricKind.HS, 6, m, McSpec(300, seed=1))
         assert r.value == 0.0
-        assert r.error == 1.0 / 20_001
+        assert r.error == 1.0 / (int(r.meta["ess"]) + 1)
 
     def test_default_sampler_resolves_a_region_the_matrix_model_misses(self):
         # the same kernel: the default importance sampler hits its region
@@ -142,20 +142,13 @@ class TestGlobalIndicator:
         assert abs(r.value - exact) < 3.0 * r.error
 
     def test_bkm_matrix_sampler_rejected(self):
-        with pytest.raises(DomainError):
-            global_indicator(MetricKind.BKM, 2, spec=McSpec(samples=100, seed=1), sampler="matrix")
-        with pytest.raises(DomainError, match="unknown sampler"):
-            global_indicator(MetricKind.HS, 2, spec=McSpec(samples=100, seed=1), sampler="gibbs")
-
-    @pytest.mark.parametrize("spec", [None, QuadratureSpec()], ids=["default", "quadrature"])
-    def test_sampler_needs_mc_spec(self, spec):
-        # quadrature draws nothing, so a sampler there is refused, not dropped
-        with pytest.raises(DomainError, match="sampler 'weighted' needs an McSpec"):
-            global_indicator(MetricKind.HS, 3, ModuliPoint.qutrit(0.3), spec, sampler="weighted")
+        # BKM has no matrix model, so drawing from one is refused
+        with pytest.raises(DomainError, match="no matrix model is available for the BKM measure"):
+            sample_spectra(MetricKind.BKM, 2, McSpec(samples=100, seed=1), "matrix")
 
     def test_mcmc_sampler_is_refused(self):
-        # two samplers remain: the matrix models and the weighted sampler
-        with pytest.raises(DomainError, match="unknown sampler 'mcmc'; expected one of: matrix, weighted"):
+        # the indicator takes no sampler: Metropolis, like any other, is not an argument
+        with pytest.raises(TypeError, match="sampler"):
             global_indicator(MetricKind.HS, 2, spec=McSpec(samples=100, seed=1), sampler="mcmc")
 
     def test_closed_form_dispatch(self):

@@ -461,6 +461,30 @@ class TestGaussLegendreDoubling:
         minimize_indicator(MetricKind.BURES, method="quadrature")
         assert quadrature._gauss_legendre.cache_info().misses == misses
 
+    def test_route_orders_do_not_depend_on_the_blas_thread_count(self):
+        # eigh's eigenvectors go through threaded BLAS, so some orders move
+        # in their last bits with the thread count; the orders the routes
+        # build, 8 * 2^k up to _MAX_ORDER, must not
+        script = (
+            "import hashlib\n"
+            "from wignerq.integrate.quadrature import _MAX_ORDER, _gauss_legendre\n"
+            "digest, order = hashlib.sha256(), 8\n"
+            "while order <= _MAX_ORDER:\n"
+            "    for a in _gauss_legendre(order):\n"
+            "        digest.update(a.tobytes())\n"
+            "    order *= 2\n"
+            "print(order // 2, digest.hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        outs = [
+            subprocess.run([sys.executable, "-c", script], env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                           capture_output=True, text=True, timeout=120, check=True).stdout
+            for threads in ("1", "2")
+        ]
+        assert outs[0].startswith(f"{quadrature._MAX_ORDER} ")
+        assert outs[0] == outs[1]
+
 
 def _fraction(spectra):
     """``_zeta_positive_fraction`` of descending three-level spectra."""

@@ -92,9 +92,11 @@ class TestDeterminism:
         (MetricKind.BKM, "weighted"), (MetricKind.HS, "matrix"),
     ])
     def test_pool_failure_reaches_the_result_warnings(self, metric, sampler, monkeypatch):
+        # the estimate importance-samples; the draws come from the metric's own sampler
+        assert sampling_mod.sampler_for(metric) == sampler
         spec = McSpec(samples=2_000, seed=99, workers=2)
         _refuse_process_pool(monkeypatch)
-        p, se, meta, found = positive_fraction(metric, 2, QUBIT_KERNEL, spec, sampler)
+        p, se, meta, found = positive_fraction(metric, 2, QUBIT_KERNEL, spec)
         assert 0.0 < p < 1.0 and se > 0.0 and meta["workers"] == 2
         assert len(found) == 1 and re.search(r"2 workers.*process pool refused", found[0])
         assert sample_spectra(metric, 2, spec, sampler)[2] == found
