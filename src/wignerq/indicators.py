@@ -59,11 +59,11 @@ def global_indicator(
     ``integrate.quadrature.orbit_volume_simplex`` for 2 <= n <= 6
     (DomainError beyond; ConvergenceError marks a cubature that does not
     settle: at the default spec the full volume does for Bures up to
-    n = 6 and BKM up to n = 5, but not every positive part does, as for
-    Bures at n = 6 and direction e_1); an ``McSpec`` estimates the
-    positive-cone fraction from importance-sampled spectra by
-    ``integrate.sampling.positive_fraction``, which is loaded only on this
-    path.  It draws and counts its spectra in batches, so its memory stays
+    n = 6 and BKM up to n = 5, and so do the n = 6 positive parts at
+    direction e_1, but the BKM n = 6 full volume does not); an
+    ``McSpec`` estimates the positive-cone fraction from importance-sampled
+    spectra by ``integrate.sampling.positive_fraction``, which is loaded
+    only on this path.  It draws and counts its spectra in batches, so its memory stays
     bounded.  Samples count as positive to ``positivity.DEFAULT_CONE_TOL``.
     """
     moduli = _default_moduli(n, moduli)

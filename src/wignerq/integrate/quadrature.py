@@ -8,10 +8,12 @@ ball -- and integrates each piece:
   Grundmann-Moller rule of that degree gives the volume to rounding;
 * Bures and BKM: a collapsed tensor Gauss-Legendre rule (Duffy map, then
   ``u = s^p``) turns the inverse-square-root and log singularities where
-  eigenvalues vanish into powers of ``s``.  Its orders are set per axis,
-  dimension-adaptively, up to 2^21 points per piece, and the error it
-  reports is the sum of its last per-axis changes (full volumes converge
-  to N = 6 for Bures, N = 5 for BKM, at the default tolerance).
+  eigenvalues vanish into powers of ``s``.  Each axis takes its own p,
+  from the eigenvalues that vanish where it collapses (p = 1 where none
+  does, as on every positive part off the boundary).  Its orders are set
+  per axis, dimension-adaptively, up to 2^21 points per piece, and the
+  error it reports is the sum of its last per-axis changes (full volumes
+  converge to N = 6 for Bures, N = 5 for BKM, at the default tolerance).
 
 The three-level moduli average is one integral over the ordered simplex
 of the density times the fraction of apex angles at which each spectrum
@@ -157,8 +159,9 @@ def gauss_legendre_doubling(f, a: float, b: float, *, rel_tol: float):
 #: Largest N of the simplex routes.  Flat metric: at N = 7 the float rule
 #: has 1.18M points and has lost accuracy to about 1e-8, at N = 9 its
 #: points would not fit in memory.  Bures and BKM: at the default spec the
-#: collapsed rule converges for full volumes (not every positive part) up to
-#: N = 6 (Bures) and N = 5 (BKM); at N = 7 its first probes have 2^19 points.
+#: collapsed rule converges for full volumes up to N = 6 (Bures) and N = 5
+#: (BKM), and for the N = 6 positive parts at e_1 of both; at N = 7 its
+#: first probes have 2^19 points.
 _SIMPLEX_MAX_N = 6
 
 
@@ -204,7 +207,8 @@ def _cut_pieces(verts, ells):
     if not pos:
         return []
     apex = verts[pos[0]]
-    cross = [[verts[i] + ells[i] / (ells[i] - ells[j]) * (verts[j] - verts[i]) for j in neg] for i in pos]
+    cross = [[tuple(a + ells[i] / (ells[i] - ells[j]) * (b - a) for a, b in zip(verts[i], verts[j])) for j in neg]
+             for i in pos]
     steps = len(pos) + len(neg) - 2
     pieces = []
     for up in combinations(range(steps), len(pos) - 1):
@@ -222,14 +226,13 @@ def _cut_pieces(verts, ells):
 def _simplex_pieces(n: int, pi_asc) -> list[tuple[np.ndarray, float]]:
     """Corners (d+1, n) and volume in r_1 ... r_{n-1} of each piece of a
     triangulation of the ordered simplex, or of its part where the pairing
-    with the ascending kernel spectrum ``pi_asc`` is non-negative."""
-    verts = [np.array([1.0 / k if i < k else 0.0 for i in range(n)]) for k in range(1, n + 1)]
+    with the ascending kernel spectrum ``pi_asc`` is non-negative; cut on
+    float tuples, with one stacked determinant, to a numpy build's bits."""
+    verts = [tuple(1.0 / k if i < k else 0.0 for i in range(n)) for k in range(1, n + 1)]
     ells = [0.0] * n if pi_asc is None else [sum(x * p for x, p in zip(v, pi_asc)) for v in verts]
-    pieces = []
-    for piece in _cut_pieces(verts, ells):
-        corners = np.array(piece)
-        pieces.append((corners, abs(np.linalg.det(corners[1:, :-1] - corners[0, :-1])) / math.factorial(n - 1)))
-    return pieces
+    corners = np.array(_cut_pieces(verts, ells)).reshape(-1, n, n)
+    volumes = np.abs(np.linalg.det(corners[:, 1:, :-1] - corners[:, :1, :-1])) / math.factorial(n - 1)
+    return list(zip(corners, volumes.tolist()))
 
 
 def _exact_hs_volume(n: int, pi_asc) -> float:
@@ -243,10 +246,15 @@ def _exact_hs_volume(n: int, pi_asc) -> float:
     return math.fsum(terms)
 
 
-#: Power p of the substitution u = s^p in the collapsed rule.  p = 2 turns
-#: the Bures half-integer powers into integer ones; the BKM log weight at
-#: the pure-state corner needs p = 8 to reach 1e-10 by order 128 at n = 3.
-_COLLAPSE_POWER = {MetricKind.BURES: 2, MetricKind.BKM: 8}
+#: Power p of u = s^p on one axis of the collapsed rule, by the count m of
+#: eigenvalues that carry the axis's factor u (the last entry serves any
+#: larger m).  With their m(m-1)/2 pairs and the Duffy Jacobian they make
+#: the integrand go as u^((m^2-2)/2), times an analytic factor (Bures) or
+#: powers of log u (BKM).  So p = 1 off the boundary (m = 0); Bures takes
+#: p = 2 where m is odd, to make the power an integer; BKM needs p = 8 for
+#: the log at u^(-1/2) (m = 1; 1e-10 by order 128 at n = 3), and half as
+#: much for each further m, whose power is higher.
+_COLLAPSE_POWER = {MetricKind.BURES: (1, 2, 1, 2, 1, 2), MetricKind.BKM: (1, 8, 4, 2, 1)}
 
 #: Limits of the dimension-adaptive rule: tensor points per piece, and the
 #: 1-D order of any one axis.
@@ -269,19 +277,19 @@ def _axis_rule(p: int, order: int, power: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _reference_grid(p: int, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _reference_grid(powers: tuple, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The collapsed tensor rule on the unit d-simplex with ``orders[k]``
-    nodes on axis k, read-only and kept for the process (the 32 last used,
-    under 8 MB): barycentric points (m, d+1) of the Duffy map from the
-    unit cube, b_0 = 1 - u_1, b_k = u_1...u_k (1 - u_{k+1}),
-    b_d = u_1...u_d, and weights d! times the axis weights, whose Jacobian
-    factors give prod_k u_k^(d-k)."""
+    nodes and power ``powers[k]`` on axis k, read-only and kept for the
+    process (the 32 last used, under 8 MB): barycentric points (m, d+1) of
+    the Duffy map from the unit cube, b_0 = 1 - u_1, b_k = u_1...u_k
+    (1 - u_{k+1}), b_d = u_1...u_d, and weights d! times the axis weights,
+    whose Jacobian factors give prod_k u_k^(d-k)."""
     d = len(orders)
     bary = np.empty(orders + (d + 1,))
     weight = np.full(orders, float(math.factorial(d)))
     prefix = 1.0
     for k, order in enumerate(orders):
-        u, w = (a.reshape((1,) * k + (order,) + (1,) * (d - 1 - k)) for a in _axis_rule(p, order, d - 1 - k))
+        u, w = (a.reshape((1,) * k + (order,) + (1,) * (d - 1 - k)) for a in _axis_rule(powers[k], order, d - 1 - k))
         bary[..., k] = prefix * (1.0 - u)
         prefix = prefix * u
         weight *= w
@@ -291,18 +299,19 @@ def _reference_grid(p: int, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
     return bary, weight
 
 
-def _grid_blocks(p: int, orders: tuple):
-    """The collapsed rule with the given orders, one block per node of the
-    leading axes 1 ... t: (b_0 ... b_{t-1}, u_1...u_t, weight factor,
-    reference grid of the trailing axes t+1 ... d), the trailing axes being
-    the longest run with at most ``_CHUNK`` points.  The Duffy map nests,
-    so a point of the block is b_0 ... b_{t-1} followed by u_1...u_t times
-    a point of that grid, and its weight is the factor times the grid's."""
+def _grid_blocks(powers: tuple, orders: tuple):
+    """The collapsed rule with the given powers and orders per axis, one
+    block per node of the leading axes 1 ... t: (b_0 ... b_{t-1},
+    u_1...u_t, weight factor, reference grid of the trailing axes t+1 ...
+    d), the trailing axes being the longest run with at most ``_CHUNK``
+    points.  The Duffy map nests, so a point of the block is b_0 ... b_{t-1}
+    followed by u_1...u_t times a point of that grid, and its weight is the
+    factor times the grid's."""
     d, t = len(orders), len(orders)
     while t > 0 and math.prod(orders[t - 1:]) <= _CHUNK:
         t -= 1
-    trailing = _reference_grid(p, orders[t:])
-    axes = [[a.tolist() for a in _axis_rule(p, order, d - 1 - k)] for k, order in enumerate(orders[:t])]
+    trailing = _reference_grid(powers[t:], orders[t:])
+    axes = [[a.tolist() for a in _axis_rule(powers[k], order, d - 1 - k)] for k, order in enumerate(orders[:t])]
     scale = math.factorial(d) / math.factorial(d - t)
     for idx in product(*(range(order) for order in orders[:t])):
         lead, prefix, factor = [], 1.0, scale
@@ -315,9 +324,12 @@ def _grid_blocks(p: int, orders: tuple):
 
 def _collapsed_sums(metric, pieces, grids) -> list[float]:
     """The collapsed rule at each orders tuple of ``grids``, summed over the
-    pieces.  The points of all grids and pieces share density calls of at
-    most ``_CHUNK`` rows."""
-    p = _COLLAPSE_POWER[metric]
+    pieces.  Axis k's power is the largest ``_COLLAPSE_POWER`` entry over
+    the pieces' zero counts at their corner k.  The points of all grids and
+    pieces share density calls of at most ``_CHUNK`` rows."""
+    table = np.array(_COLLAPSE_POWER[metric])
+    zeros = np.array([(corners[:-1] == 0.0).sum(axis=1) for corners, _ in pieces])
+    powers = tuple(table[np.minimum(zeros, len(table) - 1)].max(axis=0).tolist())
     terms = [[] for _ in grids]
     rows = np.empty((_CHUNK, pieces[0][0].shape[1]))
     pending, used = [], 0
@@ -331,7 +343,7 @@ def _collapsed_sums(metric, pieces, grids) -> list[float]:
         pending.clear()
 
     for j, orders in enumerate(grids):
-        for lead, prefix, factor, (bary, weight) in _grid_blocks(p, orders):
+        for lead, prefix, factor, (bary, weight) in _grid_blocks(powers, orders):
             t = len(lead)
             for corners, volume in pieces:
                 if used + len(weight) > _CHUNK:
@@ -408,10 +420,11 @@ def orbit_volume_simplex(
     ``"cubature"``), its orders refined axis by axis until the sum of the
     last per-axis changes, reported as ``error``, is at most
     ``spec.rel_tol`` times the value.  At the default spec, on a 2-vCPU
-    Xeon, full volumes converge up to n = 6 for Bures (0.46 s) and n = 5
-    for BKM (1.2 s); ConvergenceError when the next step would exceed
-    2^21 points per simplex, as for BKM n = 6 and for the Bures n = 6
-    positive part at direction e_1 (after 1.9 s, orders (32, 16, 16, 16, 8)).
+    Xeon, full volumes converge up to n = 6 for Bures (0.49 s) and n = 5
+    for BKM (0.26 s), and the n = 6 positive parts at direction e_1 in
+    1.0 s (Bures) and 2.1 s (BKM); ConvergenceError when the next step
+    would exceed 2^21 points per simplex, as for the BKM n = 6 full volume
+    (after 3.5 s, at a last change of 1.7e-7 of its value).
     """
     if not 2 <= n <= _SIMPLEX_MAX_N:
         raise DomainError(f"simplex volumes are supported from n = 2 up to n = {_SIMPLEX_MAX_N}, got {n}")

@@ -16,6 +16,7 @@ from density_reference import density_reference
 from gm_reference import gm_rule_reference
 from polar_reference import qutrit_ray
 from sector_reference import sector_rule_sum_reference
+from simplex_reference import simplex_pieces_reference
 
 from wignerq import (
     ConvergenceError,
@@ -323,7 +324,7 @@ class TestSimplexVolumes:
         # a control: the collapsed rule, run on the polynomial flat density
         # (plain Duffy map, p = 1), against the Grundmann-Moller rule exact
         # for it, on the full simplex and on a cut of several pieces
-        monkeypatch.setitem(quadrature._COLLAPSE_POWER, MetricKind.HS, 1)
+        monkeypatch.setitem(quadrature._COLLAPSE_POWER, MetricKind.HS, (1,) * n)
         cut = np.linspace(1.0, -2.0, n)
         assert len(quadrature._simplex_pieces(n, cut)) > 1
         for pi_asc in (None, cut):
@@ -350,6 +351,88 @@ class TestSimplexVolumes:
         step = math.sqrt(4 - 1 / 4) / math.sqrt(2)
         orbit_volume_simplex(MetricKind.BURES, 4, KernelSpectrum((0.25 + step, 0.25 - step, 0.25, 0.25)))
         assert sum(rows) <= 25_000
+
+    @staticmethod
+    def _counting_rows(monkeypatch):
+        rows = []
+        batch = quadrature._density_batch
+
+        def counting(metric, pts):
+            rows.append(len(pts))
+            return batch(metric, pts)
+
+        monkeypatch.setattr(quadrature, "_density_batch", counting)
+        return rows
+
+    def test_regions_off_the_boundary_take_no_collapse_power(self, monkeypatch):
+        # at pi/6 no corner of the positive part has a zero eigenvalue, so
+        # every axis has p = 1 and the rule stops at its first orders
+        # (8,000 rows with p = 8 on every axis)
+        rows = self._counting_rows(monkeypatch)
+        orbit_volume_simplex(MetricKind.BKM, 3, qutrit_kernel_spectrum(math.pi / 6))
+        assert sum(rows) <= 320
+
+    def test_five_level_bkm_full_volume_rows(self, monkeypatch):
+        # one power per axis, (1, 2, 4, 8) by the zeros each axis collapses
+        # onto: 1.41M rows, where p = 8 on every axis took 8.16M
+        rows = self._counting_rows(monkeypatch)
+        orbit_volume_simplex(MetricKind.BKM, 5)
+        assert sum(rows) <= 1_500_000
+
+    @pytest.mark.parametrize("rel_tol", [QuadratureSpec().rel_tol, 1e-10])
+    @pytest.mark.parametrize("metric", [MetricKind.BURES, MetricKind.BKM], ids=lambda m: m.value)
+    def test_three_level_positive_part_errors_cover_a_tight_reference(self, metric, rel_tol):
+        # from the boundary (zeta = 0, where the positive part reaches the
+        # pure state) to deep inside it, the reported error covers the
+        # distance to the same rule at rel_tol 1e-12, up to rounding
+        zetas = [*np.linspace(0.0, math.pi / 3, 13), 1e-4, 1e-3, 0.01, 0.03, 0.1]
+        for zeta in zetas:
+            pi_asc = qutrit_kernel_spectrum(zeta).values
+            reference = _collapsed_volume(metric, 3, pi_asc, 1e-12)[0]
+            value, error = _collapsed_volume(metric, 3, pi_asc, rel_tol)
+            assert abs(value - reference) <= error + 64 * np.finfo(float).eps * value, zeta
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_bures_positive_part_and_its_complement_give_the_closed_form(self, n):
+        # the positive part at direction e_1 lies off the boundary and its
+        # complement touches it; together they are the full volume of
+        # Sommers & Zyczkowski (J. Phys. A 36, 10083, 2003)
+        expected = (
+            math.pi ** (n / 2) * math.prod(math.factorial(j) for j in range(1, n + 1))
+            / (math.factorial(n) * 2 ** (n * (n - 1) // 2) * math.gamma(n * n / 2))
+        )
+        kernel = kernel_for(ModuliPoint.from_direction(n, (1.0,) + (0.0,) * (n - 2)))
+        positive = orbit_volume_simplex(MetricKind.BURES, n, kernel)
+        negative, error = _collapsed_volume(MetricKind.BURES, n, [-x for x in kernel.values], QuadratureSpec().rel_tol)
+        assert abs(positive.value + negative - expected) <= positive.error + error
+
+    def test_six_level_bures_positive_part_converges(self):
+        # p = 1 on every axis off the boundary: about 1 s, where p = 2 on
+        # every axis raised ConvergenceError at orders (32, 16, 16, 16, 8)
+        kernel = kernel_for(ModuliPoint.from_direction(6, (1.0, 0.0, 0.0, 0.0, 0.0)))
+        result = orbit_volume_simplex(MetricKind.BURES, 6, kernel)
+        assert result.value == pytest.approx(1.709151373785e-38, rel=1e-11, abs=0.0)
+        assert 0.0 < result.error <= QuadratureSpec().rel_tol * result.value
+
+    def test_triangulation_matches_its_per_piece_build(self, rng, monkeypatch):
+        # the float-tuple cut and the stacked determinant give the bits of
+        # the numpy build with one determinant per piece, and so does the
+        # exact flat volume on them
+        cases = [(2, None), (2, (-0.1, 1.1))]
+        cases += [(3, qutrit_kernel_spectrum(zeta).values) for zeta in np.linspace(0.0, math.pi / 3, 41)]
+        for n in (4, 5, 6):
+            directions = rng.normal(size=(60, n - 1))
+            cases += [(n, None)] + [(n, kernel_for(ModuliPoint.from_direction(n, tuple(d / np.linalg.norm(d))))
+                                     .values) for d in directions]
+        volumes = []
+        for n, pi_asc in cases:
+            pieces, reference = quadrature._simplex_pieces(n, pi_asc), simplex_pieces_reference(n, pi_asc)
+            assert len(pieces) == len(reference)
+            for (corners, volume), (ref_corners, ref_volume) in zip(pieces, reference):
+                assert np.array_equal(corners, ref_corners) and volume == ref_volume
+            volumes.append(_exact_hs_volume(n, pi_asc))
+        monkeypatch.setattr(quadrature, "_simplex_pieces", simplex_pieces_reference)
+        assert volumes == [_exact_hs_volume(n, pi_asc) for n, pi_asc in cases]
 
     def test_collapsed_rule_stops_at_its_point_limit(self, monkeypatch):
         rules, rows = [], []
