@@ -6,9 +6,9 @@ values, ``average`` and ``minimize`` over the three-level moduli angle,
 spectra, and ``reproduce-paper`` for the full table of published
 values with a pass/fail manifest.
 
-All output is machine readable (JSON, or CSV rounded to 12 significant
-digits) and deterministic given identical flags, including seed and
-worker count.
+All output is machine readable and deterministic given identical flags,
+including seed and worker count: JSON, or CSV rows of the JSON records'
+values in header order, to 12 significant digits, a null left empty.
 Exit codes: 0 success (also when the reader closes stdout before the
 output ends), 1 numerical failure, 2 usage error.
 
@@ -32,7 +32,6 @@ import re
 import sys
 
 from .closed_form import (
-    IndicatorResult,
     McSpec,
     QuadratureSpec,
     _has_closed_form,
@@ -66,6 +65,10 @@ _ROUTE_FLAGS = {
 }
 #: Cap on ``curve --points``: the table is built whole before it is written.
 _CURVE_MAX_POINTS = 10**6
+#: CSV columns of ``indicator`` and ``average``: keys of their result records.
+_RESULT_COLUMNS = ["value", "error", "metric", "n", "moduli", "method"]
+#: CSV columns of ``reproduce-paper``: keys of its check records.
+_CHECK_COLUMNS = ["name", "value", "target", "tolerance_kind", "tolerance", "deviation", "pass"]
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$",
@@ -93,8 +96,9 @@ def parse_angle(text: str) -> float:
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}")
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
+def _cell(x) -> str:
+    """A CSV cell: a string as it is, a number to 12 significant digits, empty for None."""
+    return "" if x is None else x if isinstance(x, str) else format(float(x), ".12g")
 
 
 def _check_out(path: str | None) -> None:
@@ -105,13 +109,19 @@ def _check_out(path: str | None) -> None:
         raise DomainError(f"--out {path}: no directory {os.path.dirname(path)}")
 
 
+def _project(records, header: list[str]) -> list[list]:
+    """CSV rows of JSON records: each record's values in the header's order."""
+    return [[r[c] for c in header] for r in records]
+
+
 def _emit(args, payload: dict, header: list[str], rows) -> None:
-    """Write the payload as JSON, or the header and rows as CSV, to
-    ``--out`` or stdout.  JSON is encoded before the file is opened, so
-    an encoding error leaves no file behind; CSV rows go out one by one,
-    and stdout is flushed here, so a closed pipe raises inside the command.
-    A file that cannot be opened or written is a usage error, and a file
-    that the failed write created is removed (never one that existed)."""
+    """Write the payload as JSON, or the header and rows as CSV (each
+    cell by ``_cell``), to ``--out`` or stdout.  JSON is encoded before
+    the file is opened, so an encoding error leaves no file behind; CSV
+    rows go out one by one, and stdout is flushed here, so a closed pipe
+    raises inside the command.  A file that cannot be opened or written
+    is a usage error, and a file that the failed write created is removed
+    (never one that existed)."""
     text = json.dumps(payload, allow_nan=False) + "\n" if args.format == "json" else None
     created = bool(args.out) and not os.path.lexists(args.out)
     try:
@@ -121,7 +131,7 @@ def _emit(args, payload: dict, header: list[str], rows) -> None:
             else:
                 writer = csv.writer(f, lineterminator="\n")
                 writer.writerow(header)
-                writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
+                writer.writerows([_cell(c) for c in row] for row in rows)
             f.flush()
     except OSError as exc:
         if not args.out:
@@ -132,29 +142,11 @@ def _emit(args, payload: dict, header: list[str], rows) -> None:
         raise DomainError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
 
 
-def _moduli_cell(result: IndicatorResult) -> str:
-    d = result.to_json_dict()["moduli"]
-    if d is None:
-        return ""
-    if isinstance(d, str):
-        return d
-    return _fmt(d)
-
-
 def _grid(stop: float, points: int) -> list[float]:
     """``np.linspace(0.0, stop, points)`` bit for bit: ``i * step``, and
     ``stop`` itself as the last of two or more points."""
     step = stop / max(points - 1, 1)
     return [i * step for i in range(points - 1)] + [stop if points > 1 else 0.0]
-
-
-def _indicator_rows(results: list[IndicatorResult]):
-    header = ["value", "error", "metric", "n", "moduli", "method"]
-    rows = [
-        [r.value, r.error, r.metric.value, str(r.n), _moduli_cell(r), r.method]
-        for r in results
-    ]
-    return header, rows
 
 
 def _quad_spec(args) -> QuadratureSpec:
@@ -193,7 +185,7 @@ def cmd_indicator(args) -> int:
 
         result = global_indicator(metric, args.n, moduli, spec)
     payload = {"command": "indicator", **result.to_json_dict()}
-    _emit(args, payload, *_indicator_rows([result]))
+    _emit(args, payload, _RESULT_COLUMNS, _project([payload], _RESULT_COLUMNS))
     return 0
 
 
@@ -201,9 +193,9 @@ def cmd_average(args) -> int:
     metrics = list(MetricKind) if args.metric == "all" else [MetricKind.from_name(args.metric)]
     _check_route(args, "closed-form" if all(_has_closed_form(m, 3) for m in metrics) else "quadrature")
     spec = _quad_spec(args)
-    results = [average_indicator(m, args.n, spec) for m in metrics]
-    payload = {"command": "average", "results": [r.to_json_dict() for r in results]}
-    _emit(args, payload, *_indicator_rows(results))
+    results = [average_indicator(m, args.n, spec).to_json_dict() for m in metrics]
+    payload = {"command": "average", "results": results}
+    _emit(args, payload, _RESULT_COLUMNS, _project(results, _RESULT_COLUMNS))
     return 0
 
 
@@ -312,24 +304,14 @@ def cmd_reproduce(args) -> int:
     mc_spec = _mc_spec(args)
     if args.fast:
         mc_spec = dataclasses.replace(mc_spec, samples=min(mc_spec.samples, 100_000))
-    rows = []
-    all_pass = True
+    checks = []
     for name, value, target, kind, tol in _reproduce_checks(mc_spec):
         dev = abs(value - target) / (abs(target) if kind == "rel" else 1.0)
-        ok = dev <= tol
-        all_pass &= ok
-        rows.append(
-            {"name": name, "value": value, "target": target, "tolerance_kind": kind,
-             "tolerance": tol, "deviation": dev, "pass": bool(ok)}
-        )
-    payload = {"command": "reproduce-paper", "all_pass": all_pass, "checks": rows}
-    header = ["name", "value", "target", "tolerance_kind", "tolerance", "deviation", "pass"]
-    table = [
-        [r["name"], r["value"], r["target"], r["tolerance_kind"], r["tolerance"],
-         r["deviation"], "pass" if r["pass"] else "FAIL"]
-        for r in rows
-    ]
-    _emit(args, payload, header, table)
+        checks.append(dict(zip(_CHECK_COLUMNS, (name, value, target, kind, tol, dev, bool(dev <= tol)))))
+    all_pass = all(c["pass"] for c in checks)
+    payload = {"command": "reproduce-paper", "all_pass": all_pass, "checks": checks}
+    table = _project(({**c, "pass": "pass" if c["pass"] else "FAIL"} for c in checks), _CHECK_COLUMNS)
+    _emit(args, payload, _CHECK_COLUMNS, table)
     return 0 if all_pass else 1
 
 

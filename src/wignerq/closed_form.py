@@ -133,7 +133,8 @@ def qubit_ball_volume(metric: MetricKind, radius: float) -> float:
     radius: the integral over the Bloch radius of the two-level density,
     ``rho^2`` (HS), ``rho^2 / sqrt(1 - rho^2)`` (Bures) or
     ``rho * artanh(rho) / sqrt(1 - rho^2)`` (BKM).  For Bures and BKM
-    that is a quarter of ``radial_density`` at ``StateSpectrum.qubit(rho)``.
+    that is a quarter of ``radial_density`` at the spectrum
+    ``((1 + rho)/2, (1 - rho)/2)``.
 
     HS: ``R^3/3``;  Bures: ``(arcsin R - R*sqrt(1-R^2))/2``;
     BKM: ``arcsin R - sqrt(1-R^2)*artanh R`` (value pi/2 at R=1 by limit).

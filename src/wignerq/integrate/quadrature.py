@@ -276,14 +276,17 @@ def _axis_rule(p: int, order: int, power: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w * p * s ** (p - 1) * u ** power
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=256)
 def _reference_grid(powers: tuple, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The collapsed tensor rule on the unit d-simplex with ``orders[k]``
     nodes and power ``powers[k]`` on axis k, read-only and kept for the
-    process (the 32 last used, under 8 MB): barycentric points (m, d+1) of
-    the Duffy map from the unit cube, b_0 = 1 - u_1, b_k = u_1...u_k
-    (1 - u_{k+1}), b_d = u_1...u_d, and weights d! times the axis weights,
-    whose Jacobian factors give prod_k u_k^(d-k)."""
+    process (the 256 last used).  A grid has at most ``_CHUNK`` points,
+    (d + 2) * 32 kB, so 256 grids hold at most 59 MB; the Bures and BKM
+    n = 3 and 4 regions and the Bures n = 5, 6 and BKM n = 5 full volumes
+    use 41 grids, 2.0 MB.  Barycentric points (m, d+1) of the Duffy map
+    from the unit cube, b_0 = 1 - u_1, b_k = u_1...u_k (1 - u_{k+1}),
+    b_d = u_1...u_d, and weights d! times the axis weights, whose Jacobian
+    factors give prod_k u_k^(d-k)."""
     d = len(orders)
     bary = np.empty(orders + (d + 1,))
     weight = np.full(orders, float(math.factorial(d)))

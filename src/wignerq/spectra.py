@@ -98,12 +98,6 @@ class StateSpectrum:
     def n(self) -> int:
         return len(self.values)
 
-    @classmethod
-    def qubit(cls, radius: float) -> "StateSpectrum":
-        """Two-level spectrum of the state with the given Bloch radius."""
-        rho = _check_bloch_radius(radius)
-        return cls(((1.0 + rho) / 2.0, (1.0 - rho) / 2.0))
-
 
 @dataclass(frozen=True)
 class KernelSpectrum:

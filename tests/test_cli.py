@@ -355,6 +355,42 @@ def test_csv_out_file_equals_stdout(capsys, tmp_path, argv):
     assert out.count("\n") == {"curve": 58, "sample": 41}[argv[0]]
 
 
+RESULT_COLUMNS = ["value", "error", "metric", "n", "moduli", "method"]
+CHECK_COLUMNS = ["name", "value", "target", "tolerance_kind", "tolerance", "deviation", "pass"]
+
+
+def _csv_cell(value):
+    """A JSON value as its CSV cell: empty for null, pass or FAIL for a
+    check's verdict, a string as it is and a number to 12 digits."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "pass" if value else "FAIL"
+    return value if isinstance(value, str) else format(value, ".12g")
+
+
+@pytest.mark.parametrize(
+    "argv, columns, records",
+    [
+        (["indicator", "--n", "2", "--metric", "bkm"], RESULT_COLUMNS, None),
+        (["indicator", "--n", "3", "--metric", "bures", "--zeta", "0.4", "--method", "quad"], RESULT_COLUMNS, None),
+        (["average"], RESULT_COLUMNS, "results"),
+        (["minimize", "--metric", "hs"], ["metric", "n", "zeta_star", "q_star", "method"], None),
+        (["reproduce-paper", "--fast"], CHECK_COLUMNS, "checks"),
+    ],
+    ids=["indicator-qubit", "indicator-qutrit-quad", "average", "minimize", "reproduce-paper"],
+)
+def test_csv_rows_are_the_json_records_in_header_order(capsys, argv, columns, records):
+    # the JSON payload is one record, or holds them under ``records``
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    expected = [[_csv_cell(r[c]) for c in columns] for r in (payload[records] if records else [payload])]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [columns] + expected
+
+
 @pytest.mark.parametrize(
     "owner, runner, argv",
     [
@@ -939,6 +975,18 @@ class TestReproduceCommand:
         names = {c["name"] for c in payload["checks"]}
         assert "average_bkm_vs_print" in names
         assert all(c["pass"] for c in payload["checks"])
+
+    def test_failed_check_is_fail_in_csv(self, capsys, monkeypatch):
+        from wignerq import cli
+
+        checks = [("near", 1.0, 1.0, "abs", 0.0), ("far", 2.0, 1.0, "rel", 0.5)]
+        monkeypatch.setattr(cli, "_reproduce_checks", lambda spec: checks)
+        code, out, _ = run_cli(capsys, "reproduce-paper", "--format", "csv")
+        assert code == 1
+        assert list(csv.reader(io.StringIO(out)))[1:] == [
+            ["near", "1", "1", "abs", "0", "0", "pass"],
+            ["far", "2", "1", "rel", "0.5", "1", "FAIL"],
+        ]
 
 
 @pytest.mark.parametrize("module", ["wignerq"])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from bloch_reference import bloch_spectrum
 from density_reference import density_reference, weight_reference
 from scipy import integrate
 
@@ -33,7 +34,7 @@ BATCH_WEIGHT = {MetricKind.BURES: _bures_weight, MetricKind.BKM: _bkm_weight_bat
 
 def _bloch_density(metric, rho):
     """Two-level density in the Bloch radius, from the shared simplex density."""
-    return radial_density(metric, StateSpectrum.qubit(rho)) / BLOCH_FACTOR[metric]
+    return radial_density(metric, bloch_spectrum(rho)) / BLOCH_FACTOR[metric]
 
 
 def _weight(metric, x, y):
@@ -167,7 +168,7 @@ class TestRadialDensity:
         rhos = np.linspace(0.01, 0.99, 100)
         ratios = []
         for rho in rhos:
-            s = StateSpectrum.qubit(rho)
+            s = bloch_spectrum(rho)
             ratios.append(radial_density(metric, s) / bloch(rho))
         ratios = np.array(ratios)
         assert np.ptp(ratios) / ratios.mean() < 1e-10

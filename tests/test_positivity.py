@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from bloch_reference import bloch_spectrum
 from hypothesis import strategies as st
 from polar_reference import qutrit_orbit_bound, qutrit_positivity_bound, spectrum_from_polar
 
@@ -94,7 +95,7 @@ class TestPositiveCone:
         k = QUBIT_KERNEL
         for rho in np.linspace(0.0, 1.0, 1001):
             expected = rho <= 1 / SQRT3 + 1e-9
-            assert (min_wigner_value(StateSpectrum.qubit(rho), k) >= -1e-9) == expected
+            assert (min_wigner_value(bloch_spectrum(rho), k) >= -1e-9) == expected
 
     def test_qutrit_sign_matches_radial_inequality(self):
         zeta = math.pi / 6
@@ -173,7 +174,7 @@ class TestQubitWigner:
         ns = rng.standard_normal((10_000, 3))
         ns /= np.linalg.norm(ns, axis=1, keepdims=True)
         values = 0.5 + (SQRT3 / 2) * ns @ xi
-        pairing = min_wigner_value(StateSpectrum.qubit(np.linalg.norm(xi)), QUBIT_KERNEL)
+        pairing = min_wigner_value(bloch_spectrum(np.linalg.norm(xi)), QUBIT_KERNEL)
         assert values.min() >= pairing - 1e-12
         assert values.min() == pytest.approx(pairing, abs=1e-3)
 
@@ -182,7 +183,7 @@ class TestQubitWigner:
 @settings(max_examples=200, deadline=None)
 def test_pairing_minimum_property(rho, t, angle):
     # any single swap of kernel entries cannot go below the aligned pairing
-    r = StateSpectrum.qubit(rho)
+    r = bloch_spectrum(rho)
     k = QUBIT_KERNEL
     aligned = min_wigner_value(r, k)
     swapped = r.values[0] * k.values[1] + r.values[1] * k.values[0]

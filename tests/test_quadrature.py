@@ -414,6 +414,22 @@ class TestSimplexVolumes:
         assert result.value == pytest.approx(1.709151373785e-38, rel=1e-11, abs=0.0)
         assert 0.0 < result.error <= QuadratureSpec().rel_tol * result.value
 
+    def test_reference_grids_of_a_mixed_loop_stay_cached(self):
+        # Bures and BKM regions at n = 3 and 4 use 36 grids: a second pass
+        # builds none of them again (at a bound of 32 it rebuilt 25)
+        def one_pass():
+            for metric in (MetricKind.BURES, MetricKind.BKM):
+                for zeta in (0.1, 0.4, 0.7, 1.0):
+                    orbit_volume_simplex(metric, 3, qutrit_kernel_spectrum(zeta))
+                orbit_volume_simplex(metric, 3)
+                orbit_volume_simplex(metric, 4)
+                orbit_volume_simplex(metric, 4, kernel_for(ModuliPoint.from_direction(4, (1.0, 0.0, 0.0))))
+
+        one_pass()
+        misses = quadrature._reference_grid.cache_info().misses
+        one_pass()
+        assert quadrature._reference_grid.cache_info().misses == misses
+
     def test_triangulation_matches_its_per_piece_build(self, rng, monkeypatch):
         # the float-tuple cut and the stacked determinant give the bits of
         # the numpy build with one determinant per piece, and so does the
