@@ -3,13 +3,8 @@
 * Hilbert-Schmidt: square of a complex Gaussian matrix, trace-normalized.
 * Bures: the (I + U) G construction with a Haar-random unitary U.
 
-  At n <= 3 both run as numpy arithmetic on component-major (n, n, rows)
-  stacks: U from classical Gram-Schmidt applied twice to the columns of a
-  Ginibre draw (the Q of its QR factorization with positive diagonal R,
-  Mezzadri 2007), and the spectra in closed form, with ``eigvalsh`` only
-  for the rare rows with near-double eigenvalues.  At n >= 4 U comes from
-  a phase-fixed ``np.linalg.qr`` and the spectra from ``eigvalsh``.  Both
-  read the same random stream.
+  At n <= 5 both laws are drawn by rejection from the importance proposal;
+  at n >= 6 by LAPACK: a phase-fixed ``np.linalg.qr`` U and ``eigvalsh``.
 * Any metric, and every Monte Carlo indicator: importance sampling:
   sorted Dirichlet(1/2, ..., 1/2) spectra, drawn as squared standard
   normals over their sum, each weighted by the radial density over the
@@ -29,13 +24,12 @@ batches, at log weight 0 for the matrix models.  Drawing writes each
 worker's stream into preallocated arrays, joined in worker order (a lone
 worker's are returned as written), and keeps log weights for the
 importance sampler only; estimating folds the streams into running
-weighted sums, so no estimate holds its draws.  The matrix models draw
-``_EIG_BATCH`` rows per batch (fewer at n > 4), and their draws depend on
-that size, as each batch is one call per Ginibre stack.  The importance
-sampler draws ``_WEIGHTED_BATCH`` rows of normals per batch, few enough
-that a batch's columns stay in cache while they are squared, normalized,
-sorted by a comparator network and weighted; its draws do not depend on
-that size, as its batches concatenate to one ``standard_normal`` call.
+weighted sums, so no estimate holds its draws.  The matrix models' draws
+depend on their batch sizes.  The importance sampler draws
+``_WEIGHTED_BATCH`` rows of normals per batch, few enough that a batch's
+columns stay in cache while they are squared, normalized, sorted by a
+comparator network and weighted; its draws do not depend on that size,
+as its batches concatenate to one ``standard_normal`` call.
 
 Parallelism and reproducibility: the master seed is split into one
 independent child stream per worker; chunks are combined in worker
@@ -60,13 +54,13 @@ import numpy as np
 
 from ..closed_form import McSpec
 from ..errors import DomainError
-from ..measures import _log_weight, log_radial_density
+from ..measures import _log_weight, _pair_factors, log_radial_density
 from ..positivity import DEFAULT_CONE_TOL, min_pairing_batch
 from ..spectra import KernelSpectrum, MetricKind
 
-#: Rows per batch of the matrix models, fewer at n > 4, so their
-#: temporaries stay about 16 * _EIG_BATCH matrix entries.  Their draws
-#: depend on it: each batch is one call per Ginibre stack.
+#: The matrix models' batch at n >= 6 holds ``16 * _EIG_BATCH / n^2``
+#: rows, so its temporaries stay about 16 * _EIG_BATCH matrix entries.
+#: Their draws depend on it: each batch is one call per Ginibre stack.
 _EIG_BATCH = 1 << 17
 
 #: Rows per batch of the importance sampler, so that each of a batch's n
@@ -76,11 +70,6 @@ _EIG_BATCH = 1 << 17
 #: ``standard_normal`` call, and only the association of the running sums
 #: moves with it.
 _WEIGHTED_BATCH = 1 << 13
-
-#: Rows whose trigonometric-formula argument lies within this of +-1 have
-#: near-double eigenvalues, where the closed form loses about sqrt(eps);
-#: ``eigvalsh`` takes them.
-_TRIG_MARGIN = 1e-6
 
 
 def _worker_rng(seed: int, index: int) -> np.random.Generator:
@@ -126,127 +115,15 @@ def _ginibre(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
 
 
-def _haar_unitary(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(rng, m, n))
-    d = np.einsum("...ii->...i", r)
-    return q * (d / np.abs(d))[:, None, :]
-
-
 def _lapack_spectra(rng: np.random.Generator, bures: bool, m: int, n: int) -> np.ndarray:
     a = _ginibre(rng, m, n)
-    if bures:
-        a = (np.eye(n) + _haar_unitary(rng, m, n)) @ a
+    if bures:  # U is the Q of a Ginibre QR with R's diagonal made positive (Mezzadri 2007)
+        q, r = np.linalg.qr(_ginibre(rng, m, n))
+        d = np.einsum("...ii->...i", r)
+        a = (np.eye(n) + q * (d / np.abs(d))[:, None, :]) @ a
     ev = np.linalg.eigvalsh(a @ a.conj().swapaxes(1, 2))
     ev = ev / ev.sum(axis=1, keepdims=True)
     return ev[:, ::-1]
-
-
-# Component-major kernels for n <= 3: an (n, n, m) stack holds entry (i, j)
-# of all m matrices in one contiguous row, so each step is one vector op.
-
-def _by_component(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a.transpose(1, 2, 0))
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    return np.array([[sum(a[i, k] * b[k, j] for k in range(n)) for j in range(n)] for i in range(n)])
-
-
-def _gram_schmidt_unitary(z: np.ndarray) -> np.ndarray:
-    """Q of z = QR with R's diagonal real and positive, for a
-    component-major stack z: classical Gram-Schmidt run twice over the
-    columns, which keeps Q orthonormal to rounding for any z that is not
-    numerically singular."""
-    cols = []
-    for j in range(z.shape[0]):
-        v = z[:, j]
-        for _ in range(2 if cols else 0):
-            v = v - sum((q.conj() * v).sum(axis=0) * q for q in cols)
-        cols.append(v / np.sqrt(_abs2(v).sum(axis=0)))
-    return np.stack(cols, axis=1)
-
-
-def _gram(b: np.ndarray) -> np.ndarray:
-    """B B^dagger of a component-major stack, Hermitian to the last bit."""
-    n = b.shape[0]
-    w = np.empty_like(b)
-    for i in range(n):
-        w[i, i] = _abs2(b[i]).sum(axis=0)
-        for j in range(i + 1, n):
-            w[i, j] = (b[i] * b[j].conj()).sum(axis=0)
-            w[j, i] = w[i, j].conj()
-    return w
-
-
-def _closed_form_eigvals(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a component-major (n, n, m) Hermitian stack at
-    n = 2, 3, as (m, n) rows in descending order.
-
-    n = 2: the larger root from the trace and |w01|^2, the smaller as
-    det / larger.  n = 3: the trigonometric formula on w - (tr w / 3) I
-    (Smith, Comm. ACM 4, 1961), the middle root from the trace and
-    clamped between the outer two; rows whose arccos argument lies
-    within ``_TRIG_MARGIN`` of +-1 (a near-double root), or with w a
-    multiple of I, go to ``eigvalsh``.
-    """
-    d = [w[i, i].real for i in range(w.shape[0])]
-    tr = sum(d)
-    if len(d) == 2:
-        off = _abs2(w[0, 1])
-        top = 0.5 * (tr + np.sqrt((d[0] - d[1]) ** 2 + 4.0 * off))
-        det = d[0] * d[1] - off
-        low = np.minimum(det / top, top)
-        return np.stack([top, low], axis=1)
-    q = tr / 3.0
-    s = [di - q for di in d]
-    x, y, z = w[0, 1], w[0, 2], w[1, 2]
-    ax, ay, az = _abs2(x), _abs2(y), _abs2(z)
-    p2 = (s[0] * s[0] + s[1] * s[1] + s[2] * s[2] + 2.0 * (ax + ay + az)) / 6.0
-    p = np.sqrt(p2)
-    det = s[0] * s[1] * s[2] + 2.0 * (x * z * y.conj()).real - s[0] * az - s[1] * ay - s[2] * ax
-    denom = 2.0 * p * p2
-    r = det / np.where(denom > 0.0, denom, 1.0)
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    top = q + 2.0 * p * np.cos(phi)
-    low = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
-    ev = np.stack([top, np.clip(tr - top - low, low, top), low], axis=1)
-    near = (np.abs(r) >= 1.0 - _TRIG_MARGIN) | (denom <= 0.0)
-    if near.any():
-        rows = np.flatnonzero(near)
-        ev[rows] = np.linalg.eigvalsh(w[:, :, rows].transpose(2, 0, 1))[:, ::-1]
-    return ev
-
-
-def _closed_form_spectra(rng: np.random.Generator, bures: bool, m: int, n: int) -> np.ndarray:
-    g = _by_component(_ginibre(rng, m, n))
-    if bures:
-        u = _gram_schmidt_unitary(_by_component(_ginibre(rng, m, n)))
-        for i in range(n):
-            u[i, i] += 1.0
-        g = _matmul(u, g)
-    ev = _closed_form_eigvals(_gram(g))
-    return ev / ev.sum(axis=1, keepdims=True)
-
-
-def _matrix_batches(metric: MetricKind, n: int, count: int, seed: int, index: int):
-    """One worker's draws from the metric's matrix model (HS or Bures) as
-    ``(spectra, log_weights)`` batches; every log weight is 0, as the rows
-    are unweighted.  BKM has no matrix model: its first batch is a
-    DomainError."""
-    if metric is MetricKind.BKM:
-        raise DomainError("no matrix model is available for the BKM measure; use the 'weighted' sampler")
-    rng = _worker_rng(seed, index)
-    draw = _closed_form_spectra if n <= 3 else _lapack_spectra
-    bures = metric is MetricKind.BURES
-    batch = min(_EIG_BATCH, max(1, 16 * _EIG_BATCH // (n * n)))
-    for start in range(0, count, batch):
-        m = min(batch, count - start)
-        yield draw(rng, bures, m, n), np.zeros(m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,6 +195,65 @@ def _weighted_batches(metric: MetricKind, n: int, count: int, seed: int, index: 
         cols = _sort_columns(_half_dirichlet_columns(rng, min(_WEIGHTED_BATCH, count - start), n), network)
         # columns descend: a row is on the boundary (weight 0) exactly where its last entry is <= 0
         yield cols.T, _log_weight(metric, cols, power, cols[-1] <= 0.0)
+
+
+#: The supremum of ``_acceptance_weight`` on the simplex, by metric and n;
+#: ``_rejected`` raises it by 1e-12 relative, above the rounding of these
+#: values and of the weight (about 1e-14), as a bound below it would bias
+#: the draws silently.  HS: the weight is the square of
+#: ``prod |r_i - r_j| * prod r_i^(1/4)``, which peaks at the zeros of
+#: L_n^(-1/2) scaled to sum 1 (Stieltjes; Szego, *Orthogonal Polynomials*,
+#: 6.7): r_i = h_i^2 / sum h_j^2 for the positive zeros h_i of H_2n.  Bures:
+#: the maximum lies on the facet r_n = 0, where each pair with r_n gives
+#: 2 r_i: w(1, 0) = 2; at n = 3 the facet weight 8t(1 - 4t), t = r_1 r_2,
+#: peaks at 1/2; at n = 4, 5 a Nelder-Mead search from 31 starts reproduced
+#: the entries to 2e-15 relative.  tests/test_sampling.py checks both tables.
+_SUP_WEIGHT = {
+    MetricKind.HS: {2: 1 / (3 * math.sqrt(3)), 3: 128 / 337_500, 4: 2.5620127633098271e-9,
+                    5: 2.9145631163109779e-17},
+    MetricKind.BURES: {2: 2.0, 3: 0.5, 4: 1 / 108, 5: 27 / 3_200_000},
+}
+
+
+def _acceptance_weight(metric: MetricKind, cols: np.ndarray) -> np.ndarray:
+    """The importance sampler's weight at (n, m) columns, by +, -, *, / and
+    sqrt only, so no SIMD dispatch moves a bit: the pair factors' product,
+    times ``sqrt(prod r_i)`` for HS."""
+    w = np.ones(cols.shape[1])
+    for f in _pair_factors(metric, cols):
+        w *= f
+    return w * np.sqrt(np.prod(cols, axis=0)) if metric is MetricKind.HS else w
+
+
+def _rejected(metric: MetricKind, n: int, count: int, rng: np.random.Generator):
+    """``count`` exact draws of the metric's law by rejection from the
+    Dirichlet(1/2) proposal (Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, ch. II.3): each step proposes ``_WEIGHTED_BATCH``
+    rows, then as many uniforms u, and keeps the rows with u M < w, in
+    order and up to the count still needed, sorted, at log weight 0."""
+    bound = _SUP_WEIGHT[metric][n] * (1.0 + 1e-12)
+    while count > 0:
+        cols = _half_dirichlet_columns(rng, _WEIGHTED_BATCH, n)
+        keep = np.flatnonzero(rng.random(_WEIGHTED_BATCH) * bound < _acceptance_weight(metric, cols))[:count]
+        count -= len(keep)
+        yield _sort_columns(cols[:, keep], _sorting_network(n)).T, np.zeros(len(keep))
+
+
+def _matrix_batches(metric: MetricKind, n: int, count: int, seed: int, index: int):
+    """One worker's draws of the law of the metric's matrix model (HS or
+    Bures) as ``(spectra, log_weights)`` batches at log weight 0: by
+    ``_rejected`` at n <= 5, and by the model at n >= 6, where rejection
+    would accept 1.6%.  BKM has none: its first batch is a DomainError."""
+    if metric is MetricKind.BKM:
+        raise DomainError("no matrix model is available for the BKM measure; use the 'weighted' sampler")
+    rng = _worker_rng(seed, index)
+    if n in _SUP_WEIGHT[metric]:
+        yield from _rejected(metric, n, count, rng)
+        return
+    batch = max(1, 16 * _EIG_BATCH // (n * n))
+    for start in range(0, count, batch):
+        m = min(batch, count - start)
+        yield _lapack_spectra(rng, metric is MetricKind.BURES, m, n), np.zeros(m)
 
 
 def _drawn(batches, metric: MetricKind, n: int, count: int, seed: int, index: int):

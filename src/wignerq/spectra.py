@@ -68,7 +68,10 @@ class MetricKind(enum.Enum):
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    vals = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, vals)):  # NaN would pass every tolerance check
+        raise DomainError(f"non-finite value in {vals}")
+    return vals
 
 
 @dataclass(frozen=True)

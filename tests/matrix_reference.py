@@ -1,21 +1,22 @@
-"""The matrix-model samplers as oracles.
+"""The matrix models as oracles.
 
 ``reference_spectra`` is their LAPACK chain, written with numpy's stacked
 linear algebra only: a phase-fixed ``np.linalg.qr`` for the Haar unitary
-and ``eigvalsh`` for the spectra.  It is the oracle of the package's
-closed-form qubit and qutrit kernel; on the same random stream it is the
-package's n >= 4 path, operation for operation.
+and ``eigvalsh`` for the spectra.  On the same random stream it is the
+package's n >= 6 path, operation for operation; at n <= 5 it is the law
+that the package's rejection draws must follow.
 
-``matrix_fraction`` is the positive-cone fraction of the package's matrix
-models, an estimate that shares no weights with the importance-sampled
-indicator."""
+``matrix_fraction`` is the positive-cone fraction of the matrix models,
+drawn through ``reference_spectra`` at every n: an estimate that shares
+no code with the density that the quadrature, the importance-sampled
+indicator and the rejection draws all evaluate."""
 
 import math
 
 import numpy as np
 
-from wignerq.integrate.sampling import sample_spectra
 from wignerq.positivity import DEFAULT_CONE_TOL, min_pairing_batch
+from wignerq.spectra import MetricKind
 
 
 def ginibre(rng, m, n):
@@ -53,9 +54,10 @@ def reference_spectra(bures, n, samples, seed, workers, batch):
 
 
 def matrix_fraction(metric, n, kernel, spec):
-    """The fraction p of ``spec.samples`` = m matrix-model spectra inside
-    the kernel's positive cone, to ``DEFAULT_CONE_TOL``, and its binomial
-    standard error sqrt(p (1 - p) / m)."""
-    spectra = sample_spectra(metric, n, spec, "matrix")[0]
+    """The fraction p of ``spec.samples`` = m spectra of the metric's
+    matrix model (HS or Bures), drawn by ``reference_spectra`` on
+    ``spec``'s seed and workers, inside the kernel's positive cone, to
+    ``DEFAULT_CONE_TOL``, and its binomial standard error sqrt(p (1 - p) / m)."""
+    spectra = reference_spectra(metric is MetricKind.BURES, n, spec.samples, spec.seed, spec.workers, 1 << 16)
     p = float(np.mean(min_pairing_batch(spectra, kernel) >= -DEFAULT_CONE_TOL))
     return p, math.sqrt(p * (1.0 - p) / len(spectra))

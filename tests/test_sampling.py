@@ -1,5 +1,6 @@
 """Monte Carlo samplers: target distributions, determinism, diagnostics."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -7,8 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
-from matrix_reference import ginibre, qr_unitary, reference_spectra
-from scipy import integrate, stats
+from matrix_reference import reference_spectra
+from scipy import integrate, optimize, special, stats
 from weighted_reference import one_shot_fraction, reference_weighted_spectra
 
 from wignerq import (
@@ -210,90 +211,71 @@ class TestBuresSampler:
             assert abs(p - expected) < 4 * se
 
 
-class TestClosedFormKernel:
-    """The n <= 3 matrix-model kernel (Gram-Schmidt unitaries, closed-form
-    spectra) against the LAPACK chain of ``matrix_reference``."""
-
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("bures", [False, True], ids=["hs", "bures"])
-    def test_matches_lapack_oracle_across_batches(self, bures, n):
-        # two workers, each with one full batch and a partial one
-        samples = 2 * sampling_mod._EIG_BATCH + 2_000
-        spec = McSpec(samples=samples, seed=2024 + n, workers=2)
-        arr = (sample_bures_spectra if bures else sample_hs_spectra)(n, spec)
-        ref = reference_spectra(bures, n, samples, spec.seed, spec.workers, sampling_mod._EIG_BATCH)
-        assert arr.shape == ref.shape == (samples, n)
-        assert np.abs(arr - ref).max() <= 1e-12
-        assert (np.diff(arr, axis=1) <= 0.0).all()
-        assert np.abs(arr.sum(axis=1) - 1.0).max() <= 1e-12
-
-    @pytest.mark.parametrize("bures", [False, True], ids=["hs", "bures"])
-    def test_four_levels_keep_the_lapack_chain(self, bures):
-        spec = McSpec(samples=3_000, seed=11, workers=2)
-        arr = (sample_bures_spectra if bures else sample_hs_spectra)(4, spec)
-        ref = reference_spectra(bures, 4, spec.samples, spec.seed, spec.workers, sampling_mod._EIG_BATCH)
-        assert np.array_equal(arr, ref)
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_gram_schmidt_unitary_is_phase_fixed_qr(self, n):
-        z = ginibre(np.random.default_rng(5), 20_000, n)
-        u = sampling_mod._gram_schmidt_unitary(sampling_mod._by_component(z)).transpose(2, 0, 1)
-        defect = u @ u.conj().swapaxes(1, 2) - np.eye(n)
-        assert np.abs(defect).sum(axis=2).max() <= 1e-13
-        assert np.abs(u - qr_unitary(z)).max() <= 1e-12
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_gram_schmidt_stays_orthonormal_when_ill_conditioned(self, n):
-        # the last column within 1e-7 of the first: condition number ~1e7,
-        # where a single Gram-Schmidt pass loses orthogonality
-        z = ginibre(np.random.default_rng(6), 2_000, n)
-        z[:, :, -1] = z[:, :, 0] + 1e-7 * ginibre(np.random.default_rng(7), 2_000, n)[:, :, 0]
-        u = sampling_mod._gram_schmidt_unitary(sampling_mod._by_component(z)).transpose(2, 0, 1)
-        defect = u @ u.conj().swapaxes(1, 2) - np.eye(n)
-        assert np.abs(defect).sum(axis=2).max() <= 1e-13
-        r = u.conj().swapaxes(1, 2) @ z
-        assert np.abs(np.tril(r, -1)).max() <= 1e-12
-        d = np.einsum("...ii->...i", r)
-        assert (d.real > 0.0).all() and np.abs(d.imag).max() <= 1e-12
+class TestRejectionDraw:
+    """The HS and Bures draws at n <= 5, by rejection from the Dirichlet(1/2)
+    proposal: bounds at the weight's supremum, and the law of the LAPACK
+    chain of ``matrix_reference``."""
 
     @staticmethod
-    def _hermitian(n, seed):
-        h = ginibre(np.random.default_rng(seed), 1, n)[0]
-        return (h + h.conj().T) / 2.0
+    def _weight(metric, r):
+        """The weight, density over proposal, at one spectrum, written out."""
+        pairs = math.prod((x - y) ** 2 * (1.0 if metric is MetricKind.HS else 2.0 / (x + y))
+                          for x, y in itertools.combinations(r, 2))
+        return pairs * math.sqrt(math.prod(r)) if metric is MetricKind.HS else pairs
 
-    def _degenerate_cases(self):
-        v = np.array([[1.0], [2.0j], [-0.5]])
-        yield np.eye(3)  # triple eigenvalue
-        # nearly triple, not nearly double: the middle root's rounding can
-        # cross an outer one in about one row in a hundred
-        h = ginibre(np.random.default_rng(4), 2_000, 3)
-        yield np.eye(3) + 1e-16 * (h + h.conj().swapaxes(1, 2))
-        yield np.diag([1.0, 1.0, 0.5]) + 1e-12 * self._hermitian(3, 1)
-        yield np.diag([1.0, 0.5, 0.5]) + 1e-8 * self._hermitian(3, 2)
-        yield v @ v.conj().T  # rank 1: a double zero
-        yield np.diag([1.0, 1e-9, 0.0])
-        for gap in (1e-2, 1e-3, 3e-4, 1e-4):  # either side of the eigvalsh hand-off
-            yield np.diag([1.0, 0.5 + gap, 0.5]) + 1e-3 * gap * self._hermitian(3, 3)
-        # multiples of I: det / larger rounds above the larger in about one row in thirty
-        yield np.eye(2) * np.random.default_rng(8).uniform(0.5, 1.5, 2_000)[:, None, None]
-        yield np.diag([2.0, 1.0])  # w01 = 0
-        yield np.diag([1.0, 1.0])
-        yield np.array([[1.0, 0.5j], [-0.5j, 1.0]])  # w00 = w11
-        yield np.array([[0.3, 1e-9 + 1e-9j], [1e-9 - 1e-9j, 0.3]])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_hs_bounds_are_at_the_hermite_zeros(self, n):
+        # Stieltjes: the maximizer is r_i = h_i^2 / sum h_j^2 over the positive zeros h_i of H_2n
+        h = special.roots_hermite(2 * n)[0]
+        r = h[h > 0.0] ** 2 / (h[h > 0.0] ** 2).sum()
+        assert sampling_mod._SUP_WEIGHT[MetricKind.HS][n] == pytest.approx(self._weight(MetricKind.HS, r), rel=1e-13)
 
-    def test_degenerate_inputs_match_eigvalsh(self):
-        for w in self._degenerate_cases():
-            # at least two rows, so the hand-off's row indexing is exercised
-            stack = w if w.ndim == 3 else np.stack([w, 3.0 * w])
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                ev = sampling_mod._closed_form_eigvals(sampling_mod._by_component(stack))
-            ev = ev / ev.sum(axis=1, keepdims=True)
-            ref = np.linalg.eigvalsh(stack)[:, ::-1]
-            ref = ref / ref.sum(axis=1, keepdims=True)
-            assert np.isfinite(ev).all()
-            assert (np.diff(ev, axis=1) <= 0.0).all()
-            assert np.abs(ev - ref).max() <= 1e-12, stack[0]
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("metric", [MetricKind.HS, MetricKind.BURES], ids=["hs", "bures"])
+    def test_no_local_search_beats_the_bounds(self, metric, n):
+        # Nelder-Mead on the log weight from 12 starts, at r = |y| / sum |y|,
+        # which reaches every facet; the best search attains each bound, so
+        # none is loose either
+        sup = sampling_mod._SUP_WEIGHT[metric][n]
+        rng = np.random.default_rng(60 + n)
+        best = 0.0
+        for _ in range(12):
+            res = optimize.minimize(
+                lambda y: -math.log(self._weight(metric, np.abs(y) / np.abs(y).sum()) or 1e-300), rng.random(n),
+                method="Nelder-Mead", options={"xatol": 1e-9, "fatol": 1e-15, "maxfev": 5_000},
+            )
+            best = max(best, self._weight(metric, np.abs(res.x) / np.abs(res.x).sum()))
+        assert sup * (1.0 - 1e-9) <= best <= sup * (1.0 + 1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("metric", [MetricKind.HS, MetricKind.BURES], ids=["hs", "bures"])
+    def test_no_weight_exceeds_its_bound(self, metric, n):
+        rng = np.random.default_rng(70 + n)
+        top = max(sampling_mod._acceptance_weight(metric, sampling_mod._half_dirichlet_columns(rng, 1 << 17, n)).max()
+                  for _ in range(8))  # about 10^6 proposals
+        assert top <= sampling_mod._SUP_WEIGHT[metric][n]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("bures", [False, True], ids=["hs", "bures"])
+    def test_coordinates_follow_the_lapack_chain(self, bures, n):
+        # two-sample Kolmogorov-Smirnov of each sorted coordinate, judged at
+        # the asymptotic critical value of level 1e-3: D < sqrt(-ln(5e-4) / 2) * sqrt(2 / rows)
+        rows = 40_000
+        spec = McSpec(samples=rows, seed=80 + n, workers=2)
+        drawn = (sample_bures_spectra if bures else sample_hs_spectra)(n, spec)
+        want = reference_spectra(bures, n, rows, 90 + n, 1, 1 << 14)
+        assert (np.diff(drawn, axis=1) <= 0.0).all()
+        assert np.abs(drawn.sum(axis=1) - 1.0).max() <= 1e-12
+        critical = math.sqrt(-math.log(5e-4) / 2.0) * math.sqrt(2.0 / rows)
+        for k in range(n):
+            assert stats.ks_2samp(drawn[:, k], want[:, k]).statistic < critical, k
+
+    @pytest.mark.parametrize("bures", [False, True], ids=["hs", "bures"])
+    def test_six_levels_keep_the_lapack_chain(self, bures):
+        spec = McSpec(samples=3_000, seed=11, workers=2)
+        arr = (sample_bures_spectra if bures else sample_hs_spectra)(6, spec)
+        ref = reference_spectra(bures, 6, spec.samples, spec.seed, spec.workers, 16 * sampling_mod._EIG_BATCH // 36)
+        assert np.array_equal(arr, ref)
 
 
 class TestWeightedSampler:

@@ -21,6 +21,7 @@ from wignerq import (
 )
 
 SQRT3 = math.sqrt(3.0)
+NAN, INF = math.nan, math.inf
 
 
 class TestStateSpectrum:
@@ -33,8 +34,10 @@ class TestStateSpectrum:
             StateSpectrum((0.6, 0.6))
 
     def test_negative_beyond_tolerance_rejected(self):
-        with pytest.raises(DomainError):
-            StateSpectrum((1.0 + 1e-6, -1e-6))
+        # NaN passes every tolerance comparison, so it is rejected as non-finite
+        for values in ((1.0 + 1e-6, -1e-6), (NAN, 0.5, 0.5), (INF, -INF, 1.0), (0.5, 0.5, -INF), (INF, 0.0)):
+            with pytest.raises(DomainError):
+                StateSpectrum(values)
 
     def test_tiny_roundoff_negative_accepted(self):
         s = StateSpectrum((1.0 + 1e-14, -1e-14))
@@ -51,8 +54,10 @@ class TestKernelSpectrum:
         assert k.values[0] < k.values[1]
 
     def test_trace_condition_enforced(self):
-        with pytest.raises(DomainError):
-            KernelSpectrum((0.4, 0.7))  # sums to 1.1
+        # sums to 1.1; NaN, and inf against -inf, which math.fsum refuses
+        for values in ((0.4, 0.7), (NAN, 0.5, 0.5), (INF, -INF, 1.0), (INF, 0.0)):
+            with pytest.raises(DomainError):
+                KernelSpectrum(values)
 
     def test_square_condition_enforced(self):
         with pytest.raises(DomainError):
@@ -70,8 +75,9 @@ class TestModuliPoint:
         ModuliPoint.qutrit(math.pi / 6)
         with pytest.raises(DomainError):
             ModuliPoint.qutrit(math.pi / 3 + 0.1)
-        with pytest.raises(DomainError):
-            ModuliPoint.qutrit(-0.1)
+        for zeta in (-0.1, NAN, INF):
+            with pytest.raises(DomainError):
+                ModuliPoint.qutrit(zeta)
 
     def test_general_direction_must_be_unit(self):
         ModuliPoint.from_direction(4, (1.0, 0.0, 0.0))
@@ -79,6 +85,9 @@ class TestModuliPoint:
             ModuliPoint.from_direction(4, (1.0, 1.0, 0.0))
         with pytest.raises(DomainError):
             ModuliPoint.from_direction(4, (1.0, 0.0))  # wrong length
+        for bad in (NAN, INF, -INF):
+            with pytest.raises(DomainError):
+                ModuliPoint(4, direction=(bad, 0.0, 0.0))
 
 
 class TestMetricKind:
