@@ -23,8 +23,9 @@ orders agree to ``rel_tol``, relative only (``abs_tol`` does not apply);
 ``gauss_legendre_doubling``, the same loop on an interval, is bench-only
 and a test oracle, as the flat moduli average is exact.  Each 1-D rule
 (by Golub-Welsch from ``numpy.linalg``, so no route loads
-``numpy.polynomial``), each small reference grid of the collapsed rule
-and each order's grid of the sector rule is built once per process.
+``numpy.polynomial``) and each order's grid of the sector rule is built
+once per process, and so is each grid of the collapsed rule's leading or
+trailing axes while it is among the 256 last used.
 The sector grid does not depend on the metric, so the three metrics
 share it; it holds 192 k^2 bytes at order k, 0.26 MB for orders 8 to 32
 (the default tolerance) and 16.8 MB for all of 8 to 256.
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -194,9 +195,9 @@ def _cut_pieces(verts, ells):
 
     Pulling triangulation from the first vertex p with l(p) >= 0: the cone
     from p over the staircase triangulation of the cut section (spanned
-    by the points x_ij where l = 0 on the edges from the positive vertices
-    p_i to the negative ones q_j, combinatorially a product of two
-    simplices, one piece per monotone lattice path), and the cone from p
+    by the points x_ij where l = 0 on the edges from the a positive
+    vertices p_i to the b negative ones q_j, combinatorially Delta_{a-1} x
+    Delta_{b-1}, one piece per monotone lattice path), and the cone from p
     over the same construction on the facet opposite p.  A vertex with
     l = 0 counts as positive; the pieces it makes degenerate have volume 0.
     """
@@ -262,73 +263,49 @@ _MAX_POINTS = 2 ** 21
 _MAX_ORDER = 1024
 
 #: Rows per density call, which bounds the memory of one call, and the
-#: most points of a reference grid kept for the process (the first grid at
-#: N = 6 has 8^5 points, so its grids are kept only in part).
+#: most points of the trailing axes' grid; a larger rule takes its leading
+#: axes as a grid of their own (the first rule at N = 6 has 8^5 points,
+#: 8 leading nodes times 8^4 trailing points).
 _CHUNK = 2 ** 12
 
 
-def _axis_rule(p: int, order: int, power: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u = s^p of one axis of the collapsed rule and their weights:
-    the Gauss-Legendre weight in s, the ds-to-du factor and the axis's
-    Duffy Jacobian factor u^power."""
-    s, w = _gauss_legendre(order)
-    u = s ** p
-    return u, w * p * s ** (p - 1) * u ** power
-
-
 @lru_cache(maxsize=256)
-def _reference_grid(powers: tuple, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The collapsed tensor rule on the unit d-simplex with ``orders[k]``
-    nodes and power ``powers[k]`` on axis k, read-only and kept for the
-    process (the 256 last used).  A grid has at most ``_CHUNK`` points,
-    (d + 2) * 32 kB, so 256 grids hold at most 59 MB; the Bures and BKM
-    n = 3 and 4 regions and the Bures n = 5, 6 and BKM n = 5 full volumes
-    use 41 grids, 2.0 MB.  Barycentric points (m, d+1) of the Duffy map
-    from the unit cube, b_0 = 1 - u_1, b_k = u_1...u_k (1 - u_{k+1}),
-    b_d = u_1...u_d, and weights d! times the axis weights, whose Jacobian
-    factors give prod_k u_k^(d-k)."""
-    d = len(orders)
-    bary = np.empty(orders + (d + 1,))
-    weight = np.full(orders, float(math.factorial(d)))
+def _reference_grid(powers: tuple, orders: tuple, trailing: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The collapsed tensor rule on the first t = ``len(orders)`` axes of a
+    d-simplex, d = t + ``trailing``, with ``orders[k]`` nodes and power
+    ``powers[k]`` on axis k, read-only and kept for the process (the 256
+    last used).  Points (m, t+1) of the Duffy map from the unit cube,
+    b_0 = 1 - u_1, b_k = u_1...u_k (1 - u_{k+1}), then u_1...u_t (b_d when
+    ``trailing`` is 0); weights d!/trailing! times the axis weights: the
+    Gauss-Legendre weight in s, the ds-to-du factor and the Duffy Jacobian
+    factor u_k^(d-k).  ``_collapsed_sums`` asks for each rule's trailing
+    axes, at most ``_CHUNK`` points or (t + 2) * 32 kB, and its leading
+    axes; the Bures and BKM n = 3 and 4 regions and the Bures n = 5, 6 and
+    BKM n = 5 full volumes use 61 grids, 2.1 MB."""
+    t, d = len(orders), len(orders) + trailing
+    bary = np.empty(orders + (t + 1,))
+    weight = np.full(orders, float(math.perm(d, t)))
     prefix = 1.0
-    for k, order in enumerate(orders):
-        u, w = (a.reshape((1,) * k + (order,) + (1,) * (d - 1 - k)) for a in _axis_rule(powers[k], order, d - 1 - k))
+    for k, (p, order) in enumerate(zip(powers, orders)):
+        s, w = (a.reshape((1,) * k + (order,) + (1,) * (t - 1 - k)) for a in _gauss_legendre(order))
+        u = s ** p
         bary[..., k] = prefix * (1.0 - u)
         prefix = prefix * u
-        weight *= w
-    bary[..., d] = prefix
-    bary, weight = bary.reshape(-1, d + 1), weight.reshape(-1)
+        weight *= w * p * s ** (p - 1) * u ** (d - 1 - k)
+    bary[..., t] = prefix
+    bary, weight = bary.reshape(-1, t + 1), weight.reshape(-1)
     bary.flags.writeable = weight.flags.writeable = False
     return bary, weight
-
-
-def _grid_blocks(powers: tuple, orders: tuple):
-    """The collapsed rule with the given powers and orders per axis, one
-    block per node of the leading axes 1 ... t: (b_0 ... b_{t-1},
-    u_1...u_t, weight factor, reference grid of the trailing axes t+1 ...
-    d), the trailing axes being the longest run with at most ``_CHUNK``
-    points.  The Duffy map nests, so a point of the block is b_0 ... b_{t-1}
-    followed by u_1...u_t times a point of that grid, and its weight is the
-    factor times the grid's."""
-    d, t = len(orders), len(orders)
-    while t > 0 and math.prod(orders[t - 1:]) <= _CHUNK:
-        t -= 1
-    trailing = _reference_grid(powers[t:], orders[t:])
-    axes = [[a.tolist() for a in _axis_rule(powers[k], order, d - 1 - k)] for k, order in enumerate(orders[:t])]
-    scale = math.factorial(d) / math.factorial(d - t)
-    for idx in product(*(range(order) for order in orders[:t])):
-        lead, prefix, factor = [], 1.0, scale
-        for (u, w), i in zip(axes, idx):
-            lead.append(prefix * (1.0 - u[i]))
-            prefix *= u[i]
-            factor *= w[i]
-        yield np.array(lead), prefix, factor, trailing
 
 
 def _collapsed_sums(metric, pieces, grids) -> list[float]:
     """The collapsed rule at each orders tuple of ``grids``, summed over the
     pieces.  Axis k's power is the largest ``_COLLAPSE_POWER`` entry over
-    the pieces' zero counts at their corner k.  The points of all grids and
+    the pieces' zero counts at their corner k.  The trailing axes t+1 ... d
+    are the longest run with at most ``_CHUNK`` points.  The Duffy map
+    nests, so each node of the leading axes' grid, b_0 ... b_{t-1} and
+    u_1...u_t, prefixes u_1...u_t times each trailing point, and its weight
+    times the trailing one weighs that point.  The points of all grids and
     pieces share density calls of at most ``_CHUNK`` rows."""
     table = np.array(_COLLAPSE_POWER[metric])
     zeros = np.array([(corners[:-1] == 0.0).sum(axis=1) for corners, _ in pieces])
@@ -346,8 +323,12 @@ def _collapsed_sums(metric, pieces, grids) -> list[float]:
         pending.clear()
 
     for j, orders in enumerate(grids):
-        for lead, prefix, factor, (bary, weight) in _grid_blocks(powers, orders):
-            t = len(lead)
+        t = len(orders)
+        while t > 0 and math.prod(orders[t - 1:]) <= _CHUNK:
+            t -= 1
+        bary, weight = _reference_grid(powers[t:], orders[t:])
+        leading, factors = _reference_grid(powers[:t], orders[:t], len(orders) - t)
+        for lead, prefix, factor in zip(leading[:, :t], leading[:, t].tolist(), factors.tolist()):
             for corners, volume in pieces:
                 if used + len(weight) > _CHUNK:
                     flush()
@@ -544,8 +525,8 @@ def _sector_rule_sum(metric, order: int) -> float:
     """The integral of density times ``_zeta_positive_fraction`` over the
     ordered triangle by the rule of ``_sector_grid``: the density at its
     spectra in calls of at most ``_CHUNK`` rows, then one weighted sum per
-    block, a summed product rather than a BLAS dot product, so the BLAS
-    thread count moves no bit."""
+    block, ``(w * d).sum()`` rather than a BLAS dot, so the BLAS thread
+    count moves no bit."""
     spectra, weights = _sector_grid(order)
     density = np.empty(len(spectra))
     for at in range(0, len(spectra), _CHUNK):

@@ -36,11 +36,12 @@ _ZETA_MAX = math.pi / 3.0
 
 
 def _check_zeta(zeta) -> float:
-    """The three-level apex angle as a float, checked to lie in [0, pi/3]."""
+    """The three-level apex angle as a float, checked to lie in [0, pi/3];
+    -0.0 becomes 0.0, so one moduli point has one spelling."""
     z = float(zeta)
     if not 0.0 <= z <= _ZETA_MAX + ALGEBRAIC_TOL:
         raise DomainError(f"zeta {z!r} outside [0, pi/3]")
-    return z
+    return z + 0.0
 
 
 def _check_bloch_radius(radius) -> float:

@@ -415,7 +415,7 @@ class TestSimplexVolumes:
         assert 0.0 < result.error <= QuadratureSpec().rel_tol * result.value
 
     def test_reference_grids_of_a_mixed_loop_stay_cached(self):
-        # Bures and BKM regions at n = 3 and 4 use 36 grids: a second pass
+        # Bures and BKM regions at n = 3 and 4 use 40 grids: a second pass
         # builds none of them again (at a bound of 32 it rebuilt 25)
         def one_pass():
             for metric in (MetricKind.BURES, MetricKind.BKM):
@@ -429,6 +429,34 @@ class TestSimplexVolumes:
         misses = quadrature._reference_grid.cache_info().misses
         one_pass()
         assert quadrature._reference_grid.cache_info().misses == misses
+
+    @pytest.mark.parametrize("metric, orders, powers, leading", [
+        (MetricKind.BKM, (32, 16, 16), (2, 4, 8), 1),
+        (MetricKind.BURES, (16, 16, 8, 8), (1, 2, 1, 2), 1),
+        (MetricKind.BKM, (32, 16, 16, 8), (1, 2, 4, 8), 1),
+        (MetricKind.BKM, (16, 16, 32, 16), (1, 2, 4, 8), 2),
+        (MetricKind.BURES, (4, 4, 8, 16, 64), (2, 1, 2, 1, 2), 3),
+    ], ids=["bkm-4", "bures-5", "bkm-5", "bkm-5-t2", "bures-6-t3"])
+    def test_leading_axes_split_matches_the_whole_rule(self, metric, orders, powers, leading):
+        # a full volume's rule of more than _CHUNK points runs as a grid of
+        # its leading axes times one of the rest; the whole tensor rule,
+        # built here from the 1-D rules and the Duffy map, gives its value
+        d = len(orders)
+        assert math.prod(orders[leading:]) <= quadrature._CHUNK < math.prod(orders[leading - 1:])
+        u, weight = [], math.factorial(d)
+        for k, (order, p) in enumerate(zip(orders, powers)):
+            s, w = (a.reshape((1,) * k + (order,) + (1,) * (d - 1 - k)) for a in quadrature._gauss_legendre(order))
+            u.append(s ** p)
+            weight = weight * w * p * s ** (p - 1) * u[-1] ** (d - 1 - k)
+        prefix, columns = 1.0, []
+        for uk in u:
+            columns.append(np.broadcast_to(prefix * (1.0 - uk), orders))
+            prefix = prefix * uk
+        bary = np.stack(columns + [prefix], axis=-1).reshape(-1, d + 1)
+        [(corners, volume)] = pieces = quadrature._simplex_pieces(d + 1, None)
+        whole = math.fsum((volume * weight.ravel() * quadrature._density_batch(metric, bary @ corners)).tolist())
+        split = quadrature._collapsed_sums(metric, pieces, [orders])[0]
+        assert split == pytest.approx(whole, rel=1e-14, abs=0.0)
 
     def test_triangulation_matches_its_per_piece_build(self, rng, monkeypatch):
         # the float-tuple cut and the stacked determinant give the bits of

@@ -533,8 +533,9 @@ class TestUnitWeightEstimator:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("metric", [MetricKind.HS, MetricKind.BURES], ids=["hs", "bures"])
     def test_binomial_identity(self, metric, n, workers):
-        # 2.5 batches, so each worker crosses a batch boundary
-        m = 5 * sampling_mod._EIG_BATCH // 2
+        # five rejection steps' proposals: a step keeps about 1,900 (n = 3)
+        # to 4,500 (n = 2) rows, so each of two workers takes five or more
+        m = 5 * sampling_mod._WEIGHTED_BATCH
         spec = McSpec(samples=m, seed=31 + n, workers=workers)
         kernel = _STREAM_KERNELS[n]()
         arr = (sample_bures_spectra if metric is MetricKind.BURES else sample_hs_spectra)(n, spec)

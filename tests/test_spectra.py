@@ -73,6 +73,8 @@ class TestModuliPoint:
 
     def test_qutrit_angle_range(self):
         ModuliPoint.qutrit(math.pi / 6)
+        # -0.0 is the point zeta = 0, spelled +0.0
+        assert math.copysign(1.0, ModuliPoint.qutrit(-0.0).zeta) == 1.0
         with pytest.raises(DomainError):
             ModuliPoint.qutrit(math.pi / 3 + 0.1)
         for zeta in (-0.1, NAN, INF):
